@@ -1,0 +1,40 @@
+package cqeval
+
+import (
+	"fmt"
+	"testing"
+
+	"wdpt/internal/cq"
+)
+
+// TestOneShotAllocationCeilings pins the allocations of one unprepared
+// Satisfiable / Project call (warm plan cache) for a four-atom path query
+// over a 200-edge path with one bound variable, at the values the four-struct implementation measured. A
+// refactor that adds per-call setup — a wrapper value, a second
+// instantiation, a re-rendered cache key — shows up here before it shows up
+// as microseconds on the server's point queries.
+func TestOneShotAllocationCeilings(t *testing.T) {
+	d := pathDB(200)
+	d.Seal()
+	var atoms []cq.Atom
+	for i := 0; i < 4; i++ {
+		atoms = append(atoms, cq.NewAtom("E", cq.V(fmt.Sprintf("x%d", i)), cq.V(fmt.Sprintf("x%d", i+1))))
+	}
+	fixed := cq.Mapping{"x0": "0"}
+	proj := []string{"x0", "x4"}
+	for _, c := range []struct {
+		eng                  Engine
+		satisfiable, project float64
+	}{
+		{Yannakakis(), 855, 976},
+		{Auto(), 855, 976},
+		{Decomposition(), 747, 869},
+	} {
+		if got := testing.AllocsPerRun(20, func() { c.eng.Satisfiable(atoms, d, fixed) }); got > c.satisfiable {
+			t.Errorf("%s Satisfiable: %v allocs/op, ceiling %v", c.eng.Name(), got, c.satisfiable)
+		}
+		if got := testing.AllocsPerRun(20, func() { c.eng.Project(atoms, d, fixed, proj) }); got > c.project {
+			t.Errorf("%s Project: %v allocs/op, ceiling %v", c.eng.Name(), got, c.project)
+		}
+	}
+}
