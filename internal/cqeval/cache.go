@@ -26,7 +26,7 @@ type cachedShape struct {
 	order  []int
 	bags   [][]string // tree decompositions and GHDs
 	covers [][]int    // GHDs: covering atom indexes per bag
-	width  int        // GHDs: width at which the search succeeded
+	width  int        // 1 for a join tree, max |bag|-1 for a tree decomposition, the width a GHD search succeeded at
 }
 
 // cacheEntry pairs a shape with a ready channel so that concurrent requests

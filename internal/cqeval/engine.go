@@ -2,6 +2,7 @@ package cqeval
 
 import (
 	"sort"
+	"strconv"
 
 	"wdpt/internal/cq"
 	"wdpt/internal/db"
@@ -121,22 +122,39 @@ func Naive() Engine { return naiveEngine{} }
 
 // Yannakakis returns the join-tree semijoin engine for acyclic CQs
 // (Theorem 3 substrate); on non-acyclic inputs it transparently falls back
-// to the decomposition engine. The returned engine caches the structural
-// part of its plans (join trees, decompositions) across calls, keyed on the
+// to a tree decomposition. The returned engine caches the structural part
+// of its plans (join trees, decompositions) across calls, keyed on the
 // variable shape of the instantiated atoms.
-func Yannakakis() Engine { return yannakakisEngine{cache: newPlanCache()} }
+func Yannakakis() Engine { return newPlanEngine("yannakakis", joinTree, 0) }
 
 // Decomposition returns the tree-decomposition-guided engine: bags of a
 // min-fill decomposition become materialized relations processed by
 // Yannakakis over the bag tree (Theorem 2 substrate). It handles arbitrary
 // CQs; running time is |D|^(w+1) for decomposition width w. Structural
 // plans are cached across calls.
-func Decomposition() Engine { return decompEngine{cache: newPlanCache()} }
+func Decomposition() Engine { return newPlanEngine("decomposition", treeDecomposition, 0) }
 
 // Auto returns the selecting engine: Yannakakis when the instantiated query
-// is acyclic, the decomposition engine otherwise. Structural plans are
-// cached across calls.
-func Auto() Engine { return autoEngine{cache: newPlanCache()} }
+// is acyclic, a tree decomposition otherwise. Structural plans are cached
+// across calls.
+func Auto() Engine { return newPlanEngine("auto", joinTree, 0) }
+
+// Hypertree returns the GHD-guided engine: a generalized hypertree
+// decomposition of width ≤ maxWidth is searched (growing from width 1);
+// each bag's relation is the join of its covering atoms projected to the
+// bag, and the bag tree is processed by Yannakakis. For acyclic queries
+// this coincides with the Yannakakis engine; for cyclic queries of small
+// hypertree width — such as Example 5's θ_n family, whose treewidth is
+// unbounded — it evaluates in |D|^O(maxWidth) where variable-based
+// decompositions cannot help. Queries whose instantiated hypergraph
+// exceeds maxWidth fall back to a tree decomposition. Structural
+// decompositions are cached across calls.
+func Hypertree(maxWidth int) Engine {
+	if maxWidth < 1 {
+		maxWidth = 1
+	}
+	return newPlanEngine("hypertree", ghd, maxWidth)
+}
 
 type naiveEngine struct {
 	st *obs.Stats
@@ -179,175 +197,70 @@ func (e naiveEngine) Explain(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) 
 	return obs.Plan{Engine: e.Name(), Strategy: "backtracking", Atoms: len(inst)}
 }
 
-type yannakakisEngine struct {
-	st    *obs.Stats
-	cache *planCache
-	pl    *par.Pool
-	gm    *guard.Meter
+// strategy is a structural plan shape: how the instantiated atoms are
+// arranged into a tree of bag relations for the semijoin executor.
+type strategy uint8
+
+const (
+	joinTree          strategy = iota // GYO join tree, one bag per atom; acyclic queries only
+	treeDecomposition                 // min-fill tree decomposition; applies to every query
+	ghd                               // generalized hypertree decomposition of bounded width
+)
+
+// String is the strategy's name in EXPLAIN output.
+func (s strategy) String() string {
+	return [...]string{joinTree: "join-tree", treeDecomposition: "tree-decomposition", ghd: "ghd"}[s]
 }
 
-func (yannakakisEngine) Name() string { return "yannakakis" }
-
-func (e yannakakisEngine) withStats(st *obs.Stats) Engine {
-	return yannakakisEngine{st: st, cache: e.cache, pl: e.pl, gm: e.gm}
-}
-func (e yannakakisEngine) stats() *obs.Stats { return e.st }
-
-func (e yannakakisEngine) withPool(pl *par.Pool) Engine {
-	return yannakakisEngine{st: e.st, cache: e.cache, pl: pl, gm: e.gm}
-}
-func (e yannakakisEngine) pool() *par.Pool { return e.pl }
-
-func (e yannakakisEngine) withMeter(gm *guard.Meter) Engine {
-	return yannakakisEngine{st: e.st, cache: e.cache, pl: e.pl, gm: gm}
-}
-func (e yannakakisEngine) meter() *guard.Meter { return e.gm }
-
-// fallback is the decomposition engine sharing this engine's sink, cache,
-// pool, and meter.
-func (e yannakakisEngine) fallback() decompEngine {
-	return decompEngine{st: e.st, cache: e.cache, pl: e.pl, gm: e.gm}
+// planEngine is the one plan-based engine behind Yannakakis, Decomposition,
+// Auto and Hypertree. It plans with its first strategy and, when that
+// strategy does not apply to the instantiated query (cyclic for a join
+// tree, wider than maxWidth for a GHD), falls back to a tree decomposition,
+// which always applies.
+type planEngine struct {
+	name     string
+	first    strategy
+	maxWidth int // GHD width bound; unused by the other strategies
+	st       *obs.Stats
+	cache    *planCache
+	pl       *par.Pool
+	gm       *guard.Meter
 }
 
-func (e yannakakisEngine) Satisfiable(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) bool {
+func newPlanEngine(name string, first strategy, maxWidth int) planEngine {
+	return planEngine{name: name, first: first, maxWidth: maxWidth, cache: newPlanCache()}
+}
+
+func (e planEngine) Name() string { return e.name }
+
+func (e planEngine) withStats(st *obs.Stats) Engine { e.st = st; return e }
+func (e planEngine) stats() *obs.Stats              { return e.st }
+
+func (e planEngine) withPool(pl *par.Pool) Engine { e.pl = pl; return e }
+func (e planEngine) pool() *par.Pool              { return e.pl }
+
+func (e planEngine) withMeter(gm *guard.Meter) Engine { e.gm = gm; return e }
+func (e planEngine) meter() *guard.Meter              { return e.gm }
+
+func (e planEngine) Satisfiable(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) bool {
 	e.st.Inc(obs.CtrSatisfiableCalls)
-	p, ok := prepareJoinTree(atoms, d, fixed, e.st, e.cache, e.pl, e.gm)
-	if !ok {
-		e.st.Inc(obs.CtrFallbacks)
-		return e.fallback().satisfiable(atoms, d, fixed)
-	}
+	p, _, _ := e.prepare(atoms, d, fixed)
 	return p.satisfiable()
 }
 
-func (e yannakakisEngine) Project(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) []cq.Mapping {
+func (e planEngine) Project(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) []cq.Mapping {
 	e.st.Inc(obs.CtrProjectCalls)
-	p, ok := prepareJoinTree(atoms, d, fixed, e.st, e.cache, e.pl, e.gm)
-	if !ok {
-		e.st.Inc(obs.CtrFallbacks)
-		return e.fallback().projectRows(atoms, d, fixed, proj)
-	}
+	p, _, _ := e.prepare(atoms, d, fixed)
 	return p.projectAnswers(proj, fixed)
 }
 
-func (e yannakakisEngine) Explain(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) obs.Plan {
-	p, ok := prepareJoinTree(atoms, d, fixed, nil, e.cache, nil, nil)
-	if !ok {
-		out := e.fallback().Explain(atoms, d, fixed)
-		out.Engine = e.Name()
-		out.Fallback = true
-		return out
-	}
-	return planToObs(p, e.Name(), "join-tree", 1)
-}
-
-type decompEngine struct {
-	st    *obs.Stats
-	cache *planCache
-	pl    *par.Pool
-	gm    *guard.Meter
-}
-
-func (decompEngine) Name() string { return "decomposition" }
-
-func (e decompEngine) withStats(st *obs.Stats) Engine {
-	return decompEngine{st: st, cache: e.cache, pl: e.pl, gm: e.gm}
-}
-func (e decompEngine) stats() *obs.Stats { return e.st }
-
-func (e decompEngine) withPool(pl *par.Pool) Engine {
-	return decompEngine{st: e.st, cache: e.cache, pl: pl, gm: e.gm}
-}
-func (e decompEngine) pool() *par.Pool { return e.pl }
-
-func (e decompEngine) withMeter(gm *guard.Meter) Engine {
-	return decompEngine{st: e.st, cache: e.cache, pl: e.pl, gm: gm}
-}
-func (e decompEngine) meter() *guard.Meter { return e.gm }
-
-func (e decompEngine) Satisfiable(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) bool {
-	e.st.Inc(obs.CtrSatisfiableCalls)
-	return e.satisfiable(atoms, d, fixed)
-}
-
-// satisfiable is the call-counter-free body, shared with fallback paths so
-// one logical engine call counts once.
-func (e decompEngine) satisfiable(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) bool {
-	p, ok := prepareDecomposition(atoms, d, fixed, e.st, e.cache, e.pl, e.gm)
-	if !ok {
-		return false
-	}
-	return p.satisfiable()
-}
-
-func (e decompEngine) Project(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) []cq.Mapping {
-	e.st.Inc(obs.CtrProjectCalls)
-	return e.projectRows(atoms, d, fixed, proj)
-}
-
-// projectRows is the call-counter-free body behind Project.
-func (e decompEngine) projectRows(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) []cq.Mapping {
-	p, ok := prepareDecomposition(atoms, d, fixed, e.st, e.cache, e.pl, e.gm)
-	if !ok {
-		return nil
-	}
-	return p.projectAnswers(proj, fixed)
-}
-
-func (e decompEngine) Explain(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) obs.Plan {
-	p, ok := prepareDecomposition(atoms, d, fixed, nil, e.cache, nil, nil)
-	if !ok {
-		// Provably unsatisfiable before planning (a ground atom failed).
-		inst, _ := instantiate(atoms, d, fixed)
-		return obs.Plan{Engine: e.Name(), Strategy: "tree-decomposition", Atoms: len(inst)}
-	}
-	width := 0
-	for _, r := range p.rels {
-		if w := len(r.vars) - 1; w > width {
-			width = w
-		}
-	}
-	return planToObs(p, e.Name(), "tree-decomposition", width)
-}
-
-type autoEngine struct {
-	st    *obs.Stats
-	cache *planCache
-	pl    *par.Pool
-	gm    *guard.Meter
-}
-
-func (autoEngine) Name() string { return "auto" }
-
-func (e autoEngine) withStats(st *obs.Stats) Engine {
-	return autoEngine{st: st, cache: e.cache, pl: e.pl, gm: e.gm}
-}
-func (e autoEngine) stats() *obs.Stats { return e.st }
-
-func (e autoEngine) withPool(pl *par.Pool) Engine {
-	return autoEngine{st: e.st, cache: e.cache, pl: pl, gm: e.gm}
-}
-func (e autoEngine) pool() *par.Pool { return e.pl }
-
-func (e autoEngine) withMeter(gm *guard.Meter) Engine {
-	return autoEngine{st: e.st, cache: e.cache, pl: e.pl, gm: gm}
-}
-func (e autoEngine) meter() *guard.Meter { return e.gm }
-
-func (e autoEngine) delegate() yannakakisEngine {
-	return yannakakisEngine{st: e.st, cache: e.cache, pl: e.pl, gm: e.gm}
-}
-
-func (e autoEngine) Satisfiable(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) bool {
-	return e.delegate().Satisfiable(atoms, d, fixed)
-}
-
-func (e autoEngine) Project(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, proj []string) []cq.Mapping {
-	return e.delegate().Project(atoms, d, fixed, proj)
-}
-
-func (e autoEngine) Explain(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) obs.Plan {
-	out := e.delegate().Explain(atoms, d, fixed)
-	out.Engine = e.Name()
+// Explain prepares the plan on a copy of e without sink, pool or meter, so
+// it records nothing; the shapes it builds still land in the plan cache.
+func (e planEngine) Explain(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) obs.Plan {
+	e.st, e.pl, e.gm = nil, nil, nil
+	p, used, width := e.prepare(atoms, d, fixed)
+	out := planToObs(p, e.name, used.String(), width)
+	out.Fallback = used != e.first
 	return out
 }
 
@@ -417,89 +330,122 @@ func instantiate(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) ([]cq.Atom, 
 	return cq.DedupAtoms(out), true
 }
 
-// prepareJoinTree builds a Yannakakis plan from the GYO join tree of the
-// instantiated atoms. ok=false means the instantiated query is not acyclic
-// (the caller should fall back); a plan with failed=true means provably
-// unsatisfiable. The join-tree shape is served from cache when the
-// variable shape of the instantiated atoms has been planned before; bag
-// relations materialize in parallel over pl (one independent backtracking
-// search per atom, so row sets and counters match the sequential pass).
-func prepareJoinTree(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, st *obs.Stats, cache *planCache, pl *par.Pool, gm *guard.Meter) (*plan, bool) {
+// prepare instantiates the atoms once, fetches the structural shape for the
+// engine's first strategy — or, when that strategy does not apply, counts
+// one fallback and fetches the tree decomposition instead — and
+// materializes one relation per bag, in parallel over e.pl (each bag is an
+// independent backtracking search, so row sets and counters match the
+// sequential pass). It returns the plan, the strategy that shaped it, and
+// the shape's width. A plan with failed=true is provably unsatisfiable.
+func (e planEngine) prepare(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) (*plan, strategy, int) {
+	st, gm := e.st, e.gm
 	inst, ok := instantiate(atoms, d, fixed)
-	if !ok {
-		return &plan{failed: true, st: st}, true
-	}
-	if len(inst) == 0 {
-		return trivialPlan(st), true
-	}
-	key := shapeKey("jt", inst)
-	shape := cache.do(key, st, func() *cachedShape {
-		hg := cq.AtomsHypergraph(inst)
-		acyclic, jt := hg.IsAcyclic()
-		if !acyclic {
-			return &cachedShape{}
+	if !ok || len(inst) == 0 {
+		// Nothing to shape: a ground atom failed, or all were ground and held.
+		p := &plan{failed: true, st: st}
+		if ok {
+			p = trivialPlan(st)
 		}
-		st.Inc(obs.CtrJoinTreesBuilt)
-		return &cachedShape{ok: true, parent: jt.Parent, order: jt.Order}
-	})
-	if !shape.ok {
-		return nil, false
+		width := 0
+		if e.first == joinTree {
+			width = 1 // a join tree is width 1 by definition, even an empty one
+		}
+		return p, e.first, width
 	}
-	p := &plan{dict: d.Dict(), parent: shape.parent, order: shape.order, st: st, pl: pl, gm: gm, nAtoms: len(inst)}
-	p.rels = par.Map(pl, len(inst), func(i int) *varRel {
+	used := e.first
+	sh := e.shape(used, inst)
+	if !sh.ok {
+		st.Inc(obs.CtrFallbacks)
+		used = treeDecomposition
+		sh = e.shape(used, inst)
+	}
+	// A join tree has one bag per atom; the decompositions enforce each
+	// atom at the first bag covering its variables, whether or not the atom
+	// is part of that bag's edge cover.
+	var assigned [][]cq.Atom
+	if used != joinTree {
+		assigned = assignAtoms(sh.bags, inst)
+	}
+	var cand map[string][]uint32
+	if used == treeDecomposition {
+		cand = candidateDomains(inst, d)
+	}
+	p := &plan{dict: d.Dict(), parent: sh.parent, order: sh.order, st: st, pl: e.pl, gm: gm, nAtoms: len(inst)}
+	p.rels = par.Map(e.pl, len(sh.parent), func(i int) *varRel {
 		guard.Fault(guard.SiteCQEvalBag)
-		r := newVarRel(inst[i].Vars())
-		r.setData(cq.ProjectionIDs([]cq.Atom{inst[i]}, d, nil, st, gm, r.vars))
-		gm.ChargeTuples(int64(r.n))
-		return r
+		switch used {
+		case joinTree:
+			return joinBag(inst[i].Vars(), []cq.Atom{inst[i]}, d, st, gm)
+		case ghd:
+			local := append([]cq.Atom(nil), assigned[i]...)
+			for _, ei := range sh.covers[i] {
+				local = append(local, inst[ei])
+			}
+			return joinBag(sh.bags[i], cq.DedupAtoms(local), d, st, gm)
+		default:
+			return domainBag(sh.bags[i], assigned[i], cand, d, st, gm)
+		}
 	})
-	p.bagAtoms = make([]int, len(inst))
+	p.bagAtoms = make([]int, len(p.rels))
 	for i, r := range p.rels {
 		if r.n == 0 {
 			p.failed = true
 		}
 		p.bagAtoms[i] = 1
-	}
-	st.Add(obs.CtrBagsBuilt, int64(len(p.rels)))
-	for _, r := range p.rels {
+		if assigned != nil {
+			p.bagAtoms[i] = len(assigned[i])
+		}
 		st.Add(obs.CtrBagRows, int64(r.n))
 	}
-	return p, true
+	st.Add(obs.CtrBagsBuilt, int64(len(p.rels)))
+	return p, used, sh.width
 }
 
-// prepareDecomposition builds a plan from a min-fill tree decomposition:
-// each atom is assigned to a bag covering it; bag relations enumerate
-// satisfying assignments of the assigned atoms extended over per-variable
-// candidate domains for unconstrained bag variables. ok=false means
-// provably unsatisfiable before planning. The decomposition shape is
-// served from cache when available; bag relations materialize in parallel
-// over pl.
-func prepareDecomposition(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, st *obs.Stats, cache *planCache, pl *par.Pool, gm *guard.Meter) (*plan, bool) {
-	inst, ok := instantiate(atoms, d, fixed)
-	if !ok {
-		return nil, false
+// shape returns the structural plan of inst under strategy s, from the plan
+// cache when the variable shape of inst has been planned before. ok=false
+// on the returned shape means s does not apply to inst.
+func (e planEngine) shape(s strategy, inst []cq.Atom) *cachedShape {
+	st := e.st
+	prefix := [...]string{joinTree: "jt", treeDecomposition: "td", ghd: "ghd"}[s]
+	if s == ghd {
+		prefix += strconv.Itoa(e.maxWidth) // a wider bound can succeed where a narrower one failed
 	}
-	if len(inst) == 0 {
-		return trivialPlan(st), true
-	}
-	key := shapeKey("td", inst)
-	shape := cache.do(key, st, func() *cachedShape {
+	return e.cache.do(shapeKey(prefix, inst), st, func() *cachedShape {
 		hg := cq.AtomsHypergraph(inst)
-		dec := hg.TreeDecomposition()
-		st.Inc(obs.CtrDecompositionsBuilt)
-		return &cachedShape{ok: true, bags: dec.Bags, parent: dec.Parent, order: bottomUpOrder(dec.Parent)}
+		switch s {
+		case joinTree:
+			acyclic, jt := hg.IsAcyclic()
+			if !acyclic {
+				return &cachedShape{}
+			}
+			st.Inc(obs.CtrJoinTreesBuilt)
+			return &cachedShape{ok: true, parent: jt.Parent, order: jt.Order, width: 1}
+		case ghd:
+			for k := 1; k <= e.maxWidth; k++ {
+				if g, ok := hg.GeneralizedHypertreeDecomposition(k); ok {
+					st.Inc(obs.CtrGHDsBuilt)
+					return &cachedShape{ok: true, bags: g.Bags, parent: g.Parent, order: bottomUpOrder(g.Parent), covers: g.Covers, width: k}
+				}
+			}
+			return &cachedShape{}
+		default:
+			dec := hg.TreeDecomposition()
+			st.Inc(obs.CtrDecompositionsBuilt)
+			return &cachedShape{ok: true, bags: dec.Bags, parent: dec.Parent, order: bottomUpOrder(dec.Parent), width: dec.Width()}
+		}
 	})
-	bags, parent, order := shape.bags, shape.parent, shape.order
-	nBags := len(bags)
+}
 
-	bagSets := make([]map[string]bool, nBags)
+// assignAtoms places each atom at the first bag that covers its variables.
+func assignAtoms(bags [][]string, inst []cq.Atom) [][]cq.Atom {
+	bagSets := make([]map[string]bool, len(bags))
 	for i, b := range bags {
 		bagSets[i] = make(map[string]bool, len(b))
 		for _, v := range b {
 			bagSets[i][v] = true
 		}
 	}
-	assigned := make([][]cq.Atom, nBags)
+	assigned := make([][]cq.Atom, len(bags))
 	for _, a := range inst {
 		placed := false
 		for i := range bagSets {
@@ -510,52 +456,12 @@ func prepareDecomposition(atoms []cq.Atom, d *db.Database, fixed cq.Mapping, st 
 			}
 		}
 		if !placed {
-			// Cannot happen for a valid tree decomposition.
+			// Cannot happen for a valid decomposition.
 			//lint:ignore R2 unreachable invariant violation: every atom is covered by construction
 			panic("cqeval: atom not covered by any bag")
 		}
 	}
-	cand := candidateDomains(inst, d)
-	p := &plan{dict: d.Dict(), parent: parent, order: order, st: st, pl: pl, gm: gm, nAtoms: len(inst)}
-	p.rels = par.Map(pl, nBags, func(i int) *varRel {
-		guard.Fault(guard.SiteCQEvalBag)
-		r := newVarRel(bags[i])
-		covered := make(map[string]bool)
-		for _, a := range assigned[i] {
-			for _, v := range a.Vars() {
-				covered[v] = true
-			}
-		}
-		var uncovered []string
-		for _, v := range r.vars {
-			if !covered[v] {
-				uncovered = append(uncovered, v)
-			}
-		}
-		base := cq.ProjectionIDs(assigned[i], d, nil, st, gm, r.vars)
-		gm.ChargeTuples(int64(len(base) / r.w))
-		vals := make([][]uint32, len(uncovered))
-		for k, v := range uncovered {
-			vals[k] = cand[v]
-		}
-		r.setData(extendOverDomains(base, r.w, varPositions(r.vars, uncovered), vals, gm))
-		if len(uncovered) > 0 {
-			st.Add(obs.CtrDomainProductRows, int64(r.n))
-		}
-		return r
-	})
-	p.bagAtoms = make([]int, nBags)
-	for i, r := range p.rels {
-		if r.n == 0 {
-			p.failed = true
-		}
-		p.bagAtoms[i] = len(assigned[i])
-	}
-	st.Add(obs.CtrBagsBuilt, int64(nBags))
-	for _, r := range p.rels {
-		st.Add(obs.CtrBagRows, int64(r.n))
-	}
-	return p, true
+	return assigned
 }
 
 func coversAtom(bag map[string]bool, a cq.Atom) bool {
@@ -565,6 +471,45 @@ func coversAtom(bag map[string]bool, a cq.Atom) bool {
 		}
 	}
 	return true
+}
+
+// joinBag materializes a bag whose atoms cover all of its variables: the
+// join of the atoms projected to the bag.
+func joinBag(vars []string, atoms []cq.Atom, d *db.Database, st *obs.Stats, gm *guard.Meter) *varRel {
+	r := newVarRel(vars)
+	r.setData(cq.ProjectionIDs(atoms, d, nil, st, gm, r.vars))
+	gm.ChargeTuples(int64(r.n))
+	return r
+}
+
+// domainBag materializes a tree-decomposition bag: the satisfying
+// assignments of its atoms, extended over per-variable candidate domains
+// for the bag variables no assigned atom constrains.
+func domainBag(vars []string, atoms []cq.Atom, cand map[string][]uint32, d *db.Database, st *obs.Stats, gm *guard.Meter) *varRel {
+	r := newVarRel(vars)
+	covered := make(map[string]bool)
+	for _, a := range atoms {
+		for _, v := range a.Vars() {
+			covered[v] = true
+		}
+	}
+	var uncovered []string
+	for _, v := range r.vars {
+		if !covered[v] {
+			uncovered = append(uncovered, v)
+		}
+	}
+	base := cq.ProjectionIDs(atoms, d, nil, st, gm, r.vars)
+	gm.ChargeTuples(int64(len(base) / r.w))
+	vals := make([][]uint32, len(uncovered))
+	for k, v := range uncovered {
+		vals[k] = cand[v]
+	}
+	r.setData(extendOverDomains(base, r.w, varPositions(r.vars, uncovered), vals, gm))
+	if len(uncovered) > 0 {
+		st.Add(obs.CtrDomainProductRows, int64(r.n))
+	}
+	return r
 }
 
 // candidateDomains computes, for each variable, the intersection over all
