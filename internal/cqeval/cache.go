@@ -2,6 +2,7 @@ package cqeval
 
 import (
 	"container/list"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -119,16 +120,31 @@ func (c *planCache) do(key string, st *obs.Stats, build func() *cachedShape) *ca
 }
 
 // shapeKey builds the cache key for an instantiated, deduplicated atom
-// sequence: the strategy prefix plus each atom's variable list in sequence
-// order. Variable names cannot contain the separator bytes.
+// sequence: the strategy prefix, then per atom a '|' and each variable as
+// length ':' name, in sequence order. The length prefix keeps the key
+// injective whatever bytes a variable name holds.
 func shapeKey(prefix string, atoms []cq.Atom) string {
+	// Pre-size from the argument lists (an upper bound for names under 100
+	// bytes) so a typical key is one allocation.
+	size := len(prefix)
+	for _, a := range atoms {
+		size++
+		for _, t := range a.Args {
+			if t.IsVar() {
+				size += len(t.Value()) + 3
+			}
+		}
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString(prefix)
+	var num [20]byte
 	for _, a := range atoms {
 		b.WriteByte('|')
 		for _, v := range a.Vars() {
+			b.Write(strconv.AppendInt(num[:0], int64(len(v)), 10))
+			b.WriteByte(':')
 			b.WriteString(v)
-			b.WriteByte('\x00')
 		}
 	}
 	return b.String()

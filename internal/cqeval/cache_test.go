@@ -2,9 +2,13 @@ package cqeval
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
+	"wdpt/internal/cq"
+	"wdpt/internal/db"
 	"wdpt/internal/obs"
 )
 
@@ -130,5 +134,58 @@ func TestPlanCacheBoundHolds(t *testing.T) {
 	}
 	if h, m, e := snap(st); h != 0 || m != stream || e != stream-cap {
 		t.Fatalf("hits=%d misses=%d evictions=%d, want 0/%d/%d", h, m, e, stream, stream-cap)
+	}
+}
+
+// TestShapeKeyCollisionRegression replays the two-call sequence that used to
+// panic: without length prefixes [U(a), U(b)] and [U("a\x00|b")] rendered
+// the same key, so the second call was served the first call's two-bag join
+// tree for a one-atom query.
+func TestShapeKeyCollisionRegression(t *testing.T) {
+	d := db.New()
+	d.Insert("U", "1")
+	eng := Yannakakis()
+	two := []cq.Atom{cq.NewAtom("U", cq.V("a")), cq.NewAtom("U", cq.V("b"))}
+	one := []cq.Atom{cq.NewAtom("U", cq.V("a\x00|b"))}
+	if rows := eng.Project(two, d, nil, []string{"a", "b"}); len(rows) != 1 {
+		t.Fatalf("two-atom query: rows = %v, want 1", rows)
+	}
+	rows := eng.Project(one, d, nil, []string{"a\x00|b"})
+	if len(rows) != 1 || rows[0]["a\x00|b"] != "1" {
+		t.Fatalf("one-atom query: rows = %v, want one row binding the variable to 1", rows)
+	}
+}
+
+// TestShapeKeyInjectiveProperty: distinct variable shapes get distinct keys,
+// over random variable lists drawn from an alphabet that contains the key's
+// own separator and digit bytes.
+func TestShapeKeyInjectiveProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []string{"a", "b", "|", "\x00", ":", "1", "2", "0"}
+	name := func() string {
+		var b strings.Builder
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	seen := map[string]string{} // key -> shape rendered unambiguously
+	for i := 0; i < 20000; i++ {
+		atoms := make([]cq.Atom, 1+rng.Intn(3))
+		var vars []string
+		for j := range atoms {
+			args := make([]cq.Term, 1+rng.Intn(3))
+			for k := range args {
+				args[k] = cq.V(name())
+			}
+			atoms[j] = cq.NewAtom("R", args...)
+			vars = append(vars, fmt.Sprintf("%q", atoms[j].Vars()))
+		}
+		want := strings.Join(vars, ";")
+		key := shapeKey("jt", atoms)
+		if prev, ok := seen[key]; ok && prev != want {
+			t.Fatalf("key %q shared by shapes %s and %s", key, prev, want)
+		}
+		seen[key] = want
 	}
 }

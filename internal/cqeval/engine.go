@@ -2,7 +2,6 @@ package cqeval
 
 import (
 	"sort"
-	"strconv"
 
 	"wdpt/internal/cq"
 	"wdpt/internal/db"
@@ -406,10 +405,8 @@ func (e planEngine) prepare(atoms []cq.Atom, d *db.Database, fixed cq.Mapping) (
 // on the returned shape means s does not apply to inst.
 func (e planEngine) shape(s strategy, inst []cq.Atom) *cachedShape {
 	st := e.st
+	// maxWidth needs no place in the key: the cache belongs to one engine.
 	prefix := [...]string{joinTree: "jt", treeDecomposition: "td", ghd: "ghd"}[s]
-	if s == ghd {
-		prefix += strconv.Itoa(e.maxWidth) // a wider bound can succeed where a narrower one failed
-	}
 	return e.cache.do(shapeKey(prefix, inst), st, func() *cachedShape {
 		hg := cq.AtomsHypergraph(inst)
 		switch s {
