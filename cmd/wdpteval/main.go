@@ -169,7 +169,7 @@ func evalMain(out io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	eng, err := pickEngine(o.engine)
+	eng, err := cqeval.ByName(o.engine)
 	if err != nil {
 		return err
 	}
@@ -399,20 +399,4 @@ func parseMapping(s string) (wdpt.Mapping, error) {
 		h[strings.TrimPrefix(kv[0], "?")] = kv[1]
 	}
 	return h, nil
-}
-
-func pickEngine(name string) (wdpt.Engine, error) {
-	switch name {
-	case "auto":
-		return cqeval.Auto(), nil
-	case "naive":
-		return cqeval.Naive(), nil
-	case "yannakakis":
-		return cqeval.Yannakakis(), nil
-	case "decomposition":
-		return cqeval.Decomposition(), nil
-	case "hypertree":
-		return cqeval.Hypertree(3), nil
-	}
-	return nil, fmt.Errorf("unknown engine %q", name)
 }

@@ -105,6 +105,16 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownEngineMessage pins the stderr text for a bad -engine value; the
+// vocabulary itself lives in cqeval.ByName.
+func TestUnknownEngineMessage(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-db", writeMusicDB(t), "-query", musicQuery, "-engine", "bogus"}, &out, &errOut)
+	if want := "wdpteval: unknown engine \"bogus\"\n"; code == 0 || errOut.String() != want {
+		t.Fatalf("exit %d stderr %q, want nonzero and %q", code, errOut.String(), want)
+	}
+}
+
 func TestQueryFromFile(t *testing.T) {
 	db := writeMusicDB(t)
 	qf := filepath.Join(t.TempDir(), "q.txt")

@@ -1,6 +1,7 @@
 package cqeval
 
 import (
+	"fmt"
 	"sort"
 
 	"wdpt/internal/cq"
@@ -153,6 +154,24 @@ func Hypertree(maxWidth int) Engine {
 		maxWidth = 1
 	}
 	return newPlanEngine("hypertree", ghd, maxWidth)
+}
+
+// ByName resolves the engine vocabulary shared by the wdpteval -engine flag
+// and the wdptd request field; "hypertree" bounds the GHD width at 3.
+func ByName(name string) (Engine, error) {
+	switch name {
+	case "auto":
+		return Auto(), nil
+	case "naive":
+		return Naive(), nil
+	case "yannakakis":
+		return Yannakakis(), nil
+	case "decomposition":
+		return Decomposition(), nil
+	case "hypertree":
+		return Hypertree(3), nil
+	}
+	return nil, fmt.Errorf("unknown engine %q", name)
 }
 
 type naiveEngine struct {

@@ -235,6 +235,24 @@ func TestEngineNames(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, name := range []string{"auto", "naive", "yannakakis", "decomposition", "hypertree"} {
+		eng, err := ByName(name)
+		if err != nil || eng.Name() != name {
+			t.Errorf("ByName(%q) = %v, %v", name, eng, err)
+		}
+	}
+	if eng, _ := ByName("hypertree"); eng.(planEngine).maxWidth != 3 {
+		t.Errorf("ByName(hypertree) width bound = %d, want 3", eng.(planEngine).maxWidth)
+	}
+	for _, name := range []string{"", "Auto", "x"} {
+		eng, err := ByName(name)
+		if eng != nil || err == nil || err.Error() != fmt.Sprintf("unknown engine %q", name) {
+			t.Errorf("ByName(%q) = %v, %v", name, eng, err)
+		}
+	}
+}
+
 func TestHypertreeEngineBasics(t *testing.T) {
 	eng := Hypertree(2)
 	if eng.Name() != "hypertree" {

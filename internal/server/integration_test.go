@@ -280,6 +280,9 @@ func TestServerErrorTaxonomy(t *testing.T) {
 			if res.Err == nil || res.Err.Code != tc.wantCode {
 				t.Fatalf("error payload %+v, want code %q", res.Err, tc.wantCode)
 			}
+			if want := `server: unknown engine "quantum"`; tc.wantCode == "bad_engine" && res.Err.Message != want {
+				t.Errorf("bad engine message %q, want %q", res.Err.Message, want)
+			}
 			if tc.wantCode == "tuple_budget" && res.Err.Tuples < 2 {
 				t.Errorf("tuple trip carries Tuples=%d, want >= 2", res.Err.Tuples)
 			}

@@ -405,24 +405,6 @@ func modeFromName(name string) (core.Mode, bool) {
 	return 0, false
 }
 
-// engineFor resolves the wire-engine vocabulary (the wdpteval -engine
-// values).
-func engineFor(name string) (cqeval.Engine, error) {
-	switch name {
-	case "auto":
-		return cqeval.Auto(), nil
-	case "naive":
-		return cqeval.Naive(), nil
-	case "yannakakis":
-		return cqeval.Yannakakis(), nil
-	case "decomposition":
-		return cqeval.Decomposition(), nil
-	case "hypertree":
-		return cqeval.Hypertree(3), nil
-	}
-	return nil, fmt.Errorf("server: unknown engine %q", name)
-}
-
 // requestID returns the request's correlation ID: the client's X-Request-Id
 // header when present, otherwise a fresh random 16-hex-digit ID. The ID is
 // echoed on the response and stamped on every query-log line.
@@ -528,9 +510,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Engine == "" {
 		req.Engine = "auto"
 	}
-	eng, err := engineFor(req.Engine)
+	eng, err := cqeval.ByName(req.Engine)
 	if err != nil {
-		fail(http.StatusBadRequest, ErrorPayload{Code: "bad_engine", Message: err.Error()})
+		fail(http.StatusBadRequest, ErrorPayload{Code: "bad_engine", Message: "server: " + err.Error()})
 		return
 	}
 	if b := req.Budget; b != nil && (b.WallMS < 0 || b.MaxTuples < 0 || b.MaxAnswers < 0) {
