@@ -138,11 +138,10 @@ func shapeKey(prefix string, atoms []cq.Atom) string {
 	var b strings.Builder
 	b.Grow(size)
 	b.WriteString(prefix)
-	var num [20]byte
 	for _, a := range atoms {
 		b.WriteByte('|')
 		for _, v := range a.Vars() {
-			b.Write(strconv.AppendInt(num[:0], int64(len(v)), 10))
+			b.WriteString(strconv.Itoa(len(v)))
 			b.WriteByte(':')
 			b.WriteString(v)
 		}

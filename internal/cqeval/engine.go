@@ -125,19 +125,23 @@ func Naive() Engine { return naiveEngine{} }
 // to a tree decomposition. The returned engine caches the structural part
 // of its plans (join trees, decompositions) across calls, keyed on the
 // variable shape of the instantiated atoms.
-func Yannakakis() Engine { return newPlanEngine("yannakakis", joinTree, 0) }
+func Yannakakis() Engine {
+	return planEngine{name: "yannakakis", first: joinTree, cache: newPlanCache()}
+}
 
 // Decomposition returns the tree-decomposition-guided engine: bags of a
 // min-fill decomposition become materialized relations processed by
 // Yannakakis over the bag tree (Theorem 2 substrate). It handles arbitrary
 // CQs; running time is |D|^(w+1) for decomposition width w. Structural
 // plans are cached across calls.
-func Decomposition() Engine { return newPlanEngine("decomposition", treeDecomposition, 0) }
+func Decomposition() Engine {
+	return planEngine{name: "decomposition", first: treeDecomposition, cache: newPlanCache()}
+}
 
 // Auto returns the selecting engine: Yannakakis when the instantiated query
 // is acyclic, a tree decomposition otherwise. Structural plans are cached
 // across calls.
-func Auto() Engine { return newPlanEngine("auto", joinTree, 0) }
+func Auto() Engine { return planEngine{name: "auto", first: joinTree, cache: newPlanCache()} }
 
 // Hypertree returns the GHD-guided engine: a generalized hypertree
 // decomposition of width ≤ maxWidth is searched (growing from width 1);
@@ -153,7 +157,7 @@ func Hypertree(maxWidth int) Engine {
 	if maxWidth < 1 {
 		maxWidth = 1
 	}
-	return newPlanEngine("hypertree", ghd, maxWidth)
+	return planEngine{name: "hypertree", first: ghd, maxWidth: maxWidth, cache: newPlanCache()}
 }
 
 // ByName resolves the engine vocabulary shared by the wdpteval -engine flag
@@ -243,10 +247,6 @@ type planEngine struct {
 	cache    *planCache
 	pl       *par.Pool
 	gm       *guard.Meter
-}
-
-func newPlanEngine(name string, first strategy, maxWidth int) planEngine {
-	return planEngine{name: name, first: first, maxWidth: maxWidth, cache: newPlanCache()}
 }
 
 func (e planEngine) Name() string { return e.name }
@@ -462,20 +462,17 @@ func assignAtoms(bags [][]string, inst []cq.Atom) [][]cq.Atom {
 		}
 	}
 	assigned := make([][]cq.Atom, len(bags))
+place:
 	for _, a := range inst {
-		placed := false
 		for i := range bagSets {
 			if coversAtom(bagSets[i], a) {
 				assigned[i] = append(assigned[i], a)
-				placed = true
-				break
+				continue place
 			}
 		}
-		if !placed {
-			// Cannot happen for a valid decomposition.
-			//lint:ignore R2 unreachable invariant violation: every atom is covered by construction
-			panic("cqeval: atom not covered by any bag")
-		}
+		// Cannot happen for a valid decomposition.
+		//lint:ignore R2 unreachable invariant violation: every atom is covered by construction
+		panic("cqeval: atom not covered by any bag")
 	}
 	return assigned
 }
