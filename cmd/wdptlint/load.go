@@ -215,8 +215,15 @@ func (l *loader) resolvePatterns(patterns []string) ([]string, error) {
 				return nil
 			}
 			name := d.Name()
-			if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
+			if path != base {
+				if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
+					return filepath.SkipDir
+				}
+				// A directory with its own go.mod is another module, outside
+				// "./..." for the go tool and so for the linter.
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			if hasGoFiles(path) {
 				dirs[path] = true

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, vet, wdptlint, build, tests under the race
-# detector, a wdptd end-to-end selfcheck against the examples/data datasets
+# detector, vet + short tests of the nested bench/ module, a wdptd
+# end-to-end selfcheck against the examples/data datasets
 # (which also scrapes /metrics into metrics-snapshot.prom and asserts the
 # exposition carries query-duration samples), a -short benchmark smoke,
 # wdptbench metrics-artifact smokes at Parallelism=1 and Parallelism=NumCPU
@@ -72,6 +73,11 @@ echo "wdptlint clean in ${lint_elapsed}s (budget ${lint_budget}s)"
 
 echo "== go test -race"
 go test -race ./...
+
+# bench/ is its own module (BENCHMARK.json builds it from there), so the
+# root ./... patterns above never reach it; vet and short-test it in place.
+echo "== bench module (go vet, go test -short)"
+(cd bench && go vet ./... && go test -short ./...)
 
 echo "== wdptd selfcheck smoke (examples/data, /metrics scrape)"
 go run ./cmd/wdptd -selfcheck \
