@@ -1,10 +1,10 @@
 // Package cqeval provides evaluation engines for conjunctive queries: a
-// naive backtracking engine, the Yannakakis algorithm over join trees for
-// acyclic CQs (Theorem 3 substrate), and a tree-decomposition-guided engine
-// for CQs of bounded treewidth (Theorem 2 substrate). All engines expose the
-// same operations — satisfiability and projection under a partial
-// pre-binding — which are exactly the primitives the WDPT algorithms of
-// Section 3 need.
+// naive backtracking engine, and one plan engine that runs the Yannakakis
+// algorithm over a tree of bag relations shaped by a join tree (acyclic CQs,
+// Theorem 3 substrate), a tree decomposition (bounded treewidth, Theorem 2
+// substrate) or a generalized hypertree decomposition. All engines expose
+// the same operations — satisfiability and projection under a partial
+// pre-binding — exactly the primitives the WDPT algorithms of Section 3 need.
 package cqeval
 
 import (
