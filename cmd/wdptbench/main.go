@@ -9,8 +9,6 @@
 //	wdptbench -quick          # smoke-test sizes (-short is an alias)
 //	wdptbench -json           # also write the BENCH_<date>.json artifact
 //	wdptbench -parallelism 0  # Solve worker pool sized to NumCPU
-//	wdptbench -store mem      # run on the legacy string-map backend
-//	wdptbench -store mem,col  # storage A/B: both backends in one process
 //	wdptbench -snapshot dir   # snapshot reload vs text reparse micro-bench
 //
 // The -snapshot mode is a standalone micro-benchmark of the persistence
@@ -39,19 +37,6 @@
 // and any other value is the worker bound. Tables and non-par.* counters
 // are byte-identical at every level — compare elapsed_ns across artifacts
 // to read the scaling.
-//
-// -store accepts a comma-separated backend list. With more than one store,
-// every selected experiment runs once per list entry back to back in this
-// one process — timing A/Bs between separate processes are polluted by
-// whatever scheduling or frequency state each process happens to get, and
-// interleaving per experiment makes that drift hit both sides equally —
-// and one artifact is written per distinct backend, with the backend name
-// appended to -suffix (e.g. -suffix -store -> BENCH_<date>-store-mem.json
-// and BENCH_<date>-store-col.json). A backend listed more than once
-// re-runs the experiments and keeps the element-wise minimum of each
-// latency metric, so -store mem,col,mem,col is a best-of-two alternating
-// A/B: a transient stall (GC cycle, scheduler hiccup) in one round cannot
-// masquerade as a backend effect, because the other round's minimum wins.
 //
 // The command exits non-zero when any experiment's built-in cross-checks
 // report an ERROR or a DISAGREEMENT, so a clean run doubles as an
@@ -107,7 +92,6 @@ type benchArtifact struct {
 	Quick       bool              `json:"quick"`
 	Repetitions int               `json:"repetitions"`
 	Parallelism int               `json:"parallelism"`
-	Store       string            `json:"store,omitempty"`
 	Experiments []benchExperiment `json:"experiments"`
 }
 
@@ -125,48 +109,6 @@ func commitStamp() string {
 	return strings.TrimSpace(string(out))
 }
 
-// findExperiment returns the artifact's entry for the given experiment id,
-// or nil if this is the first run of that experiment on the backend.
-func findExperiment(art *benchArtifact, id string) *benchExperiment {
-	for i := range art.Experiments {
-		if art.Experiments[i].ID == id {
-			return &art.Experiments[i]
-		}
-	}
-	return nil
-}
-
-// mergeMin folds a repeated run of the same experiment on the same backend
-// into the existing artifact entry: every latency metric takes the
-// element-wise minimum across runs and the repetition counts accumulate,
-// so the entry reports the best observed time per point. Tables, counters
-// and notes are deterministic per backend (the backend-equivalence suite
-// pins this), so the first run's copies stand.
-func mergeMin(prev *benchExperiment, next benchExperiment) {
-	if next.ElapsedNS < prev.ElapsedNS {
-		prev.ElapsedNS = next.ElapsedNS
-	}
-	if len(prev.Timings) != len(next.Timings) {
-		return // defensive: an interrupted rerun measured fewer points
-	}
-	for i := range prev.Timings {
-		p, n := &prev.Timings[i], next.Timings[i]
-		if n.MinNS < p.MinNS {
-			p.MinNS = n.MinNS
-		}
-		if n.P50NS < p.P50NS {
-			p.P50NS = n.P50NS
-		}
-		if n.P95NS < p.P95NS {
-			p.P95NS = n.P95NS
-		}
-		if n.P99NS < p.P99NS {
-			p.P99NS = n.P99NS
-		}
-		p.Reps += n.Reps
-	}
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wdptbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -179,7 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "write the BENCH_<date><suffix>.json metrics artifact")
 	outDir := fs.String("out", ".", "directory for the BENCH_<date><suffix>.json artifact")
 	parallelism := fs.Int("parallelism", 1, "Solve worker pool size (1 = sequential, 0 = NumCPU)")
-	store := fs.String("store", "col", "storage backend(s) for experiment databases: col (columnar), mem (legacy string-map), or a comma-separated list for an in-process A/B")
 	snapDir := fs.String("snapshot", "", "run the snapshot reload-vs-reparse micro-benchmark in this directory and exit")
 	suffix := fs.String("suffix", "", "artifact filename suffix, e.g. -p8 -> BENCH_<date>-p8.json")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -219,15 +160,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "wdptbench: %v\n", err)
 		return 2
 	}
-	var backends []db.Backend
-	for _, name := range strings.Split(*store, ",") {
-		b, err := db.ParseBackend(strings.TrimSpace(name))
-		if err != nil {
-			fmt.Fprintf(stderr, "wdptbench: %v\n", err)
-			return 2
-		}
-		backends = append(backends, b)
-	}
 	par := *parallelism
 	if par == 0 {
 		par = runtime.NumCPU()
@@ -244,24 +176,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stopSignals()
 	}()
 	cfg := harness.Config{Quick: *quick || *short, Repetitions: *reps, Parallelism: par, BaseContext: ctx}
-	// One artifact per distinct backend; repeated list entries min-merge
-	// into it. artIdx maps each backend to its artifact.
-	var artifacts []benchArtifact
-	artIdx := make(map[db.Backend]int)
-	for _, b := range backends {
-		if _, ok := artIdx[b]; ok {
-			continue
-		}
-		artIdx[b] = len(artifacts)
-		artifacts = append(artifacts, benchArtifact{
-			Date:        time.Now().Format("2006-01-02"),
-			Commit:      commitStamp(),
-			GoVersion:   runtime.Version(),
-			Quick:       cfg.Quick,
-			Repetitions: *reps,
-			Parallelism: par,
-			Store:       b.String(),
-		})
+	artifact := benchArtifact{
+		Date:        time.Now().Format("2006-01-02"),
+		Commit:      commitStamp(),
+		GoVersion:   runtime.Version(),
+		Quick:       cfg.Quick,
+		Repetitions: *reps,
+		Parallelism: par,
 	}
 	failed := false
 	interrupted := false
@@ -270,51 +191,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 			interrupted = true
 			break
 		}
-		for _, backend := range backends {
-			// The experiments build their databases through gen.*, which
-			// uses db.New; pointing the process default at the backend makes
-			// every experiment run on it. Tables and counters are
-			// byte-identical across backends (the backend-equivalence suite
-			// pins this) — only the timings move, which is what a
-			// mem-vs-col A/B measures.
-			db.SetDefaultBackend(backend)
-			// A fresh Stats and TimingLog per experiment keep each artifact
-			// entry's counters and latency summaries attributable to that
-			// experiment alone.
-			cfg.Stats = obs.NewStats()
-			cfg.Timings = &harness.TimingLog{}
-			start := time.Now()
-			tbl := e.Run(cfg)
-			elapsed := time.Since(start)
-			if *csv {
-				fmt.Fprintf(stdout, "# %s — %s\n%s\n", tbl.ID, tbl.Title, tbl.CSV())
-			} else {
-				fmt.Fprintf(stdout, "%s\n(store %s, total experiment time: %v)\n\n",
-					tbl.Render(), backend, elapsed.Round(time.Millisecond))
-			}
-			for _, n := range tbl.Notes {
-				if strings.Contains(n, "ERROR") || strings.Contains(n, "DISAGREEMENT") {
-					failed = true
-				}
-			}
-			art := &artifacts[artIdx[backend]]
-			entry := benchExperiment{
-				ID:        tbl.ID,
-				Title:     tbl.Title,
-				Paper:     tbl.Paper,
-				ElapsedNS: elapsed.Nanoseconds(),
-				Counters:  cfg.Stats.Snapshot(),
-				Columns:   tbl.Columns,
-				Rows:      tbl.Rows,
-				Notes:     tbl.Notes,
-				Timings:   cfg.Timings.Points(),
-			}
-			if prev := findExperiment(art, tbl.ID); prev != nil {
-				mergeMin(prev, entry)
-			} else {
-				art.Experiments = append(art.Experiments, entry)
+		// A fresh Stats and TimingLog per experiment keep each artifact
+		// entry's counters and latency summaries attributable to that
+		// experiment alone.
+		cfg.Stats = obs.NewStats()
+		cfg.Timings = &harness.TimingLog{}
+		start := time.Now()
+		tbl := e.Run(cfg)
+		elapsed := time.Since(start)
+		if *csv {
+			fmt.Fprintf(stdout, "# %s — %s\n%s\n", tbl.ID, tbl.Title, tbl.CSV())
+		} else {
+			fmt.Fprintf(stdout, "%s\n(total experiment time: %v)\n\n", tbl.Render(), elapsed.Round(time.Millisecond))
+		}
+		for _, n := range tbl.Notes {
+			if strings.Contains(n, "ERROR") || strings.Contains(n, "DISAGREEMENT") {
+				failed = true
 			}
 		}
+		artifact.Experiments = append(artifact.Experiments, benchExperiment{
+			ID:        tbl.ID,
+			Title:     tbl.Title,
+			Paper:     tbl.Paper,
+			ElapsedNS: elapsed.Nanoseconds(),
+			Counters:  cfg.Stats.Snapshot(),
+			Columns:   tbl.Columns,
+			Rows:      tbl.Rows,
+			Notes:     tbl.Notes,
+			Timings:   cfg.Timings.Points(),
+		})
 	}
 	if serr := stop(); serr != nil {
 		fmt.Fprintf(stderr, "wdptbench: %v\n", serr)
@@ -325,23 +230,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *jsonOut {
-		for _, artifact := range artifacts {
-			sfx := *suffix
-			if len(artifacts) > 1 {
-				sfx += "-" + artifact.Store
-			}
-			path := filepath.Join(*outDir, "BENCH_"+artifact.Date+sfx+".json")
-			data, err := json.MarshalIndent(artifact, "", "  ")
-			if err != nil {
-				fmt.Fprintf(stderr, "wdptbench: %v\n", err)
-				return 2
-			}
-			if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(stderr, "wdptbench: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", path)
+		path := filepath.Join(*outDir, "BENCH_"+artifact.Date+*suffix+".json")
+		data, err := json.MarshalIndent(artifact, "", "  ")
+		if err != nil {
+			fmt.Fprintf(stderr, "wdptbench: %v\n", err)
+			return 2
 		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			fmt.Fprintf(stderr, "wdptbench: %v\n", err)
+			return 2
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", path)
 	}
 	if failed {
 		fmt.Fprintln(stderr, "wdptbench: at least one experiment reported an ERROR")

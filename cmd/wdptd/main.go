@@ -46,8 +46,8 @@
 //	-slow-query-threshold d promote queries at or above d to WARN with their
 //	                        span tree inline (0 disables)
 //	-selfcheck              start on an ephemeral port, probe the API once
-//	                        (health, datasets, one query per dataset, both
-//	                        metrics endpoints), verify each dataset's probe
+//	                        (health, datasets, one query per dataset, the
+//	                        /metrics scrape), verify each dataset's probe
 //	                        query round-trips byte-identically on both
 //	                        storage backends (docs/STORAGE.md) and through
 //	                        a snapshot save -> load -> query cycle, exit
@@ -55,10 +55,9 @@
 //	                        exposition to this file
 //
 // Observability: GET /metrics serves Prometheus text exposition 0.0.4
-// (latency histograms, gauges, counters, Go runtime metrics); the JSON
-// counter snapshot stays at GET /metrics.json; POST /v1/query?trace=1
-// returns the request's span tree in the report body. See
-// docs/OBSERVABILITY.md and docs/SERVER.md.
+// (latency histograms, gauges, counters, Go runtime metrics);
+// POST /v1/query?trace=1 returns the request's span tree in the report
+// body. See docs/OBSERVABILITY.md and docs/SERVER.md.
 package main
 
 import (
@@ -319,11 +318,11 @@ func openQueryLog(dest string, stdout, stderr io.Writer) (*slog.Logger, func(), 
 
 // selfCheck probes a freshly started server end to end: health, the dataset
 // listing, one enumeration query per dataset built from its first relation,
-// and both metrics endpoints — the Prometheus exposition must parse with
-// cumulative, monotone histogram buckets and carry the per-request
-// histogram, and the JSON snapshot must report the probe requests. It is
-// the smoke test scripts/check.sh runs against examples/. When metricsOut
-// is non-empty, the scraped exposition is written there (the CI artifact).
+// and the /metrics scrape — the Prometheus exposition must parse with
+// cumulative, monotone histogram buckets, carry the per-request histogram
+// and report the probe requests. It is the smoke test scripts/check.sh
+// runs against examples/. When metricsOut is non-empty, the scraped
+// exposition is written there (the CI artifact).
 func selfCheck(base string, stdout io.Writer, metricsOut string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -365,12 +364,12 @@ func selfCheck(base string, stdout io.Writer, metricsOut string) error {
 	if err := checkMetrics(ctx, c, queries, metricsOut); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "wdptd: selfcheck ok (%d dataset(s), %d probe quer%s, registry version %d, metrics endpoints ok)\n",
+	fmt.Fprintf(stdout, "wdptd: selfcheck ok (%d dataset(s), %d probe quer%s, registry version %d, metrics endpoint ok)\n",
 		len(list.Datasets), queries, pluralIES(queries), h.Version)
 	return nil
 }
 
-// checkMetrics sanity-checks both metrics endpoints after the probe
+// checkMetrics sanity-checks the /metrics exposition after the probe
 // queries ran.
 func checkMetrics(ctx context.Context, c *client.Client, queries int, metricsOut string) error {
 	text, err := c.MetricsText(ctx)
@@ -388,12 +387,9 @@ func checkMetrics(ctx context.Context, c *client.Client, queries int, metricsOut
 	if qd == nil || qd.Type != "histogram" || len(qd.Samples) == 0 {
 		return fmt.Errorf("/metrics is missing the %s histogram", obs.HistQueryDuration)
 	}
-	snap, err := c.Metrics(ctx)
-	if err != nil {
-		return err
-	}
-	if got := snap["server.requests"]; got < int64(queries) {
-		return fmt.Errorf("/metrics.json reports %d requests, want at least %d", got, queries)
+	reqs := fams["wdpt_server_requests_total"]
+	if reqs == nil || len(reqs.Samples) != 1 || reqs.Samples[0].Value < float64(queries) {
+		return fmt.Errorf("/metrics does not report at least %d requests on wdpt_server_requests_total", queries)
 	}
 	if metricsOut != "" {
 		if err := os.WriteFile(metricsOut, []byte(text), 0o644); err != nil {

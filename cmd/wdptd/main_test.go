@@ -26,8 +26,8 @@ func TestSelfcheck(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "selfcheck ok (2 dataset(s)") {
-		t.Fatalf("stdout = %q, want a selfcheck ok summary", stdout.String())
+	if !strings.Contains(stdout.String(), "selfcheck ok (2 dataset(s)") || !strings.Contains(stdout.String(), "metrics endpoint ok)") {
+		t.Fatalf("stdout = %q, want a selfcheck ok summary naming the one metrics endpoint", stdout.String())
 	}
 	if !strings.Contains(stdout.String(), "backend round-trip ok (2 dataset(s)") {
 		t.Fatalf("stdout = %q, want a backend round-trip ok line", stdout.String())

@@ -1,13 +1,9 @@
 package main
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -376,15 +372,9 @@ func lintDeterminismTaint(g *callGraph, selectedRel map[string]bool) []Finding {
 // unbounded. The rule finds tuple/candidate loops (ranges and len()-bounded
 // for loops over []cq.Mapping / []db.Tuple collections) in the evaluation
 // kernels (internal/cqeval, internal/core) and requires the enclosing
-// function to reach the guard meter through the call graph. Deliberately
-// unmetered cold paths are declared — with a reason — in the meterage
-// manifest, and stale manifest entries are themselves findings, so the
-// exemption list can only shrink.
-
-// meteragePath is the R13 manifest, relative to the module root. Lines:
-//
-//	exempt <funcID> <reason...>
-const meteragePath = ".wdptlint-meterage"
+// function to reach the guard meter through the call graph. A deliberately
+// unmetered cold path carries a reasoned //lint:ignore R13 at the loop,
+// like every other rule.
 
 // r13ScopePkgs are the evaluation-kernel packages audited for metering.
 var r13ScopePkgs = map[string]bool{
@@ -465,34 +455,6 @@ func (g *callGraph) tupleCollection(t types.Type) bool {
 	return (rel == "internal/cq" && name == "Mapping") || (rel == "internal/db" && name == "Tuple")
 }
 
-// meterageManifest is the parsed .wdptlint-meterage file.
-type meterageManifest struct {
-	exempt map[string]int // funcID -> manifest line
-}
-
-func readMeterage(root string) (*meterageManifest, []Finding) {
-	m := &meterageManifest{exempt: make(map[string]int)}
-	data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(meteragePath)))
-	if err != nil {
-		return m, nil // no manifest: no exemptions
-	}
-	var out []Finding
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 || fields[0] != "exempt" {
-			out = append(out, Finding{File: meteragePath, Line: i + 1, Rule: "R13",
-				Msg: fmt.Sprintf("malformed manifest line %q: want \"exempt <funcID> <reason>\"", line)})
-			continue
-		}
-		m.exempt[fields[1]] = i + 1
-	}
-	return m, out
-}
-
 func lintMeterCoverage(g *callGraph, selectedRel map[string]bool) []Finding {
 	scopeSelected := false
 	for rel := range r13ScopePkgs {
@@ -503,9 +465,8 @@ func lintMeterCoverage(g *callGraph, selectedRel map[string]bool) []Finding {
 	if !scopeSelected {
 		return nil
 	}
-	manifest, out := readMeterage(g.l.root)
 	reach := g.reachable(g.meterSink, true, nil)
-	used := make(map[string]bool)
+	var out []Finding
 	for _, fn := range g.sortedDecls() {
 		site := g.decls[fn]
 		if !r13ScopePkgs[site.pkg.rel] || !selectedRel[site.pkg.rel] {
@@ -518,27 +479,9 @@ func lintMeterCoverage(g *callGraph, selectedRel map[string]bool) []Finding {
 		if _, metered := reach[fn]; metered {
 			continue
 		}
-		id := g.funcID(fn)
-		if _, ok := manifest.exempt[id]; ok {
-			used[id] = true
-			continue
-		}
 		out = append(out, g.l.finding(pos, "R13",
-			"tuple loop in %s runs unmetered: no path to guard.(*Meter).ChargeTuples/Checkpoint/TryAnswer — charge the meter or declare \"exempt %s <reason>\" in %s",
-			g.funcID(fn), id, meteragePath))
-	}
-	// Ratchet: exemptions that no longer match an unmetered tuple loop are
-	// stale and must be removed — the manifest can only shrink.
-	staleIDs := make([]string, 0)
-	for id := range manifest.exempt {
-		if !used[id] {
-			staleIDs = append(staleIDs, id)
-		}
-	}
-	sort.Strings(staleIDs)
-	for _, id := range staleIDs {
-		out = append(out, Finding{File: meteragePath, Line: manifest.exempt[id], Rule: "R13",
-			Msg: fmt.Sprintf("stale exemption %q: no unmetered tuple loop matches it anymore — remove the line (the manifest only ratchets down)", id)})
+			"tuple loop in %s runs unmetered: no path to guard.(*Meter).ChargeTuples/Checkpoint/TryAnswer — charge the meter or add a reasoned //lint:ignore R13 at the loop",
+			g.funcID(fn)))
 	}
 	return out
 }

@@ -60,8 +60,7 @@
 //	    calls — into internal/report, internal/cq, or internal/harness;
 //	    internal/obs and internal/guard are whitelisted at the source
 //	R13 budget-metering coverage: tuple loops in internal/cqeval and
-//	    internal/core must reach the guard meter, audited against the
-//	    .wdptlint-meterage manifest (exemptions ratchet down)
+//	    internal/core must reach the guard meter
 //
 // Findings print as "file:line: [rule] message" and make the tool exit 1.
 // A finding is suppressed by a directive on the same line or the line above:
@@ -208,7 +207,7 @@ var allRules = []ruleSpec{
 	{"R10", "whole-program: internal/* reaching a cancellable sink must thread ctx/meter/pool; no context.Background in library code"},
 	{"R11", "go statements outside internal/par must be provably joined (WaitGroup/channel)"},
 	{"R12", "whole-program: time.Now / global rand / unsorted map order must not flow into report, cq, or harness"},
-	{"R13", "whole-program: tuple loops in cqeval/core must reach the guard meter (meterage manifest ratchets)"},
+	{"R13", "whole-program: tuple loops in cqeval/core must reach the guard meter"},
 	{"R14", "internal/obs metric-name registries: snake_case, unique, exposition names documented in the glossary"},
 	{"R15", "cqeval/core kernels stay ID-native: no deprecated db string accessors, per-row string map keys, or Tuple string comparisons in loops"},
 	{"R16", "internal/db must not call os.Create/os.WriteFile/os.Rename outside the crash-safe snapshot writer"},

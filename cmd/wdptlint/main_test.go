@@ -53,27 +53,6 @@ func readMarkers(t *testing.T) map[string]int {
 	if err != nil {
 		t.Fatalf("reading markers: %v", err)
 	}
-	for k, n := range manifestMarkers(t, fixtureDir) {
-		want[k] += n
-	}
-	return want
-}
-
-// manifestMarkers collects the expected R13 manifest findings: lines of the
-// fixture .wdptlint-meterage carrying "(want R13)" in their text — the stale
-// and malformed entries the ratchet must report at those manifest lines.
-func manifestMarkers(t *testing.T, dir string) map[string]int {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, ".wdptlint-meterage"))
-	if err != nil {
-		t.Fatalf("reading manifest: %v", err)
-	}
-	want := make(map[string]int)
-	for i, line := range strings.Split(string(data), "\n") {
-		if strings.Contains(line, "(want R13)") {
-			want[fmt.Sprintf(".wdptlint-meterage:%d:R13", i+1)]++
-		}
-	}
 	return want
 }
 
@@ -273,9 +252,6 @@ func readMarkersFrom(t *testing.T, dir string) map[string]int {
 	})
 	if err != nil {
 		t.Fatalf("reading markers: %v", err)
-	}
-	for k, n := range manifestMarkers(t, dir) {
-		want[k] += n
 	}
 	return want
 }

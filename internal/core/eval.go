@@ -155,14 +155,6 @@ func (p *PatternTree) EvaluateMaximal(d *db.Database) []cq.Mapping {
 	return res.Answers
 }
 
-// EvaluateMaximalObs is EvaluateMaximal with work counts recorded on st.
-//
-// Deprecated: use Solve with ModeMaximal and SolveOptions.Stats.
-func (p *PatternTree) EvaluateMaximalObs(d *db.Database, st *obs.Stats) []cq.Mapping {
-	res, _ := p.Solve(context.Background(), d, SolveOptions{Mode: ModeMaximal, Stats: st})
-	return res.Answers
-}
-
 // evalBand prepares the subtree band [T', T”] for an exact-evaluation
 // query: T' is the minimal subtree containing dom(h) and T” the maximal
 // subtree adding no free variables outside dom(h). ok=false means h cannot

@@ -17,13 +17,12 @@ import (
 // remains per call. A CompiledAtoms is immutable and safe for concurrent
 // use.
 type CompiledAtoms struct {
-	atoms    []Atom
-	vars     []string
-	slotOf   map[string]int
-	fixedDom []string // declared pre-bound variables that occur in atoms
-	fixedSl  []int    // slot of each fixedDom entry
-	comps    [][]Atom // atomComponents(atoms, fixedDom)
-	ccomps   []compiledComp
+	atoms   []Atom
+	vars    []string
+	slotOf  map[string]int
+	fixedSl []int    // slot of each pre-bound variable that occurs in atoms, in fixedDom order
+	comps   [][]Atom // atomComponents(atoms, fixedDom)
+	ccomps  []compiledComp
 }
 
 // compiledComp is the precompiled solver input for one component: the
@@ -39,8 +38,8 @@ type compiledComp struct {
 // CompileAtoms compiles atoms for repeated satisfiability checks in which
 // exactly the variables of fixedDom are pre-bound. Entries of fixedDom not
 // occurring in atoms are dropped (a binding for a variable outside the
-// atoms never constrains the search); the retained domain is exposed by
-// FixedDom.
+// atoms never constrains the search); the fixed IDs passed to a SatChecker
+// align with the retained entries, in fixedDom order.
 func CompileAtoms(atoms []Atom, fixedDom []string) *CompiledAtoms {
 	c := &CompiledAtoms{atoms: atoms, vars: AtomsVars(atoms)}
 	c.slotOf = make(map[string]int, len(c.vars))
@@ -53,7 +52,6 @@ func CompileAtoms(atoms []Atom, fixedDom []string) *CompiledAtoms {
 		if !ok {
 			continue
 		}
-		c.fixedDom = append(c.fixedDom, v)
 		c.fixedSl = append(c.fixedSl, sl)
 		fixed[v] = ""
 	}
@@ -83,22 +81,6 @@ func CompileAtoms(atoms []Atom, fixedDom []string) *CompiledAtoms {
 	return c
 }
 
-// FixedDom returns the retained fixed domain, aligned with the fixedIDs
-// argument of SatisfiableIDs. Must not be modified.
-func (c *CompiledAtoms) FixedDom() []string { return c.fixedDom }
-
-// SatisfiableIDs reports whether the compiled atoms admit a homomorphism to
-// d binding each FixedDom variable to the corresponding dictionary-encoded
-// ID (db.NoID matches nothing, mirroring a string binding outside the
-// active domain). The search, its work counters and its guard charges are
-// identical to SatisfiableObs with the equivalent string mapping, except
-// that the fixed bindings arrive as IDs and therefore cost no dictionary
-// probes.
-func (c *CompiledAtoms) SatisfiableIDs(d *db.Database, fixedIDs []uint32, st *obs.Stats, gm *guard.Meter) bool {
-	var k SatChecker
-	return k.Satisfiable(c, d, fixedIDs, st, gm)
-}
-
 // SatChecker runs repeated compiled satisfiability checks reusing its
 // internal solver buffers, so a check against a constant-free compilation
 // allocates nothing. The zero value is ready to use. Not safe for
@@ -111,8 +93,14 @@ type SatChecker struct {
 	visit    func() bool
 }
 
-// Satisfiable is SatisfiableIDs evaluated through the checker's reusable
-// buffers. fixedIDs is read during the call only.
+// Satisfiable reports whether the compiled atoms admit a homomorphism to d
+// binding each retained fixed-domain variable to the corresponding
+// dictionary-encoded ID (db.NoID matches nothing, mirroring a string
+// binding outside the active domain). The search, its work counters and
+// its guard charges are identical to SatisfiableObs with the equivalent
+// string mapping, except that the fixed bindings arrive as IDs and
+// therefore cost no dictionary probes. fixedIDs is read during the call
+// only.
 func (k *SatChecker) Satisfiable(c *CompiledAtoms, d *db.Database, fixedIDs []uint32, st *obs.Stats, gm *guard.Meter) bool {
 	if k.visit == nil {
 		k.visit = func() bool {

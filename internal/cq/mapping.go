@@ -2,6 +2,7 @@ package cq
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -116,17 +117,32 @@ func (h Mapping) ApplyAtom(a Atom) Atom {
 	return Atom{Rel: a.Rel, Args: args}
 }
 
-// Key renders the mapping as a canonical string usable as a map key.
+// Key renders the mapping as a canonical string usable as a map key: per
+// variable in sorted order, the name and then the value, each as length ':'
+// bytes. The length prefixes keep the key injective whatever bytes a name
+// or a value holds.
 func (h Mapping) Key() string {
 	dom := h.Domain()
-	var b strings.Builder
+	// Pre-size (an upper bound while every component is under 100 bytes)
+	// so a typical key is one allocation.
+	size := 0
 	for _, k := range dom {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(h[k])
-		b.WriteByte('\x00')
+		size += len(k) + len(h[k]) + 6
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, k := range dom {
+		writeLenPrefixed(&b, k)
+		writeLenPrefixed(&b, h[k])
 	}
 	return b.String()
+}
+
+// writeLenPrefixed appends s to b as length ':' bytes.
+func writeLenPrefixed(b *strings.Builder, s string) {
+	b.WriteString(strconv.Itoa(len(s)))
+	b.WriteByte(':')
+	b.WriteString(s)
 }
 
 // String renders the mapping as "{x -> a, y -> b}" with sorted variables.

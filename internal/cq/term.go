@@ -87,18 +87,26 @@ func (a Atom) Equal(b Atom) bool {
 	return true
 }
 
-// Key renders the atom as a canonical string usable as a map key.
+// Key renders the atom as a canonical string usable as a map key: the
+// relation name, then per argument a '?' (variable) or '=' (constant) tag
+// and the name or value, every string as length ':' bytes. The length
+// prefixes keep the key injective whatever bytes a constant holds.
 func (a Atom) Key() string {
-	var b strings.Builder
-	b.WriteString(a.Rel)
+	// Pre-sized as in Mapping.Key: one allocation for a typical atom.
+	size := len(a.Rel) + 3
 	for _, t := range a.Args {
-		b.WriteByte('\x00')
+		size += len(t.val) + 4
+	}
+	var b strings.Builder
+	b.Grow(size)
+	writeLenPrefixed(&b, a.Rel)
+	for _, t := range a.Args {
 		if t.isVar {
 			b.WriteByte('?')
 		} else {
 			b.WriteByte('=')
 		}
-		b.WriteString(t.val)
+		writeLenPrefixed(&b, t.val)
 	}
 	return b.String()
 }

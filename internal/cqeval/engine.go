@@ -58,10 +58,9 @@ func StatsOf(eng Engine) *obs.Stats {
 }
 
 // poolCarrier is the private interface the plan-based engines implement;
-// WithPool and PoolOf dispatch through it.
+// WithPool dispatches through it.
 type poolCarrier interface {
 	withPool(pl *par.Pool) Engine
-	pool() *par.Pool
 }
 
 // WithPool returns a copy of eng whose count-exact plan phases — bag
@@ -77,14 +76,6 @@ func WithPool(eng Engine, pl *par.Pool) Engine {
 		return c.withPool(pl)
 	}
 	return eng
-}
-
-// PoolOf returns the worker pool attached to eng by WithPool, or nil.
-func PoolOf(eng Engine) *par.Pool {
-	if c, ok := eng.(poolCarrier); ok {
-		return c.pool()
-	}
-	return nil
 }
 
 // meterCarrier is the private interface every engine in this package
@@ -255,7 +246,6 @@ func (e planEngine) withStats(st *obs.Stats) Engine { e.st = st; return e }
 func (e planEngine) stats() *obs.Stats              { return e.st }
 
 func (e planEngine) withPool(pl *par.Pool) Engine { e.pl = pl; return e }
-func (e planEngine) pool() *par.Pool              { return e.pl }
 
 func (e planEngine) withMeter(gm *guard.Meter) Engine { e.gm = gm; return e }
 func (e planEngine) meter() *guard.Meter              { return e.gm }

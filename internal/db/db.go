@@ -291,9 +291,7 @@ type Database struct {
 	adom atomic.Pointer[[]string]
 }
 
-// New creates an empty database on the process default backend (columnar
-// unless a CLI's -store flag selected the legacy memory layout through
-// SetDefaultBackend).
+// New creates an empty database on the columnar backend.
 func New() *Database { return NewWithBackend(DefaultBackend()) }
 
 // NewWithBackend creates an empty database whose relations use the given

@@ -3,7 +3,6 @@ package db
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 )
 
 // Store is the narrow storage interface behind a Relation. All rows are
@@ -55,8 +54,8 @@ const (
 	// built permuted sorted indexes (binary-search lookups, merge-join
 	// friendly runs). See docs/STORAGE.md.
 	BackendColumnar Backend = iota
-	// BackendMemory is the legacy string-map relation layout, kept for
-	// backend-equivalence testing and as a reference implementation.
+	// BackendMemory is the legacy string-map relation layout, kept as the
+	// reference implementation of the backend-equivalence tests.
 	BackendMemory
 )
 
@@ -71,30 +70,12 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// defaultBackend is the process-wide backend New uses; the zero value is
-// BackendColumnar. CLIs set it once at startup from their -store flag;
-// code that needs a specific backend regardless of the process default
-// uses NewWithBackend.
-var defaultBackend atomic.Int32
-
-// DefaultBackend returns the backend New currently uses.
-func DefaultBackend() Backend { return Backend(defaultBackend.Load()) }
-
-// SetDefaultBackend changes the backend New uses. Intended for process
-// startup (flag parsing); databases already built keep their backend.
-func SetDefaultBackend(b Backend) { defaultBackend.Store(int32(b)) }
-
-// ParseBackend parses a backend name as accepted by the -store flags:
-// "col"/"columnar" or "mem"/"memory".
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "col", "columnar":
-		return BackendColumnar, nil
-	case "mem", "memory":
-		return BackendMemory, nil
-	}
-	return 0, fmt.Errorf("db: unknown backend %q (want col or mem)", s)
-}
+// DefaultBackend returns the backend New uses: always BackendColumnar, the
+// one layout the product serves from. It stays a function because the
+// nested bench/ module compiles against it (snapshot.Decode(_,
+// db.DefaultBackend())); the memory layout is reachable only through
+// NewWithBackend / CloneWithBackend, as the tests' reference.
+func DefaultBackend() Backend { return BackendColumnar }
 
 // newStore creates an empty store of the given backend for the relation.
 func newStore(b Backend, dict *Dict, arity int) Store {

@@ -138,25 +138,6 @@ func TestMatchingIDsInsertionOrder(t *testing.T) {
 	}
 }
 
-func TestParseBackend(t *testing.T) {
-	cases := map[string]Backend{
-		"col": BackendColumnar, "columnar": BackendColumnar,
-		"mem": BackendMemory, "memory": BackendMemory,
-	}
-	for s, want := range cases {
-		got, err := ParseBackend(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseBackend(%q) = %v, %v", s, got, err)
-		}
-		if got.String() != cases[s].String() {
-			t.Fatalf("round-trip mismatch for %q", s)
-		}
-	}
-	if _, err := ParseBackend("postgres"); err == nil {
-		t.Fatal("ParseBackend should reject unknown names")
-	}
-}
-
 // TestStoreBackendsEquivalent drives the same random workload into both
 // backends and checks every read surface agrees: string membership, ID
 // membership, index probes (both string and ID forms), scans, and the

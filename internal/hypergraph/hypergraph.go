@@ -57,9 +57,6 @@ func (h *Hypergraph) NumVertices() int { return len(h.names) }
 // NumEdges returns |E|.
 func (h *Hypergraph) NumEdges() int { return len(h.edges) }
 
-// VertexNames returns the vertex names in index order.
-func (h *Hypergraph) VertexNames() []string { return h.names }
-
 // Edges returns the hyperedges as bitsets. The result must not be modified.
 func (h *Hypergraph) Edges() []Set { return h.edges }
 

@@ -165,9 +165,6 @@ const (
 	// CtrClientRetryGiveups counts client requests that exhausted the retry
 	// budget and returned the last throttled response.
 	CtrClientRetryGiveups
-	// CtrClientFailovers counts requests the multi-endpoint client moved to
-	// the next endpoint after a transport error or 5xx from the current one.
-	CtrClientFailovers
 
 	// CtrClusterRouteProxied counts /v1/query requests the coordinator
 	// proxied to the ring owner of the request's dataset.
@@ -271,7 +268,6 @@ var counterNames = [numCounters]string{
 	CtrClientAttempts:            "client.attempts",
 	CtrClientRetries:             "client.retries",
 	CtrClientRetryGiveups:        "client.retry_giveups",
-	CtrClientFailovers:           "client.failovers",
 
 	CtrClusterRouteProxied:      "cluster.route_proxied",
 	CtrClusterRouteLocal:        "cluster.route_local",

@@ -97,12 +97,6 @@ func (e *Exposition) GaugeInt(name, help string, value int64) {
 	e.sample(name, nil, strconv.FormatInt(value, 10))
 }
 
-// GaugeFloat emits one unlabeled gauge family with a float value.
-func (e *Exposition) GaugeFloat(name, help string, value float64) {
-	e.header(name, help, "gauge")
-	e.sample(name, nil, formatFloat(value))
-}
-
 // Gauge emits one registered gauge with an integer value.
 func (e *Exposition) Gauge(g Gauge, help string, value int64) {
 	e.GaugeInt(g.String(), help, value)

@@ -5,19 +5,20 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
+	"wdpt/internal/cq"
 	"wdpt/internal/obs"
 )
 
 // resultCache is the server's bounded response cache: complete response
 // bodies keyed by (dataset version, canonical query hash, mode, options),
-// evicted in least-recently-used order at the size cap. Because the dataset
-// version is part of the key, a registry reload invalidates every cached
-// response for the reloaded data without any explicit flush — stale entries
-// simply stop being addressable and age out of the LRU.
+// evicted in least-recently-used order at the entry cap or the byte budget,
+// whichever binds first. Because the dataset version is part of the key, a
+// registry reload invalidates every cached response for the reloaded data
+// without any explicit flush — stale entries simply stop being addressable
+// and age out of the LRU.
 //
 // Only status-200 bodies are cached: they are deterministic for their key
 // (the engine's byte-identical enumeration contract), whereas truncated
@@ -25,13 +26,22 @@ import (
 // and counter-carrying bodies change run to run. A nil *resultCache
 // disables caching.
 type resultCache struct {
-	max int
-	st  *obs.Stats
+	max      int
+	maxBytes int64 // max × cacheBytesPerEntry
+	st       *obs.Stats
 
-	mu  sync.Mutex
-	m   map[string]*list.Element
-	lru *list.List
+	mu    sync.Mutex
+	m     map[string]*list.Element
+	lru   *list.List
+	bytes int64 // sum of len(body) over the cached entries
 }
+
+// cacheBytesPerEntry derives the cache's byte budget from its entry cap:
+// 64 KiB per entry, 16 MiB at the default -cache 256. The entry cap alone
+// lets resident memory scale with answer-set size (256 bodies of ~3 000
+// answers are ~50 MB), so a server that answers faster fills its cache,
+// and grows its RSS, faster.
+const cacheBytesPerEntry = 64 << 10
 
 // cachedBody is one cached response body.
 type cachedBody struct {
@@ -39,13 +49,15 @@ type cachedBody struct {
 	body []byte
 }
 
-// newResultCache returns a cache bounded at max entries recording server.*
-// counters on st, or nil (caching disabled) when max < 1.
+// newResultCache returns a cache bounded at max entries and max ×
+// cacheBytesPerEntry body bytes recording server.* counters on st, or nil
+// (caching disabled) when max < 1.
 func newResultCache(max int, st *obs.Stats) *resultCache {
 	if max < 1 {
 		return nil
 	}
-	return &resultCache{max: max, st: st, m: make(map[string]*list.Element), lru: list.New()}
+	return &resultCache{max: max, maxBytes: int64(max) * cacheBytesPerEntry, st: st,
+		m: make(map[string]*list.Element), lru: list.New()}
 }
 
 // get returns the cached body for key, counting a hit or miss. A nil cache
@@ -71,19 +83,22 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 }
 
 // put stores a response body for key, evicting least-recently-used entries
-// past the cap. No-op on a nil cache or when the key is already present.
+// until both the entry cap and the byte budget hold. No-op on a nil cache,
+// when the key is already present, or when the body alone exceeds the whole
+// byte budget (caching it would evict everything else and then itself).
 func (c *resultCache) put(key string, body []byte) {
-	if c == nil {
+	if c == nil || int64(len(body)) > c.maxBytes {
 		return
 	}
 	var evicted int64
 	c.mu.Lock()
 	if _, ok := c.m[key]; !ok {
 		c.m[key] = c.lru.PushFront(&cachedBody{key: key, body: body})
-		for len(c.m) > c.max {
-			oldest := c.lru.Back()
-			c.lru.Remove(oldest)
-			delete(c.m, oldest.Value.(*cachedBody).key)
+		c.bytes += int64(len(body))
+		for len(c.m) > c.max || c.bytes > c.maxBytes {
+			oldest := c.lru.Remove(c.lru.Back()).(*cachedBody)
+			delete(c.m, oldest.key)
+			c.bytes -= int64(len(oldest.body))
 			evicted++
 		}
 	}
@@ -113,16 +128,8 @@ func cacheKey(ds *Dataset, canonicalQuery string, req *Request, par int) string 
 		fmt.Fprintf(&b, "w%d,t%d,a%d", req.Budget.WallMS, req.Budget.MaxTuples, req.Budget.MaxAnswers)
 	}
 	b.WriteByte('\x00')
-	keys := make([]string, 0, len(req.Mapping))
-	for k := range req.Mapping {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(req.Mapping[k])
-		b.WriteByte('\x00')
-	}
+	// The candidate mapping is request-supplied bytes: its length-prefixed
+	// key keeps two different mappings from ever sharing an entry.
+	b.WriteString(cq.Mapping(req.Mapping).Key())
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 
 	"wdpt/internal/obs"
@@ -41,6 +42,84 @@ func TestResultCacheLRUAndCounters(t *testing.T) {
 	c.put("a", []byte("A2"))
 	if body, _ := c.get("a"); string(body) != "A" {
 		t.Fatalf("re-put replaced body: %q", body)
+	}
+}
+
+// TestResultCacheByteBudget pins the byte bound: a cache of 2 entries holds
+// at most 2 × 64 KiB of bodies, eviction is LRU-first until both bounds
+// hold, and a body larger than the whole budget is refused without
+// disturbing what is cached.
+func TestResultCacheByteBudget(t *testing.T) {
+	st := obs.NewStats()
+	c := newResultCache(4, st)
+	budget := 4 * cacheBytesPerEntry
+	body := func(n int) []byte { return make([]byte, n) }
+
+	// Three bodies of 3/8 budget: the third pushes the total to 9/8, so the
+	// least recently used — "b", since "a" was just read — goes first, and
+	// one eviction is enough although the entry cap (4) never binds.
+	c.put("a", body(budget*3/8))
+	c.put("b", body(budget*3/8))
+	if _, ok := c.get("a"); !ok {
+		t.Fatal("a not cached")
+	}
+	c.put("c", body(budget*3/8))
+	if _, ok := c.get("b"); ok {
+		t.Fatal("LRU victim b survived a byte-budget overflow")
+	}
+	for _, k := range []string{"a", "c"} {
+		if _, ok := c.get(k); !ok {
+			t.Fatalf("%s evicted: the byte bound evicted more than it had to", k)
+		}
+	}
+	if _, _, e := counts(st); e != 1 {
+		t.Fatalf("evictions = %d, want 1", e)
+	}
+
+	// A body at the full budget is admitted and evicts everything else,
+	// oldest first.
+	c.put("d", body(budget))
+	if c.len() != 1 {
+		t.Fatalf("len = %d after a budget-sized body, want 1", c.len())
+	}
+	if _, _, e := counts(st); e != 3 {
+		t.Fatalf("evictions = %d, want 3 (a and c made room for d)", e)
+	}
+
+	// One byte more is refused before insertion: d stays, nothing is
+	// evicted, and the oversize key is a plain miss.
+	c.put("huge", body(budget+1))
+	if _, ok := c.get("huge"); ok {
+		t.Fatal("body larger than the whole budget was cached")
+	}
+	if _, ok := c.get("d"); !ok {
+		t.Fatal("refusing an oversize body disturbed the cached entry")
+	}
+	if _, _, e := counts(st); e != 3 || c.len() != 1 {
+		t.Fatalf("evictions = %d, len = %d after the refusal, want 3 and 1", e, c.len())
+	}
+}
+
+// TestResultCacheHoldsHotRepeat pins that the byte budget leaves the
+// benchmark's hot_repeat workload untouched at the default -cache 256: its
+// 64 bodies (~2.3 MB, four of them ~0.5 MB) all stay resident.
+func TestResultCacheHoldsHotRepeat(t *testing.T) {
+	st := obs.NewStats()
+	c := newResultCache(256, st) // the wdptd -cache default
+	var total int
+	for i := 0; i < 64; i++ {
+		n := 5 << 10
+		if i%16 == 0 {
+			n = 512 << 10
+		}
+		total += n
+		c.put(fmt.Sprint(i), make([]byte, n))
+	}
+	if total < 2300<<10 || int64(total) > c.maxBytes {
+		t.Fatalf("fixture is %d bytes, want between 2.3 MB and the %d-byte budget", total, c.maxBytes)
+	}
+	if _, _, e := counts(st); e != 0 || c.len() != 64 {
+		t.Fatalf("evictions = %d, len = %d, want 0 and 64", e, c.len())
 	}
 }
 

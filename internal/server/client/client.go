@@ -158,16 +158,6 @@ func (c *Client) Datasets(ctx context.Context) (*server.DatasetList, error) {
 	return &l, nil
 }
 
-// Metrics fetches the /metrics.json counter snapshot (the JSON twin of the
-// Prometheus exposition at /metrics).
-func (c *Client) Metrics(ctx context.Context) (map[string]int64, error) {
-	var m map[string]int64
-	if err := c.getJSON(ctx, http.MethodGet, "/metrics.json", &m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // MetricsText fetches the Prometheus text exposition at /metrics, raw.
 // Callers parse it with obs.ParsePromText.
 func (c *Client) MetricsText(ctx context.Context) (string, error) {

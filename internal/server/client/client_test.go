@@ -205,3 +205,65 @@ func TestRetryStopsOnCanceledContext(t *testing.T) {
 		t.Errorf("server saw %d requests, want 1 (canceled during first backoff)", got)
 	}
 }
+
+const reportBody = `{"mode":"enumerate","engine":"auto","answer_count":0}`
+
+func TestEndpointStatsSplitPerEndpoint(t *testing.T) {
+	a, _ := throttlingServer(t, 0, 0, "", reportBody)
+	attempts := obs.NewCounterVec(obs.CVecClientEndpointAttempts, "endpoint")
+	failures := obs.NewCounterVec(obs.CVecClientEndpointFailures, "endpoint")
+
+	good := New(a.URL, nil).WithEndpointStats(attempts, failures)
+	if _, err := good.Query(context.Background(), server.Request{Dataset: "d", Query: "q"}); err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+
+	// A closed server: every attempt is a transport failure.
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	deadURL := dead.URL
+	dead.Close()
+	bad := New(deadURL, nil).WithEndpointStats(attempts, failures)
+	if _, err := bad.Query(context.Background(), server.Request{Dataset: "d", Query: "q"}); err == nil {
+		t.Fatal("Query against closed server: want transport error")
+	}
+
+	if got := attempts.Get(a.URL); got != 1 {
+		t.Fatalf("attempts{%s} = %d, want 1", a.URL, got)
+	}
+	if got := failures.Get(a.URL); got != 0 {
+		t.Fatalf("failures{%s} = %d, want 0", a.URL, got)
+	}
+	if got := attempts.Get(deadURL); got != 1 {
+		t.Fatalf("attempts{%s} = %d, want 1", deadURL, got)
+	}
+	if got := failures.Get(deadURL); got != 1 {
+		t.Fatalf("failures{%s} = %d, want 1", deadURL, got)
+	}
+}
+
+func TestEndpointFailureCounts5xxAndThrottle(t *testing.T) {
+	srv, _ := throttlingServer(t, 1, http.StatusServiceUnavailable, "", reportBody)
+	attempts := obs.NewCounterVec(obs.CVecClientEndpointAttempts, "endpoint")
+	failures := obs.NewCounterVec(obs.CVecClientEndpointFailures, "endpoint")
+	c, _ := pinned(New(srv.URL, nil).WithEndpointStats(attempts, failures).WithRetry(RetryPolicy{MaxAttempts: 3}))
+	if _, err := c.Query(context.Background(), server.Request{Dataset: "d", Query: "q"}); err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	// Attempt 1 hit the 503 (a failure), attempt 2 succeeded.
+	if got := attempts.Get(srv.URL); got != 2 {
+		t.Fatalf("attempts = %d, want 2", got)
+	}
+	if got := failures.Get(srv.URL); got != 1 {
+		t.Fatalf("failures = %d, want 1", got)
+	}
+}
+
+func TestNewDefaultsToTimeoutBearingClient(t *testing.T) {
+	c := New("http://example.invalid", nil)
+	if c.hc == http.DefaultClient {
+		t.Fatal("New(nil) must not use http.DefaultClient")
+	}
+	if c.hc.Timeout == 0 {
+		t.Fatal("New(nil) client must carry a non-zero Timeout")
+	}
+}

@@ -135,6 +135,30 @@ func directBody(t *testing.T, q qsolver, d *db.Database, req server.Request, par
 	return buf.Bytes(), report.HTTPStatus(evalErr)
 }
 
+// scrape fetches GET /metrics, parses it with obs.ParsePromText and returns
+// every unlabelled sample keyed by its exposition name (the counter
+// server.cache_hits is "wdpt_server_cache_hits_total").
+func scrape(t *testing.T, cl *client.Client) map[string]int64 {
+	t.Helper()
+	text, err := cl.MetricsText(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParsePromText(text)
+	if err != nil {
+		t.Fatalf("/metrics does not parse as exposition format: %v", err)
+	}
+	out := make(map[string]int64)
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if len(s.Labels) == 0 {
+				out[s.Name] = int64(s.Value)
+			}
+		}
+	}
+	return out
+}
+
 // musicFixture returns the Figure 1 tree, its database, the parseable query
 // text, and a full candidate mapping (an actual answer).
 func musicFixture(t *testing.T) (*core.PatternTree, *db.Database, string, map[string]string) {
@@ -361,12 +385,9 @@ func TestServerWidthBoundReject(t *testing.T) {
 	if ok.Status != http.StatusOK {
 		t.Fatalf("path query: status %d (body %s), want 200", ok.Status, ok.Body)
 	}
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["server.width_rejects"] != 1 {
-		t.Errorf("server.width_rejects = %d, want 1", m["server.width_rejects"])
+	m := scrape(t, cl)
+	if m["wdpt_server_width_rejects_total"] != 1 {
+		t.Errorf("server.width_rejects = %d, want 1", m["wdpt_server_width_rejects_total"])
 	}
 }
 
@@ -395,12 +416,9 @@ func TestServerCacheHitAndReloadMiss(t *testing.T) {
 	if !bytes.Equal(first.Body, second.Body) {
 		t.Fatalf("cached body diverges:\n%s\nvs\n%s", second.Body, first.Body)
 	}
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["server.cache_hits"] != 1 || m["server.cache_misses"] != 1 {
-		t.Fatalf("after repeat: hits=%d misses=%d, want 1/1", m["server.cache_hits"], m["server.cache_misses"])
+	m := scrape(t, cl)
+	if m["wdpt_server_cache_hits_total"] != 1 || m["wdpt_server_cache_misses_total"] != 1 {
+		t.Fatalf("after repeat: hits=%d misses=%d, want 1/1", m["wdpt_server_cache_hits_total"], m["wdpt_server_cache_misses_total"])
 	}
 
 	// Hot-reload with more data: the version bump must invalidate the entry.
@@ -425,13 +443,10 @@ func TestServerCacheHitAndReloadMiss(t *testing.T) {
 		t.Fatalf("reloaded dataset did not grow the answer set: %d vs %d",
 			*third.Report.AnswerCount, *first.Report.AnswerCount)
 	}
-	m, err = cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["server.cache_hits"] != 1 || m["server.cache_misses"] != 2 || m["server.reloads"] != 1 {
+	m = scrape(t, cl)
+	if m["wdpt_server_cache_hits_total"] != 1 || m["wdpt_server_cache_misses_total"] != 2 || m["wdpt_server_reloads_total"] != 1 {
 		t.Fatalf("after reload: hits=%d misses=%d reloads=%d, want 1/2/1",
-			m["server.cache_hits"], m["server.cache_misses"], m["server.reloads"])
+			m["wdpt_server_cache_hits_total"], m["wdpt_server_cache_misses_total"], m["wdpt_server_reloads_total"])
 	}
 
 	// Stats-carrying responses bypass the cache entirely.
@@ -444,11 +459,8 @@ func TestServerCacheHitAndReloadMiss(t *testing.T) {
 	if res.Report.Counters == nil {
 		t.Fatalf("stats request carries no counters: %s", res.Body)
 	}
-	m2, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2["server.cache_hits"] != m["server.cache_hits"] || m2["server.cache_misses"] != m["server.cache_misses"] {
+	m2 := scrape(t, cl)
+	if m2["wdpt_server_cache_hits_total"] != m["wdpt_server_cache_hits_total"] || m2["wdpt_server_cache_misses_total"] != m["wdpt_server_cache_misses_total"] {
 		t.Errorf("stats request touched the cache: %v vs %v", m2, m)
 	}
 }
@@ -659,12 +671,9 @@ func TestServerAdmissionQueueOverflow(t *testing.T) {
 	if res.RetryAfter == "" {
 		t.Error("429 response carries no Retry-After header")
 	}
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["server.admission_rejects"] != 1 {
-		t.Errorf("server.admission_rejects = %d, want 1", m["server.admission_rejects"])
+	m := scrape(t, cl)
+	if m["wdpt_server_admission_rejects_total"] != 1 {
+		t.Errorf("server.admission_rejects = %d, want 1", m["wdpt_server_admission_rejects_total"])
 	}
 }
 
@@ -726,14 +735,11 @@ func TestServerLoadSmoke(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	m, err := cl.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, cl)
+	if m["wdpt_server_requests_total"] < int64(workers*len(shapes)) {
+		t.Errorf("server.requests = %d, want >= %d", m["wdpt_server_requests_total"], workers*len(shapes))
 	}
-	if m["server.requests"] < int64(workers*len(shapes)) {
-		t.Errorf("server.requests = %d, want >= %d", m["server.requests"], workers*len(shapes))
-	}
-	if m["server.cache_evictions"] == 0 {
+	if m["wdpt_server_cache_evictions_total"] == 0 {
 		t.Errorf("cache (size 4) under %d shapes recorded no evictions", len(shapes))
 	}
 }

@@ -1,6 +1,6 @@
 // Observability tests for wdptd: the Prometheus exposition at /metrics,
-// the JSON back-compat snapshot at /metrics.json, per-request tracing via
-// ?trace=1, and the structured query log with slow-query promotion.
+// per-request tracing via ?trace=1, and the structured query log with
+// slow-query promotion.
 package server_test
 
 import (
@@ -136,38 +136,46 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONBackCompat pins the old JSON snapshot at /metrics.json.
-func TestMetricsJSONBackCompat(t *testing.T) {
-	_, d, queryText, _ := musicFixture(t)
-	_, cl, _ := startServer(t, server.Config{MaxInFlight: 4},
+// TestMetricsJSONGone pins that /metrics is the one scrape path: GET
+// /metrics.json is 404, and every storage fact it used to carry
+// (dictionary size, load timing, per-relation tuples, per-column distinct
+// counts) is served by /v1/datasets.
+func TestMetricsJSONGone(t *testing.T) {
+	_, d, _, _ := musicFixture(t)
+	_, cl, hs := startServer(t, server.Config{MaxInFlight: 4},
 		map[string]string{"music": writeDataset(t, d)})
-	if _, err := cl.Query(context.Background(), server.Request{Dataset: "music", Query: queryText}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := cl.Metrics(context.Background())
+	resp, err := hs.Client().Get(hs.URL + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m["server.requests"] < 1 {
-		t.Fatalf("metrics.json snapshot = %v", m)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /metrics.json = %d, want 404", resp.StatusCode)
 	}
-	// The storage-shape gauges ride along under "storage." keys: dictionary
-	// size, per-dataset load timing, and per-relation/per-column stats.
-	if m["storage.music.dict_terms"] <= 0 {
-		t.Fatalf("metrics.json lacks storage.music.dict_terms: %v", m)
+
+	list, err := cl.Datasets(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m["storage.music.load_ns"] <= 0 {
-		t.Fatalf("metrics.json lacks storage.music.load_ns: %v", m)
+	if len(list.Datasets) != 1 || list.Datasets[0].Name != "music" {
+		t.Fatalf("/v1/datasets = %+v, want the music dataset", list.Datasets)
 	}
-	found := false
-	for k := range m {
-		if strings.HasPrefix(k, "storage.music.") && strings.HasSuffix(k, ".distinct") {
-			found = true
-			break
+	ds := list.Datasets[0]
+	if ds.DictTerms <= 0 || ds.LoadNS <= 0 || len(ds.Relations) == 0 {
+		t.Fatalf("/v1/datasets lacks dict_terms/load_ns/relations: %+v", ds)
+	}
+	for _, rel := range ds.Relations {
+		if rel.Tuples <= 0 || rel.Tuples != d.Relation(rel.Name).Len() {
+			t.Fatalf("relation %s: tuples = %d, want %d", rel.Name, rel.Tuples, d.Relation(rel.Name).Len())
 		}
-	}
-	if !found {
-		t.Fatalf("metrics.json lacks per-column distinct gauges: %v", m)
+		if len(rel.Columns) != rel.Arity {
+			t.Fatalf("relation %s: %d column summaries, want %d", rel.Name, len(rel.Columns), rel.Arity)
+		}
+		for _, col := range rel.Columns {
+			if col.Distinct <= 0 {
+				t.Fatalf("relation %s column %d: distinct = %d, want > 0", rel.Name, col.Pos, col.Distinct)
+			}
+		}
 	}
 }
 

@@ -50,8 +50,8 @@ func TestRegistryLoadAndList(t *testing.T) {
 }
 
 // TestRegistryStorageStats pins the dictionary-size, backend, load-timing,
-// and per-column distinct-term summaries the /v1/datasets listing and the
-// /metrics.json storage gauges are built from.
+// and per-column distinct-term summaries the /v1/datasets listing is built
+// from.
 func TestRegistryStorageStats(t *testing.T) {
 	dir := t.TempDir()
 	r, err := NewRegistry(map[string]string{

@@ -153,7 +153,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/datasets", s.handleDatasets)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	s.mux.HandleFunc("POST /admin/reload", s.handleReload)
 	s.mux.HandleFunc("POST /admin/snapshot", s.handleSnapshot)
 	if cfg.EnablePprof {
@@ -732,30 +731,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleDatasets is GET /v1/datasets.
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, DatasetList{Version: s.reg.Version(), Datasets: s.reg.List()})
-}
-
-// handleMetricsJSON is GET /metrics.json: the obs counter snapshot as one
-// JSON object, keys sorted (json.Marshal orders map keys) — the pre-
-// Prometheus /metrics body, kept for existing scrapers and the client.
-// Storage-shape gauges for the current registry snapshots (dictionary
-// size, per-relation tuple counts and per-column distinct-term counts;
-// see docs/STORAGE.md) are merged in under "storage." keys — additive,
-// so existing counter scrapers are unaffected.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	snap := s.st.Snapshot()
-	for _, ds := range s.reg.List() {
-		prefix := "storage." + ds.Name
-		snap[prefix+".dict_terms"] = int64(ds.DictTerms)
-		snap[prefix+".load_ns"] = ds.LoadNS
-		for _, rel := range ds.Relations {
-			rp := prefix + "." + rel.Name
-			snap[rp+".tuples"] = int64(rel.Tuples)
-			for _, col := range rel.Columns {
-				snap[fmt.Sprintf("%s.col%d.distinct", rp, col.Pos)] = int64(col.Distinct)
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, snap)
 }
 
 // handleReload is POST /admin/reload: re-parse every dataset file and swap

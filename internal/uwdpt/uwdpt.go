@@ -329,47 +329,6 @@ func (u *Union) CQTranslationObs(maxCQs int, st *obs.Stats) []*cq.CQ {
 	return out
 }
 
-// CQTranslationParallel is CQTranslationObs with the per-member subtree
-// enumeration fanned out over the caller's pool (a nil pool runs
-// sequentially, and cancelling the pool's context stops the fan-out — the
-// pool is the cancellation carrier here). The fan-out only applies to the
-// uncapped translation (maxCQs == 0): members enumerate with private
-// dedup and the results merge in member order under the global dedup, which
-// reproduces the sequential output and its uwdpt.translation_cqs count
-// byte for byte (each CQ is counted when it first survives the global
-// dedup, exactly as the sequential pass counts it). A capped translation
-// short-circuits mid-member, so it always runs sequentially.
-func (u *Union) CQTranslationParallel(maxCQs int, st *obs.Stats, pool *par.Pool) []*cq.CQ {
-	if maxCQs != 0 || !pool.Parallel() {
-		return u.CQTranslationObs(maxCQs, st)
-	}
-	perMember := par.Map(pool, len(u.trees), func(i int) []*cq.CQ {
-		var cqs []*cq.CQ
-		local := make(map[string]bool)
-		u.trees[i].EnumerateSubtrees(func(s core.Subtree) bool {
-			q := u.trees[i].SubtreeProjectedCQ(s)
-			if key := q.String(); !local[key] {
-				local[key] = true
-				cqs = append(cqs, q)
-			}
-			return true
-		})
-		return cqs
-	})
-	var out []*cq.CQ
-	seen := make(map[string]bool)
-	for _, cqs := range perMember {
-		for _, q := range cqs {
-			if key := q.String(); !seen[key] {
-				seen[key] = true
-				out = append(out, q)
-				st.Inc(obs.CtrUnionCQs)
-			}
-		}
-	}
-	return out
-}
-
 // Subsumes decides φ ⊑ φ': over every database, every answer of φ is
 // subsumed by an answer of φ'. The small-model space is the same as for
 // single trees, applied to each member of the left-hand union.

@@ -4,16 +4,13 @@
 # end-to-end selfcheck against the examples/data datasets
 # (which also scrapes /metrics into metrics-snapshot.prom and asserts the
 # exposition carries query-duration samples), a -short benchmark smoke,
-# wdptbench metrics-artifact smokes at Parallelism=1 and Parallelism=NumCPU
-# (writes BENCH_<date>.json and BENCH_<date>-pncpu.json, both uploaded by
-# CI — same tables, elapsed_ns ratio is the parallel-scaling measurement),
-# a benchdiff self-smoke (the artifact diffed against itself must report
-# zero regressions), a storage-backend A/B gate (E1 and E14 run on the
-# legacy string-map backend then on the columnar default; benchdiff fails
-# the run if the columnar backend regresses any significant point), a
-# snapshot persistence gate (a dataset converted to the binary snapshot
-# format must answer byte-identically to its text source, and reloading
-# the snapshot must beat reparsing the text by WDPT_SNAP_MIN_SPEEDUP),
+# a wdptbench metrics-artifact smoke at Parallelism=1 (writes
+# BENCH_<date>.json, uploaded by CI) with a benchdiff self-smoke as its
+# schema check (the artifact diffed against itself must report zero
+# regressions), a snapshot persistence gate (a dataset converted to the
+# binary snapshot format must answer byte-identically to its text source,
+# and reloading the snapshot must beat reparsing the text by
+# WDPT_SNAP_MIN_SPEEDUP),
 # a cluster smoke (scripts/cluster_smoke.sh: 3 members + 1 coordinator,
 # byte-parity with and without a killed member, a wdptstress -quick run
 # whose STRESS_<date>-smoke.json artifact benchdiff must accept),
@@ -99,60 +96,15 @@ go test -race -short -run='^$' -bench=. -benchtime=1x .
 echo "== wdptbench metrics artifact (-short -json, parallelism 1)"
 go run ./cmd/wdptbench -short -json -out . >/dev/null
 
-echo "== wdptbench metrics artifact (-short -json, parallelism NumCPU)"
-go run ./cmd/wdptbench -short -json -out . -parallelism 0 -suffix -pncpu >/dev/null
-
 echo "== benchdiff self-smoke (artifact vs itself must pass)"
 bench_artifact=$(ls -t BENCH_*.json | head -1)
 ./scripts/benchdiff.sh "$bench_artifact" "$bench_artifact"
-
-# Storage-backend A/B gate: run the two latency-sensitive experiments (E1
-# EVAL, E14 answer enumeration) on the legacy string-map backend (the
-# "-mem" artifact, benchdiff's before) and on the default columnar backend
-# (the "-col" artifact, after), then hold the columnar run to benchdiff's
-# regression tolerance against the legacy one. Both artifacts are uploaded
-# by CI. The single -store mem,col,... invocation interleaves the two
-# backends per experiment inside one process — separate processes pick up
-# different scheduler and frequency state, which on a shared runner swamps
-# the backend effect — and min-merges the three alternating rounds, so a
-# transient stall must cover every round of one backend before it can
-# read as a backend effect (two rounds proved intermittently flaky on a
-# single-CPU runner; three are cheap and stable). Full sizes (not -short)
-# are used because the quick databases are too small for storage cost to
-# register. -reps 5 widens each round's sample so a point's min draws on
-# fifteen measurements per backend spread across the three rounds — a
-# multi-second noise burst cannot dominate all of them. The gate compares
-# min only: at low repetition counts p95 degenerates to the maximum,
-# where a single GC cycle landing inside one rep reads as a regression.
-# The pass condition is count-based: a busy single-CPU runner drifts
-# between ±30% speed regimes lasting minutes, so even min-merged rounds
-# show isolated single-point excursions past +35% on points that tight
-# per-point ABBA interleaving proves at parity — but that noise never
-# moves more than a couple of the 19 points at once, whereas a genuine
-# backend regression (a probe path losing its index, a merge join gone
-# quadratic) degrades most of them. The gate therefore fails only when
-# more than WDPT_STORE_MAX_REGRESSIONS (default 4) points regress past
-# benchdiff's default 20% tolerance. On quiet multi-core hardware expect
-# zero regressed points — that is the acceptance-grade comparison.
-echo "== storage backend A/B (E1,E14: mem before vs col after, benchdiff gate)"
-go run ./cmd/wdptbench -json -out . -run E1,E14 -reps 5 -store mem,col,mem,col,mem,col -suffix -store >/dev/null
-before_artifact=$(ls -t BENCH_*-store-mem.json | head -1)
-after_artifact=$(ls -t BENCH_*-store-col.json | head -1)
-store_diff=$(WDPT_BENCH_METRICS=min ./scripts/benchdiff.sh "$before_artifact" "$after_artifact" 2>&1) || true
-echo "$store_diff"
-store_regressions=$(grep -c 'REGRESSION' <<<"$store_diff" || true)
-store_allowed="${WDPT_STORE_MAX_REGRESSIONS:-4}"
-if (( store_regressions > store_allowed )); then
-  echo "storage A/B: ${store_regressions} regressed point(s), over the ${store_allowed} allowed for runner noise" >&2
-  exit 1
-fi
-echo "storage A/B: ${store_regressions} regressed point(s) within the ${store_allowed} allowed for runner noise"
 
 # Snapshot persistence gate, two halves. Parity: convert the music fixture
 # to a binary snapshot with wdpteval -snapshot-save, then run the same
 # query -json against the text source and against the snapshot — the two
 # documents must be byte-identical (the report carries no wall-clock
-# fields, so cmp is exact, the same contract the backend A/B gate holds).
+# fields, so cmp is exact).
 # Speed: wdptbench -snapshot generates a large synthetic database and
 # fails unless reloading the snapshot beats reparsing the text by
 # WDPT_SNAP_MIN_SPEEDUP (default 1.5x — deliberately far under the ~10x
