@@ -5,6 +5,7 @@
 package wdpt_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -35,12 +36,12 @@ func BenchmarkTable1EvalBoundedInterface(b *testing.B) {
 		eng := wdpt.AutoEngine()
 		b.Run(fmt.Sprintf("interface/depth=%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.EvalInterface(d, h, eng)
+				solve(b, p, d, wdpt.SolveOptions{Mode: wdpt.ModeExact, Mapping: h, Engine: eng})
 			}
 		})
 		b.Run(fmt.Sprintf("naive/depth=%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.Eval(d, h)
+				solve(b, p, d, wdpt.SolveOptions{Mode: wdpt.ModeExactNaive, Mapping: h})
 			}
 		})
 	}
@@ -54,7 +55,7 @@ func BenchmarkTable1EvalGlobalHard(b *testing.B) {
 		p, d, h := gen.ThreeColorInstance(gen.CompleteGraph(n))
 		b.Run(fmt.Sprintf("K%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.EvalInterface(d, h, eng)
+				solve(b, p, d, wdpt.SolveOptions{Mode: wdpt.ModeExact, Mapping: h, Engine: eng})
 			}
 		})
 	}
@@ -68,7 +69,7 @@ func BenchmarkTable1PartialEval(b *testing.B) {
 		p, d, h := gen.ThreeColorInstance(gen.CompleteGraph(n))
 		b.Run(fmt.Sprintf("K%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.PartialEval(d, h, eng)
+				solve(b, p, d, wdpt.SolveOptions{Mode: wdpt.ModePartial, Mapping: h, Engine: eng})
 			}
 		})
 	}
@@ -81,7 +82,7 @@ func BenchmarkTable1MaxEval(b *testing.B) {
 		p, d, h := gen.ThreeColorInstance(gen.CompleteGraph(n))
 		b.Run(fmt.Sprintf("K%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.MaxEval(d, h, eng)
+				solve(b, p, d, wdpt.SolveOptions{Mode: wdpt.ModeMax, Mapping: h, Engine: eng})
 			}
 		})
 	}
@@ -94,12 +95,16 @@ func BenchmarkTable1Subsumption(b *testing.B) {
 		p := gen.StarWDPT(w)
 		b.Run(fmt.Sprintf("partialeval-inner/width=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				wdpt.Subsumes(p, p, wdpt.SubsumeOptions{})
+				if _, err := wdpt.Subsumes(context.Background(), p, p, wdpt.SubsumeOptions{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 		b.Run(fmt.Sprintf("enumerate-inner/width=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				wdpt.Subsumes(p, p, wdpt.SubsumeOptions{InnerEnumerate: true})
+				if _, err := wdpt.Subsumes(context.Background(), p, p, wdpt.SubsumeOptions{InnerEnumerate: true}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -111,7 +116,9 @@ func BenchmarkTable2Membership(b *testing.B) {
 		p := gen.SymmetricCycleTree(m)
 		b.Run(fmt.Sprintf("C%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				wdpt.MemberWB(p, wdpt.WB(1), wdpt.ApproxOptions{})
+				if _, _, err := wdpt.MemberWB(context.Background(), p, wdpt.WB(1), wdpt.ApproxOptions{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -123,7 +130,7 @@ func BenchmarkTable2Approximation(b *testing.B) {
 		p := gen.TriangleWithPath(l)
 		b.Run(fmt.Sprintf("pathlen=%d", l), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := wdpt.Approximate(p, wdpt.WB(1), wdpt.ApproxOptions{}); err != nil {
+				if _, err := wdpt.Approximate(context.Background(), p, wdpt.WB(1), wdpt.ApproxOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -181,7 +188,7 @@ func pathAtoms(l int) []wdpt.Atom {
 // cyclic pattern against direct evaluation on a large acyclic database.
 func BenchmarkApproximationPayoff(b *testing.B) {
 	p := gen.DirectedCycleTree(4)
-	ap, err := wdpt.Approximate(p, wdpt.WB(1), wdpt.ApproxOptions{})
+	ap, err := wdpt.Approximate(context.Background(), p, wdpt.WB(1), wdpt.ApproxOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,12 +199,12 @@ func BenchmarkApproximationPayoff(b *testing.B) {
 	d := gen.LayeredDatabase(4, perLayer, 10, 1)
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.Evaluate(d)
+			solve(b, p, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate})
 		}
 	})
 	b.Run("approximation", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ap.Evaluate(d)
+			solve(b, ap, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate})
 		}
 	})
 }
@@ -219,7 +226,7 @@ func BenchmarkUnionEval(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("members=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				u.Eval(d, h, eng)
+				solve(b, u, d, wdpt.SolveOptions{Mode: wdpt.ModeExact, Mapping: h, Engine: eng})
 			}
 		})
 	}
@@ -259,12 +266,12 @@ func BenchmarkRDFEncoding(b *testing.B) {
 	encD := wdpt.EncodeRDFDatabase(d)
 	b.Run("relational", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.Evaluate(d)
+			solve(b, p, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate})
 		}
 	})
 	b.Run("rdf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			enc.Evaluate(encD)
+			solve(b, enc, encD, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate})
 		}
 	})
 }
@@ -273,7 +280,10 @@ func BenchmarkRDFEncoding(b *testing.B) {
 // witness vs against the original M(WB(1)) tree.
 func BenchmarkFPTEvaluation(b *testing.B) {
 	p := gen.SymmetricCycleTree(4)
-	opt := wdpt.Optimize(p, wdpt.WB(1), wdpt.ApproxOptions{})
+	opt, err := wdpt.Optimize(context.Background(), p, wdpt.WB(1), wdpt.ApproxOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	if !opt.Tractable() {
 		b.Fatal("expected a tractable witness")
 	}
@@ -289,12 +299,12 @@ func BenchmarkFPTEvaluation(b *testing.B) {
 	eng := wdpt.AutoEngine()
 	b.Run("original", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.PartialEval(d, wdpt.Mapping{}, eng)
+			solve(b, p, d, wdpt.SolveOptions{Mode: wdpt.ModePartial, Mapping: wdpt.Mapping{}, Engine: eng})
 		}
 	})
 	b.Run("witness", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			opt.PartialEval(d, wdpt.Mapping{}, eng)
+			solve(b, opt, d, wdpt.SolveOptions{Mode: wdpt.ModePartial, Mapping: wdpt.Mapping{}, Engine: eng})
 		}
 	})
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -49,7 +50,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, "semantic analysis skipped: the tree mentions constants (Section 5.2)")
 			return 0
 		}
-		w, ok := wdpt.MemberWB(p, wdpt.WB(*semantic), wdpt.ApproxOptions{})
+		w, ok, err := wdpt.MemberWB(context.Background(), p, wdpt.WB(*semantic), wdpt.ApproxOptions{})
+		if err != nil {
+			fmt.Fprintf(stderr, "wdptanalyze: %v\n", err)
+			return 2
+		}
 		fmt.Fprintf(stdout, "semantic: p ∈ M(WB(%d)): %v\n", *semantic, ok)
 		if ok && w != p {
 			fmt.Fprintln(stdout, "  witness:")

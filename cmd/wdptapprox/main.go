@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -54,8 +55,12 @@ func approxMain(out io.Writer, query, queryFile string, k int, member, all, unio
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 	if member {
-		w, ok := wdpt.MemberWB(p, wdpt.WB(k), wdpt.ApproxOptions{})
+		w, ok, err := wdpt.MemberWB(ctx, p, wdpt.WB(k), wdpt.ApproxOptions{})
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "p ∈ M(WB(%d)): %v\n", k, ok)
 		if ok {
 			fmt.Fprintln(out, "witness (subsumption-equivalent, globally tractable):")
@@ -64,14 +69,17 @@ func approxMain(out io.Writer, query, queryFile string, k int, member, all, unio
 		return nil
 	}
 	if all {
-		cands := wdpt.ApproximateAll(p, wdpt.WB(k), wdpt.ApproxOptions{})
+		cands, err := wdpt.ApproximateAll(ctx, p, wdpt.WB(k), wdpt.ApproxOptions{})
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "%d maximal WB(%d)-approximation candidate(s):\n", len(cands), k)
 		for i, c := range cands {
 			fmt.Fprintf(out, "-- candidate %d (size %d):\n%s", i+1, c.Size(), wdpt.FormatWDPT(c))
 		}
 		return nil
 	}
-	ap, err := wdpt.Approximate(p, wdpt.WB(k), wdpt.ApproxOptions{})
+	ap, err := wdpt.Approximate(ctx, p, wdpt.WB(k), wdpt.ApproxOptions{})
 	if err != nil {
 		return err
 	}

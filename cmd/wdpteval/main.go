@@ -67,7 +67,6 @@ import (
 	"time"
 
 	"wdpt"
-	"wdpt/internal/approx"
 	"wdpt/internal/core"
 	"wdpt/internal/cqeval"
 	"wdpt/internal/db"
@@ -266,48 +265,41 @@ func evalMain(out io.Writer, o options) error {
 		if err != nil {
 			return err
 		}
-		var opt *approx.Optimized
-		if o.optimize > 0 && o.mode != "exact" {
-			opt = wdpt.Optimize(p, wdpt.WB(o.optimize), wdpt.ApproxOptions{Parallelism: par})
+		mode := wdpt.ModeExact
+		switch o.mode {
+		case "partial":
+			mode = wdpt.ModePartial
+		case "max":
+			mode = wdpt.ModeMax
+		}
+		// With -optimize, partial and max go through the Corollary 2
+		// evaluator, which answers them on the tractable witness.
+		var target interface {
+			Solve(context.Context, *wdpt.Database, wdpt.SolveOptions) (wdpt.SolveResult, error)
+		} = p
+		if o.optimize > 0 && mode != wdpt.ModeExact {
+			opt, err := wdpt.Optimize(ctx, p, wdpt.WB(o.optimize), wdpt.ApproxOptions{Parallelism: par})
+			if err != nil {
+				return err
+			}
 			tractable := opt.Tractable()
 			rep.OptimizerTractable = &tractable
 			if !o.jsonOut {
 				fmt.Fprintf(out, "(optimizer: tractable witness found: %v)\n", tractable)
 			}
+			target = opt
 		}
-		var result bool
-		if opt != nil {
-			// The Corollary 2 witness has its own tractable evaluators.
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			switch o.mode {
-			case "partial":
-				result = opt.PartialEval(d, h, eng)
-			case "max":
-				result = opt.MaxEval(d, h, eng)
-			}
-		} else {
-			mode := wdpt.ModeExact
-			switch o.mode {
-			case "partial":
-				mode = wdpt.ModePartial
-			case "max":
-				mode = wdpt.ModeMax
-			}
-			res, err := p.Solve(ctx, d, wdpt.SolveOptions{
-				Mode: mode, Mapping: h, Engine: eng, Parallelism: par,
-				Budget: budget, Fallback: o.fallback,
-			})
-			if err != nil {
-				return err
-			}
-			noteDegraded(&rep, out, o.jsonOut, res)
-			result = res.Holds
+		res, err := target.Solve(ctx, d, wdpt.SolveOptions{
+			Mode: mode, Mapping: h, Engine: eng, Parallelism: par,
+			Budget: budget, Fallback: o.fallback,
+		})
+		if err != nil {
+			return err
 		}
-		rep.SetResult(result)
+		noteDegraded(&rep, out, o.jsonOut, res)
+		rep.SetResult(res.Holds)
 		if !o.jsonOut {
-			fmt.Fprintln(out, result)
+			fmt.Fprintln(out, res.Holds)
 		}
 	default:
 		return fmt.Errorf("unknown mode %q", o.mode)
@@ -391,12 +383,20 @@ func parseMapping(s string) (wdpt.Mapping, error) {
 	if strings.TrimSpace(s) == "" {
 		return h, nil
 	}
+	twice := ""
 	for _, part := range strings.Split(s, ",") {
 		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
 		if len(kv) != 2 || kv[0] == "" {
 			return nil, fmt.Errorf("bad -map entry %q (want var=value)", part)
 		}
-		h[strings.TrimPrefix(kv[0], "?")] = kv[1]
+		name := strings.TrimPrefix(kv[0], "?")
+		if _, seen := h[name]; seen && (twice == "" || name < twice) {
+			twice = name
+		}
+		h[name] = kv[1]
+	}
+	if twice != "" {
+		return nil, fmt.Errorf("variable %q is named twice in -map", twice)
 	}
 	return h, nil
 }

@@ -261,3 +261,32 @@ func TestRunSnapshotFlagErrors(t *testing.T) {
 		t.Fatalf("missing snapshot: exit %d, want 2", code)
 	}
 }
+
+// TestRunMapNamesVariableOnce: "x" and "?x" name one variable, so a -map
+// that binds it twice is a usage error naming it, not last-wins.
+func TestRunMapNamesVariableOnce(t *testing.T) {
+	db := writeMusicDB(t)
+	var out, errOut bytes.Buffer
+	code := run([]string{"-db", db, "-query", musicQuery, "-mode", "partial", "-map", "y=Caribou,x=Swim,?x=Nope"}, &out, &errOut)
+	if code != 2 || !strings.Contains(errOut.String(), `variable "x" is named twice`) {
+		t.Fatalf("exit %d stderr %q, want 2 naming x", code, errOut.String())
+	}
+}
+
+// TestRunOptimizeHonorsBudget: -optimize answers partial and max through
+// Solve, so a tuple budget that trips without it trips with it too.
+func TestRunOptimizeHonorsBudget(t *testing.T) {
+	db := writeMusicDB(t)
+	for _, mode := range []string{"partial", "max"} {
+		args := []string{"-db", db, "-query", musicQuery, "-mode", mode, "-map", "y=Caribou", "-budget-tuples", "1"}
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 4 {
+			t.Fatalf("%s: exit %d without -optimize, want the tuple-budget trip 4 (stderr: %s)", mode, code, errOut.String())
+		}
+		out.Reset()
+		errOut.Reset()
+		if code := run(append(args, "-optimize", "1"), &out, &errOut); code != 4 {
+			t.Errorf("%s: exit %d with -optimize 1, want 4 (stderr: %s)", mode, code, errOut.String())
+		}
+	}
+}

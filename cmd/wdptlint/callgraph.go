@@ -384,12 +384,6 @@ func (g *callGraph) typeCarries(t types.Type, depth int) bool {
 	return carries
 }
 
-// isDeprecated reports whether the declaration carries a "Deprecated:"
-// marker — frozen legacy wrappers are exempt from the whole-program rules.
-func isDeprecated(fd *ast.FuncDecl) bool {
-	return fd.Doc != nil && strings.Contains(fd.Doc.Text(), "Deprecated:")
-}
-
 // sortedDecls returns the graph's declared functions in deterministic
 // (file, line) order, so rule findings come out stably ordered.
 func (g *callGraph) sortedDecls() []*types.Func {

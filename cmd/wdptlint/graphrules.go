@@ -54,8 +54,8 @@ func lintWholeProgram(l *loader, selected []*lintPkg, enabled map[string]bool) [
 // scan, an outbound HTTP call — but accepts no way to thread cancellation
 // is a function whose work a budget trip cannot stop: the classic dropped
 // ctx two calls above the sink. The substrate packages that *implement*
-// cancellation (par, guard, db, obs) are exempt, as are frozen Deprecated
-// wrappers. Propagation stops at a carrier: once some function on the path
+// cancellation (par, guard, db, obs) are exempt. Propagation stops at a
+// carrier: once some function on the path
 // can thread cancellation, it is the cancellation boundary, and callers
 // above it are not implicated through that path.
 
@@ -104,7 +104,7 @@ func lintContextReach(g *callGraph, selectedRel map[string]bool) []Finding {
 		if !ok {
 			continue
 		}
-		if isDeprecated(site.decl) || g.carriesCancellation(fn) {
+		if g.carriesCancellation(fn) {
 			continue
 		}
 		out = append(out, g.l.finding(site.decl.Name.Pos(), "R10",

@@ -11,9 +11,6 @@
 //	    internal/cq require doc comments
 //	R6  every counter registered in internal/obs (the counterNames literal)
 //	    must be documented in the docs/OBSERVABILITY.md glossary
-//	R7  consolidated evaluation surface: exported Eval*/Evaluate*/
-//	    PartialEval*/MaxEval* functions in internal/core and internal/uwdpt
-//	    must delegate to Solve or carry a "Deprecated:" doc comment
 //	R8  error-chain preservation: in internal/*, a fmt.Errorf whose
 //	    arguments include an error must wrap it with %w (or the code
 //	    returns a guard sentinel directly), so errors crossing a package
@@ -67,10 +64,7 @@
 //
 //	//lint:ignore R1 reason why the unordered iteration is safe
 //
-// With -baseline, findings recorded in the baseline file are grandfathered;
-// new findings still fail, and baseline entries that no longer fire fail
-// too (the ratchet: the baseline only shrinks). -write-baseline records the
-// current findings. -json emits findings as a JSON array for CI annotation.
+// -json emits findings as a JSON array for CI annotation.
 //
 // The tool is built exclusively on the standard library (go/parser, go/types,
 // go/importer); go.mod stays dependency-free. Packages are parsed and
@@ -79,7 +73,7 @@
 //
 // Usage:
 //
-//	wdptlint [-rules R1,R2] [-json] [-baseline file [-write-baseline]] [./... | ./pkg/dir ...]
+//	wdptlint [-rules R1,R2] [-json] [./... | ./pkg/dir ...]
 //	wdptlint -list
 package main
 
@@ -103,8 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rulesFlag := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	listFlag := fs.Bool("list", false, "list the implemented rules and exit")
 	jsonFlag := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	baselineFlag := fs.String("baseline", "", "baseline file: recorded findings are grandfathered, stale entries fail (ratchet)")
-	writeBaseline := fs.Bool("write-baseline", false, "write the current findings to the -baseline file and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -135,25 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "wdptlint: %s\n", timing)
 
-	if *baselineFlag != "" && *writeBaseline {
-		if err := writeBaselineFile(*baselineFlag, findings); err != nil {
-			fmt.Fprintf(stderr, "wdptlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "wdptlint: wrote %d baseline entr%s to %s\n",
-			len(findings), plural(len(findings), "y", "ies"), *baselineFlag)
-		return 0
-	}
-	var stale []BaselineEntry
-	if *baselineFlag != "" {
-		base, err := readBaselineFile(*baselineFlag)
-		if err != nil {
-			fmt.Fprintf(stderr, "wdptlint: %v\n", err)
-			return 2
-		}
-		findings, stale = applyBaseline(findings, base)
-	}
-
 	if *jsonFlag {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
@@ -169,22 +142,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, f)
 		}
 	}
-	for _, e := range stale {
-		fmt.Fprintf(stderr, "wdptlint: stale baseline entry (no longer fires — remove it): %s: [%s] %s\n", e.File, e.Rule, e.Msg)
-	}
-	if len(findings) > 0 || len(stale) > 0 {
-		fmt.Fprintf(stderr, "wdptlint: %d finding(s), %d stale baseline entr%s\n",
-			len(findings), len(stale), plural(len(stale), "y", "ies"))
+	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "wdptlint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 // ruleSpec names one rule for -list.
@@ -201,7 +163,6 @@ var allRules = []ruleSpec{
 	{"R4", "no fmt.Print* / os.Stdout outside cmd/ and examples/"},
 	{"R5", "exported identifiers in the façade, internal/core, internal/cq need doc comments"},
 	{"R6", "every internal/obs counter is documented in docs/OBSERVABILITY.md"},
-	{"R7", "exported Eval* in internal/core, internal/uwdpt delegates to Solve or is Deprecated"},
 	{"R8", "fmt.Errorf with an error argument in internal/* must wrap with %w"},
 	{"R9", "http.Server must set ReadHeaderTimeout; no naked ListenAndServe"},
 	{"R10", "whole-program: internal/* reaching a cancellable sink must thread ctx/meter/pool; no context.Background in library code"},

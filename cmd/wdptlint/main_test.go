@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -87,15 +88,31 @@ func diffKeys(t *testing.T, want, got map[string]int) {
 // findings against the // want markers: each rule fires where expected, the
 // exempt idioms stay silent, and every suppression case is honored.
 func TestFixtureFindings(t *testing.T) {
-	enabled, err := parseRules("")
-	if err != nil {
-		t.Fatal(err)
+	diffKeys(t, readMarkers(t), findingKeys(lintFixture(t)))
+}
+
+// fixture caches one all-rules lint of the fixture module: the tests that
+// only read the full finding set share it instead of re-linting.
+var fixture struct {
+	once     sync.Once
+	findings []Finding
+	err      error
+}
+
+func lintFixture(t *testing.T) []Finding {
+	t.Helper()
+	fixture.once.Do(func() {
+		enabled, err := parseRules("")
+		if err != nil {
+			fixture.err = err
+			return
+		}
+		fixture.findings, fixture.err = Lint(fixtureDir, []string{"./..."}, enabled)
+	})
+	if fixture.err != nil {
+		t.Fatal(fixture.err)
 	}
-	findings, err := Lint(fixtureDir, []string{"./..."}, enabled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffKeys(t, readMarkers(t), findingKeys(findings))
+	return fixture.findings
 }
 
 // TestRuleSubset checks that -rules style filtering runs only the selected
@@ -159,14 +176,7 @@ func TestParseRules(t *testing.T) {
 
 // TestFindingsSorted checks the report order: file, then line, then rule.
 func TestFindingsSorted(t *testing.T) {
-	enabled, err := parseRules("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := Lint(fixtureDir, []string{"./..."}, enabled)
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := lintFixture(t)
 	if !sort.SliceIsSorted(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.File != b.File {
@@ -222,8 +232,10 @@ func TestRunExitCodes(t *testing.T) {
 		t.Fatalf("clean run printed findings: %s", stdout.String())
 	}
 
-	if code := run([]string{"-rules", "R99"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("run(-rules R99) = %d, want 2", code)
+	for _, args := range [][]string{{"-rules", "R99"}, {"-rules", "R7"}, {"-baseline", "x"}} {
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Fatalf("run(%v) = %d, want 2", args, code)
+		}
 	}
 }
 
@@ -286,115 +298,6 @@ func TestJSONFindings(t *testing.T) {
 		t.Fatalf("-json output is not a findings array: %v\n%s", err, stdout.String())
 	}
 	diffKeys(t, readMarkersFrom(t, "."), findingKeys(findings))
-}
-
-// TestBaselineRoundTrip exercises the baseline matcher directly: write/read
-// round-trips, grandfathering ignores line drift, matching is a multiset,
-// and fixed findings surface as stale entries.
-func TestBaselineRoundTrip(t *testing.T) {
-	findings := []Finding{
-		{File: "a.go", Line: 3, Rule: "R1", Msg: "m"},
-		{File: "a.go", Line: 9, Rule: "R1", Msg: "m"}, // duplicate key: multiset budget of 2
-		{File: "b.go", Line: 1, Rule: "R2", Msg: "n"},
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := writeBaselineFile(path, findings); err != nil {
-		t.Fatal(err)
-	}
-	base, err := readBaselineFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) != len(findings) {
-		t.Fatalf("round-trip: %d entries, want %d", len(base), len(findings))
-	}
-
-	if fresh, stale := applyBaseline(findings, base); len(fresh) != 0 || len(stale) != 0 {
-		t.Errorf("identical findings: fresh=%v stale=%v, want none", fresh, stale)
-	}
-	// Line drift must not break the match: entries match on (file, rule, msg).
-	moved := []Finding{
-		{File: "a.go", Line: 30, Rule: "R1", Msg: "m"},
-		{File: "a.go", Line: 90, Rule: "R1", Msg: "m"},
-		{File: "b.go", Line: 5, Rule: "R2", Msg: "n"},
-	}
-	if fresh, stale := applyBaseline(moved, base); len(fresh) != 0 || len(stale) != 0 {
-		t.Errorf("line drift: fresh=%v stale=%v, want none", fresh, stale)
-	}
-	// A third occurrence of a key budgeted twice is fresh.
-	extra := append(moved[:len(moved):len(moved)], Finding{File: "a.go", Line: 99, Rule: "R1", Msg: "m"})
-	if fresh, _ := applyBaseline(extra, base); len(fresh) != 1 || fresh[0].Line != 99 {
-		t.Errorf("multiset overflow: fresh=%v, want the one extra occurrence", fresh)
-	}
-	// A brand-new finding is fresh.
-	novel := append(moved[:len(moved):len(moved)], Finding{File: "c.go", Line: 2, Rule: "R3", Msg: "x"})
-	if fresh, stale := applyBaseline(novel, base); len(fresh) != 1 || fresh[0].File != "c.go" || len(stale) != 0 {
-		t.Errorf("new finding: fresh=%v stale=%v, want just c.go", fresh, stale)
-	}
-	// A fixed finding leaves its baseline entry stale — the ratchet.
-	if fresh, stale := applyBaseline(moved[:2], base); len(fresh) != 0 || len(stale) != 1 || stale[0].File != "b.go" {
-		t.Errorf("fixed finding: fresh=%v stale=%v, want one stale b.go entry", fresh, stale)
-	}
-
-	// A missing baseline file is an empty baseline, not an error.
-	if entries, err := readBaselineFile(filepath.Join(t.TempDir(), "absent.json")); err != nil || entries != nil {
-		t.Errorf("missing baseline: entries=%v err=%v, want nil/nil", entries, err)
-	}
-}
-
-// TestBaselineRatchet drives the CLI ratchet end to end: record a baseline,
-// verify the same tree is green against it, then verify both failure modes —
-// stale entries (findings fixed but still listed) and fresh findings (new
-// debt the baseline does not cover).
-func TestBaselineRatchet(t *testing.T) {
-	t.Chdir(fixtureDir)
-	full := filepath.Join(t.TempDir(), "full.json")
-	subset := filepath.Join(t.TempDir(), "subset.json")
-	var stdout, stderr bytes.Buffer
-
-	if code := run([]string{"-baseline", full, "-write-baseline", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("write-baseline = %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", full, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("grandfathered run = %d, want 0 (stdout: %s stderr: %s)", code, stdout.String(), stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("grandfathered run printed findings:\n%s", stdout.String())
-	}
-
-	// Ratchet: with only R2 firing, every non-R2 baseline entry is stale.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-rules", "R2", "-baseline", full, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("stale-baseline run = %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "stale baseline entry") {
-		t.Errorf("stale run stderr missing stale-entry report: %s", stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("stale run printed fresh findings:\n%s", stdout.String())
-	}
-
-	// New debt: a baseline recorded under R2 only does not grandfather the
-	// other rules' findings.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-rules", "R2", "-baseline", subset, "-write-baseline", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("subset write-baseline = %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", subset, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("fresh-findings run = %d, want 1", code)
-	}
-	if !strings.Contains(stdout.String(), "[R1]") {
-		t.Errorf("fresh-findings run should report non-R2 findings:\n%s", stdout.String())
-	}
-	if strings.Contains(stdout.String(), "[R2]") {
-		t.Errorf("fresh-findings run should grandfather the R2 findings:\n%s", stdout.String())
-	}
 }
 
 // TestSelfHost lints the linter's own package with every rule enabled:

@@ -60,9 +60,6 @@ func lintPackage(l *loader, p *lintPkg, enabled map[string]bool) []Finding {
 		if enabled["R6"] && counterRegistryPkg(p.rel) {
 			out = append(out, lintCounterGlossary(l, f)...)
 		}
-		if enabled["R7"] && solveSurfacePkg(p.rel) {
-			out = append(out, lintSolveSurface(l, f)...)
-		}
 		if enabled["R8"] && isInternalPkg(p.rel) {
 			out = append(out, lintErrorWrapping(l, p, f)...)
 		}
@@ -662,70 +659,6 @@ func snakeCaseMetric(name string) bool {
 }
 
 // ---------------------------------------------------------------------------
-// R7 — consolidated evaluation surface.
-//
-// Solve (core.PatternTree.Solve / uwdpt.Union.Solve) is the single
-// evaluation entry point: context cancellation, engine selection, stats
-// routing, and the worker pool are configured there and nowhere else. The
-// rule keeps that consolidation from eroding: a new exported function or
-// method in internal/core or internal/uwdpt whose name starts with an
-// evaluation prefix must either delegate to Solve (reference it in its
-// body) or be one of the frozen legacy wrappers (carry "Deprecated:" in its
-// doc comment). Anything else is a second evaluation surface and gets
-// flagged.
-
-func solveSurfacePkg(rel string) bool {
-	return rel == "internal/core" || rel == "internal/uwdpt"
-}
-
-// solvePrefixes are the evaluation-function name prefixes R7 polices.
-// "Evaluate" is listed for documentation; "Eval" already covers it.
-var solvePrefixes = []string{"Eval", "Evaluate", "PartialEval", "MaxEval"}
-
-func lintSolveSurface(l *loader, f *ast.File) []Finding {
-	var out []Finding
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || !fd.Name.IsExported() || fd.Name.Name == "Solve" {
-			continue
-		}
-		matched := false
-		for _, pre := range solvePrefixes {
-			if strings.HasPrefix(fd.Name.Name, pre) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			continue
-		}
-		if fd.Doc != nil && strings.Contains(fd.Doc.Text(), "Deprecated:") {
-			continue
-		}
-		if fd.Body != nil && referencesSolve(fd.Body) {
-			continue
-		}
-		out = append(out, l.finding(fd.Name.Pos(), "R7",
-			"exported evaluation function %s bypasses the consolidated Solve API; delegate to Solve or mark it Deprecated", fd.Name.Name))
-	}
-	return out
-}
-
-// referencesSolve reports whether the body mentions the identifier Solve —
-// a direct call, a method call through any receiver, or a helper that
-// routes there.
-func referencesSolve(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "Solve" {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// ---------------------------------------------------------------------------
 // R8 — error-chain preservation across internal package boundaries.
 //
 // The guard layer's typed errors (guard.ErrDeadline, guard.ErrTupleBudget,
@@ -842,16 +775,15 @@ func isHTTPServerType(t types.Type) bool {
 // Library packages receive their context from the caller; minting a fresh
 // background context severs the cancellation chain at that point, which is
 // exactly how a Solve deadline stops being enforceable three frames down.
-// Two idioms are exempt: the nil-context defaulting guard at a public
+// One idiom is exempt: the nil-context defaulting guard at a public
 // boundary (`if ctx == nil { ctx = context.Background() }` — the Solve
-// entry points accept nil for convenience), and frozen Deprecated wrappers
-// (their missing ctx parameter is the reason they are deprecated).
+// entry points accept nil for convenience).
 
 func lintBackgroundContext(l *loader, p *lintPkg, f *ast.File) []Finding {
 	var out []Finding
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || isDeprecated(fd) {
+		if !ok || fd.Body == nil {
 			continue
 		}
 		var stack []ast.Node

@@ -38,10 +38,3 @@ func (c *Counter) Len() int { return c.n } // want R5
 type hidden struct{}
 
 func (h hidden) Exported() {}
-
-// EvaluateBypass is an R7 case in internal/core: documented (R5-clean) but
-// neither deprecated nor delegating to Solve.
-func EvaluateBypass() bool { return false } // want R7
-
-// EvalDelegating routes through Solve; exempt from R7.
-func EvalDelegating(t interface{ Solve() bool }) bool { return t.Solve() }

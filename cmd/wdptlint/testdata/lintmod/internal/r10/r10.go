@@ -36,15 +36,6 @@ func Default(ctx context.Context) context.Context {
 	return ctx
 }
 
-// Legacy is frozen; Deprecated wrappers are exempt from both halves.
-//
-// Deprecated: use TopCtx.
-func Legacy() {
-	ctx := context.Background()
-	_ = ctx
-	mid.Step()
-}
-
 //lint:ignore R10 fixture: scheduled for the next carrier refactor
 func Suppressed() {
 	mid.Step()

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -21,21 +22,27 @@ func main() {
 	fmt.Println("pattern (treewidth 2, outside WB(1)):")
 	fmt.Println(wdpt.FormatWDPT(p))
 
-	if _, member := wdpt.MemberWB(p, wdpt.WB(1), wdpt.ApproxOptions{}); member {
+	ctx := context.Background()
+	if _, member, err := wdpt.MemberWB(ctx, p, wdpt.WB(1), wdpt.ApproxOptions{}); err != nil {
+		panic(err)
+	} else if member {
 		panic("the directed 4-cycle folds onto nothing tree-shaped; it must not be in M(WB(1))")
 	}
 	fmt.Println("p ∉ M(WB(1)) — not even semantically tree-shaped; computing an approximation instead")
 
 	start := time.Now()
-	ap, err := wdpt.Approximate(p, wdpt.WB(1), wdpt.ApproxOptions{})
+	ap, err := wdpt.Approximate(ctx, p, wdpt.WB(1), wdpt.ApproxOptions{})
 	if err != nil {
 		panic(err)
 	}
 	computeTime := time.Since(start)
 	fmt.Printf("\nWB(1)-approximation (computed once, in %v):\n%s\n",
 		computeTime.Round(time.Millisecond), wdpt.FormatWDPT(ap))
-	fmt.Printf("sound by construction: approximation ⊑ p is %v\n\n",
-		wdpt.Subsumes(ap, p, wdpt.SubsumeOptions{}))
+	sound, err := wdpt.Subsumes(ctx, ap, p, wdpt.SubsumeOptions{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("sound by construction: approximation ⊑ p is %v\n\n", sound)
 
 	// The payoff: a large layered (acyclic) database. The direct pattern
 	// pays the full fan-out of the cycle join; the approximation refutes
@@ -43,10 +50,10 @@ func main() {
 	for _, per := range []int{100, 400, 1600} {
 		d := gen.LayeredDatabase(4, per, 10, int64(per))
 		t0 := time.Now()
-		direct := p.Evaluate(d)
+		direct := solve(p, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}).Answers
 		tDirect := time.Since(t0)
 		t0 = time.Now()
-		approxAns := ap.Evaluate(d)
+		approxAns := solve(ap, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}).Answers
 		tApprox := time.Since(t0)
 		fmt.Printf("|D| = %6d: direct %10v  approximation %10v  (answers: %d vs %d)\n",
 			d.Size(), tDirect.Round(time.Microsecond), tApprox.Round(time.Microsecond),
@@ -67,4 +74,14 @@ func main() {
 	for _, q := range qs {
 		fmt.Println("  " + q.String())
 	}
+}
+
+// solve runs one evaluation through the Solve entry point; these examples
+// set no budget, so an error is a bug.
+func solve(p *wdpt.PatternTree, d *wdpt.Database, opts wdpt.SolveOptions) wdpt.SolveResult {
+	res, err := p.Solve(context.Background(), d, opts)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"wdpt"
@@ -40,7 +41,7 @@ func main() {
 	fmt.Println(wdpt.FormatWDPT(p))
 
 	fmt.Println("p(D) — one row per engineer, as complete as the data allows:")
-	for _, h := range p.Evaluate(d) {
+	for _, h := range solve(p, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}).Answers {
 		fmt.Println("  " + h.String())
 	}
 	fmt.Println()
@@ -58,21 +59,31 @@ func main() {
 		},
 	}, []string{"name", "room", "ext", "mname"})
 	fmt.Printf("the corresponding CQ returns only %d row(s) — incomplete records are dropped\n\n",
-		len(all.Evaluate(d)))
+		len(solve(all, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}).Answers))
 
 	// Decision problems, tractably (the tree is ℓ-TW(1) ∩ BI(1)):
 	eng := wdpt.AutoEngine()
 	fmt.Println("operational checks:")
 	fmt.Printf("  is there any answer naming Ada?                 %v\n",
-		p.PartialEval(d, wdpt.Mapping{"name": "Ada"}, eng))
+		solve(p, d, wdpt.SolveOptions{Mode: wdpt.ModePartial, Mapping: wdpt.Mapping{"name": "Ada"}, Engine: eng}).Holds)
 	fmt.Printf("  is {name: Grace} exactly what we know of Grace? %v (her phone is on file)\n",
-		p.EvalInterface(d, wdpt.Mapping{"name": "Grace"}, eng))
+		solve(p, d, wdpt.SolveOptions{Mode: wdpt.ModeExact, Mapping: wdpt.Mapping{"name": "Grace"}, Engine: eng}).Holds)
 	fmt.Printf("  is {name: Grace, ext: 4711} maximal knowledge?  %v\n",
-		p.MaxEval(d, wdpt.Mapping{"name": "Grace", "ext": "4711"}, eng))
+		solve(p, d, wdpt.SolveOptions{Mode: wdpt.ModeMax, Mapping: wdpt.Mapping{"name": "Grace", "ext": "4711"}, Engine: eng}).Holds)
 
 	cl := p.Classify()
 	fmt.Printf("\nstructure: ℓ-TW(%d) ∩ BI(%d), g-TW(%d) — every check above ran in polynomial time\n",
 		cl.LocalTW, cl.InterfaceWidth, cl.GlobalTW)
+}
+
+// solve runs one evaluation through the Solve entry point; these examples
+// set no budget, so an error is a bug.
+func solve(p *wdpt.PatternTree, d *wdpt.Database, opts wdpt.SolveOptions) wdpt.SolveResult {
+	res, err := p.Solve(context.Background(), d, opts)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 func hrDatabase() *wdpt.Database {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"wdpt"
@@ -28,6 +29,8 @@ func main() {
 	}
 
 	eng := wdpt.AutoEngine()
+	ctx := context.Background()
+	enumerate := wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}
 	for _, q := range queries {
 		fmt.Printf("=== query %q\n", q.name)
 		p := parse(q.src)
@@ -37,26 +40,34 @@ func main() {
 		switch {
 		case cl.GlobalTW == 1:
 			fmt.Println("plan: syntactically in WB(1) — evaluate directly (Theorems 6-9)")
-			report(p.Evaluate(d))
+			report(solve(p, d, enumerate).Answers)
 		default:
-			if opt := wdpt.Optimize(p, wdpt.WB(1), wdpt.ApproxOptions{}); opt.Tractable() {
+			opt, err := wdpt.Optimize(ctx, p, wdpt.WB(1), wdpt.ApproxOptions{})
+			if err != nil {
+				panic(err)
+			}
+			if opt.Tractable() {
 				fmt.Println("plan: in M(WB(1)) — evaluate through the Corollary 2 witness")
 				fmt.Printf("witness: %d atoms (original: %d)\n",
 					len(opt.Witness().AllAtoms()), len(p.AllAtoms()))
 				// The witness preserves partial and maximal answers.
 				fmt.Printf("partial{}: %v, via witness in polynomial time\n",
-					opt.PartialEval(d, wdpt.Mapping{}, eng))
+					solve(opt, d, wdpt.SolveOptions{Mode: wdpt.ModePartial, Mapping: wdpt.Mapping{}, Engine: eng}).Holds)
 			} else {
 				fmt.Println("plan: outside M(WB(1)) — falling back to a sound WB(1)-approximation")
-				ap, err := wdpt.Approximate(p, wdpt.WB(1), wdpt.ApproxOptions{})
+				ap, err := wdpt.Approximate(ctx, p, wdpt.WB(1), wdpt.ApproxOptions{})
 				if err != nil {
 					panic(err)
 				}
-				fmt.Printf("approximation ⊑ original: %v\n", wdpt.Subsumes(ap, p, wdpt.SubsumeOptions{}))
+				sound, err := wdpt.Subsumes(ctx, ap, p, wdpt.SubsumeOptions{})
+				if err != nil {
+					panic(err)
+				}
+				fmt.Printf("approximation ⊑ original: %v\n", sound)
 				fmt.Println("approximate answers (sound, possibly incomplete):")
-				report(ap.Evaluate(d))
+				report(solve(ap, d, enumerate).Answers)
 				fmt.Println("exact answers for comparison:")
-				report(p.Evaluate(d))
+				report(solve(p, d, enumerate).Answers)
 			}
 		}
 		fmt.Println()
@@ -74,6 +85,19 @@ func parse(src string) *wdpt.PatternTree {
 		panic(err)
 	}
 	return p
+}
+
+// solve runs one evaluation through the Solve entry point shared by trees,
+// unions and the optimized evaluators; these examples set no budget, so an
+// error is a bug.
+func solve(s interface {
+	Solve(context.Context, *wdpt.Database, wdpt.SolveOptions) (wdpt.SolveResult, error)
+}, d *wdpt.Database, opts wdpt.SolveOptions) wdpt.SolveResult {
+	res, err := s.Solve(context.Background(), d, opts)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 func report(answers []wdpt.Mapping) {

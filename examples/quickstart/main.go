@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"wdpt"
@@ -36,7 +37,7 @@ func main() {
 	// rating for Our_love, μ2 finds Swim's rating; neither band has a
 	// founding year, so zp stays unbound.
 	fmt.Println("p(D) — Example 2:")
-	for _, h := range p.Evaluate(d) {
+	for _, h := range solve(p, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}).Answers {
 		fmt.Println("  " + h.String())
 	}
 	fmt.Println()
@@ -51,14 +52,14 @@ func main() {
 		panic(err)
 	}
 	fmt.Println("projected p(D) — Example 3:")
-	for _, h := range proj.Evaluate(d) {
+	for _, h := range solve(proj, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}).Answers {
 		fmt.Println("  " + h.String())
 	}
 	fmt.Println()
 
 	// Example 7: the maximal-mappings semantics keeps only μ2.
 	fmt.Println("projected p_m(D) — Example 7 (maximal mappings only):")
-	for _, h := range proj.EvaluateMaximal(d) {
+	for _, h := range solve(proj, d, wdpt.SolveOptions{Mode: wdpt.ModeMaximal}).Answers {
 		fmt.Println("  " + h.String())
 	}
 	fmt.Println()
@@ -69,11 +70,21 @@ func main() {
 	eng := wdpt.AutoEngine()
 	h := wdpt.Mapping{"y": "Caribou"}
 	fmt.Printf("PARTIAL-EVAL {y -> Caribou}:     %v (extends to an answer)\n",
-		proj.PartialEval(d, h, eng))
+		solve(proj, d, wdpt.SolveOptions{Mode: wdpt.ModePartial, Mapping: h, Engine: eng}).Holds)
 	fmt.Printf("EVAL         {y -> Caribou}:     %v (it IS an answer, Example 3)\n",
-		proj.EvalInterface(d, h, eng))
+		solve(proj, d, wdpt.SolveOptions{Mode: wdpt.ModeExact, Mapping: h, Engine: eng}).Holds)
 	fmt.Printf("MAX-EVAL     {y -> Caribou}:     %v (but not a maximal one)\n",
-		proj.MaxEval(d, h, eng))
+		solve(proj, d, wdpt.SolveOptions{Mode: wdpt.ModeMax, Mapping: h, Engine: eng}).Holds)
 	h2 := wdpt.Mapping{"y": "Caribou", "z": "2"}
-	fmt.Printf("MAX-EVAL     {y -> Caribou, z -> 2}: %v\n", proj.MaxEval(d, h2, eng))
+	fmt.Printf("MAX-EVAL     {y -> Caribou, z -> 2}: %v\n", solve(proj, d, wdpt.SolveOptions{Mode: wdpt.ModeMax, Mapping: h2, Engine: eng}).Holds)
+}
+
+// solve runs one evaluation through the Solve entry point; these examples
+// set no budget, so an error is a bug.
+func solve(p *wdpt.PatternTree, d *wdpt.Database, opts wdpt.SolveOptions) wdpt.SolveResult {
+	res, err := p.Solve(context.Background(), d, opts)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"wdpt"
@@ -26,7 +27,7 @@ func main() {
 	fmt.Println(p)
 	fmt.Println()
 	fmt.Println("answers:")
-	for _, h := range p.Evaluate(ts.Database) {
+	for _, h := range solve(p, ts.Database, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}).Answers {
 		fmt.Println("  " + h.String())
 	}
 	fmt.Println()
@@ -53,12 +54,25 @@ func main() {
 		panic(err)
 	}
 	fmt.Println("union query answers:")
-	for _, h := range u.Evaluate(ts.Database) {
+	for _, h := range solve(u, ts.Database, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}).Answers {
 		fmt.Println("  " + h.String())
 	}
 	eng := wdpt.AutoEngine()
 	fmt.Printf("⋃-PARTIAL-EVAL {y -> Caribou}: %v\n",
-		u.PartialEval(ts.Database, wdpt.Mapping{"y": "Caribou"}, eng))
+		solve(u, ts.Database, wdpt.SolveOptions{Mode: wdpt.ModePartial, Mapping: wdpt.Mapping{"y": "Caribou"}, Engine: eng}).Holds)
+}
+
+// solve runs one evaluation through the Solve entry point shared by trees,
+// unions and the optimized evaluators; these examples set no budget, so an
+// error is a bug.
+func solve(s interface {
+	Solve(context.Context, *wdpt.Database, wdpt.SolveOptions) (wdpt.SolveResult, error)
+}, d *wdpt.Database, opts wdpt.SolveOptions) wdpt.SolveResult {
+	res, err := s.Solve(context.Background(), d, opts)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 func addData(ts *wdpt.TripleStore) {

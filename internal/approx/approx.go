@@ -24,6 +24,7 @@
 package approx
 
 import (
+	"context"
 	"fmt"
 
 	"wdpt/internal/core"
@@ -44,11 +45,11 @@ type Options struct {
 	// Subsume configures the underlying subsumption tests.
 	Subsume subsume.Options
 	// Parallelism bounds worker goroutines for candidate verification in
-	// ApproximateAll and MemberWB; values ≤ 1 run the exact sequential
-	// search. Results are byte-identical at every level (candidates verify
-	// in enumeration order); the approx.* work counters can exceed the
-	// sequential totals, because a batch in flight when the search would
-	// have stopped still completes.
+	// ApproximateAll, MemberWB and IsApproximation; values ≤ 1 run the exact
+	// sequential search. Results are byte-identical at every level
+	// (candidates verify in enumeration order); the approx.* work counters
+	// can exceed the sequential totals, because a batch in flight when the
+	// search would have stopped still completes.
 	Parallelism int
 }
 
@@ -198,34 +199,94 @@ func buildQuotientTree(p *core.PatternTree, s core.Subtree, theta cq.Mapping) (*
 // ApproximateAll returns the maximal (under ⊑) candidates from the search
 // space that belong to WB(k) (given as the CQ class c). The result trees
 // are pairwise non-equivalent, each satisfies cand ∈ WB(k) and cand ⊑ p.
-// If p ∈ WB(k), p itself is returned as the single approximation.
-func ApproximateAll(p *core.PatternTree, c cq.Class, opts Options) []*core.PatternTree {
+// If p ∈ WB(k), p itself is returned as the single approximation. The first
+// error — ctx done, or an inner Solve call tripped — stops the search.
+func ApproximateAll(ctx context.Context, p *core.PatternTree, c cq.Class, opts Options) ([]*core.PatternTree, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if InWB(p, c) {
-		return []*core.PatternTree{p}
+		return []*core.PatternTree{p}, nil
 	}
 	limit := opts.maxCandidates()
 	st := opts.stats()
-	if pool := par.New(opts.Parallelism, st); pool.Parallel() {
-		members := collectParallel(p, opts, pool, limit, func(t *core.PatternTree) bool {
-			if !InWB(t, c) {
-				return false
-			}
-			st.Inc(obs.CtrApproxVerified)
-			return subsume.Subsumes(t, p, opts.Subsume)
-		})
-		return maximalUnderSubsumption(members, opts.Subsume)
-	}
 	var members []*core.PatternTree
-	Candidates(p, opts, func(t *core.PatternTree) bool {
-		if InWB(t, c) {
-			st.Inc(obs.CtrApproxVerified)
-			if subsume.Subsumes(t, p, opts.Subsume) {
-				members = append(members, t)
-			}
+	err := search(ctx, p, opts, func(t *core.PatternTree) (bool, error) {
+		if !InWB(t, c) {
+			return false, nil
+		}
+		st.Inc(obs.CtrApproxVerified)
+		return subsume.Subsumes(ctx, t, p, opts.Subsume)
+	}, func(t *core.PatternTree, ok bool) bool {
+		if ok {
+			members = append(members, t)
 		}
 		return len(members) < limit
 	})
-	return maximalUnderSubsumption(members, opts.Subsume)
+	if err != nil {
+		return nil, err
+	}
+	return maximalUnderSubsumption(ctx, members, opts.Subsume)
+}
+
+// search runs check over the candidates of p in enumeration order and hands
+// each verdict to keep, which returns false to stop; ctx being done, or the
+// first error, stops the search too. With a parallel pool the checks run in enumeration-order
+// batches, so keep sees exactly the sequential sequence and the results are
+// byte-identical; a batch in flight when keep stops still completes. check
+// must be safe for concurrent use.
+func search(ctx context.Context, p *core.PatternTree, opts Options, check func(*core.PatternTree) (bool, error), keep func(*core.PatternTree, bool) bool) error {
+	pool := par.New(opts.Parallelism, opts.stats())
+	if !pool.Parallel() {
+		var err error
+		Candidates(p, opts, func(t *core.PatternTree) bool {
+			var ok bool
+			if err = ctx.Err(); err == nil {
+				ok, err = check(t)
+			}
+			return err == nil && keep(t, ok)
+		})
+		return err
+	}
+	if p.HasConstants() {
+		//lint:ignore R2 documented precondition: callers gate on HasConstants (Section 5.2)
+		panic("approx: approximations are only defined for constant-free pattern trees (Section 5.2)")
+	}
+	stream, quit := candidateStream(p, opts)
+	defer close(quit)
+	type verdict struct {
+		ok  bool
+		err error
+	}
+	chunk := 4 * pool.Workers()
+	batch := make([]*core.PatternTree, 0, chunk)
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		batch = batch[:0]
+		for t := range stream {
+			batch = append(batch, t)
+			if len(batch) == chunk {
+				break
+			}
+		}
+		verdicts := par.Map(pool, len(batch), func(i int) verdict {
+			ok, err := check(batch[i])
+			return verdict{ok, err}
+		})
+		for i, v := range verdicts {
+			if v.err != nil {
+				return v.err
+			}
+			if !keep(batch[i], v.ok) {
+				return nil
+			}
+		}
+		if len(batch) < chunk {
+			return nil
+		}
+	}
 }
 
 // candidateStream runs the Candidates enumeration on its own goroutine,
@@ -235,7 +296,7 @@ func ApproximateAll(p *core.PatternTree, c cq.Class, opts Options) []*core.Patte
 func candidateStream(p *core.PatternTree, opts Options) (<-chan *core.PatternTree, chan struct{}) {
 	out := make(chan *core.PatternTree)
 	quit := make(chan struct{})
-	//lint:ignore R11 joined by protocol across functions: collectParallel always drains out or closes quit, either of which unblocks the pending send so the deferred close(out) runs — the goroutine cannot outlive its consumer
+	//lint:ignore R11 joined by protocol across functions: search always drains out or closes quit, either of which unblocks the pending send so the deferred close(out) runs — the goroutine cannot outlive its consumer
 	go func() {
 		defer close(out)
 		Candidates(p, opts, func(t *core.PatternTree) bool {
@@ -250,58 +311,21 @@ func candidateStream(p *core.PatternTree, opts Options) (<-chan *core.PatternTre
 	return out, quit
 }
 
-// collectParallel returns the first accepted candidates — at most limit, in
-// enumeration order, so the result matches the sequential search byte for
-// byte — verifying accept over the pool in batches. accept must be safe for
-// concurrent use.
-func collectParallel(p *core.PatternTree, opts Options, pool *par.Pool, limit int, accept func(*core.PatternTree) bool) []*core.PatternTree {
-	if p.HasConstants() {
-		//lint:ignore R2 documented precondition: callers gate on HasConstants (Section 5.2)
-		panic("approx: approximations are only defined for constant-free pattern trees (Section 5.2)")
-	}
-	stream, quit := candidateStream(p, opts)
-	defer close(quit)
-	chunk := 4 * pool.Workers()
-	var members []*core.PatternTree
-	batch := make([]*core.PatternTree, 0, chunk)
-	for {
-		batch = batch[:0]
-		for t := range stream {
-			batch = append(batch, t)
-			if len(batch) == chunk {
-				break
-			}
-		}
-		if len(batch) == 0 {
-			return members
-		}
-		accepted := par.Map(pool, len(batch), func(i int) bool { return accept(batch[i]) })
-		for i, ok := range accepted {
-			if ok {
-				members = append(members, batch[i])
-				if len(members) >= limit {
-					return members
-				}
-			}
-		}
-		if len(batch) < chunk {
-			return members
-		}
-	}
-}
-
 // Approximate returns one WB(k)-approximation candidate for p (the first
 // maximal one), or an error if the search space contains no member of the
 // class.
-func Approximate(p *core.PatternTree, c cq.Class, opts Options) (*core.PatternTree, error) {
-	all := ApproximateAll(p, c, opts)
+func Approximate(ctx context.Context, p *core.PatternTree, c cq.Class, opts Options) (*core.PatternTree, error) {
+	all, err := ApproximateAll(ctx, p, c, opts)
+	if err != nil {
+		return nil, err
+	}
 	if len(all) == 0 {
 		return nil, fmt.Errorf("approx: no %s candidate found for the tree (search space exhausted)", c.Name())
 	}
 	return all[0], nil
 }
 
-func maximalUnderSubsumption(cands []*core.PatternTree, sopts subsume.Options) []*core.PatternTree {
+func maximalUnderSubsumption(ctx context.Context, cands []*core.PatternTree, sopts subsume.Options) ([]*core.PatternTree, error) {
 	var out []*core.PatternTree
 	for i, pi := range cands {
 		maximal := true
@@ -309,122 +333,107 @@ func maximalUnderSubsumption(cands []*core.PatternTree, sopts subsume.Options) [
 			if i == j {
 				continue
 			}
-			if subsume.Subsumes(pi, pj, sopts) {
-				if !subsume.Subsumes(pj, pi, sopts) {
-					maximal = false
-					break
-				}
-				if j < i { // equivalent: keep first representative
-					maximal = false
-					break
-				}
+			below, err := subsume.Subsumes(ctx, pi, pj, sopts)
+			if err != nil {
+				return nil, err
+			}
+			if !below {
+				continue
+			}
+			above, err := subsume.Subsumes(ctx, pj, pi, sopts)
+			if err != nil {
+				return nil, err
+			}
+			// A strictly larger candidate knocks pi out; of equivalent
+			// candidates the first representative is kept.
+			if !above || j < i {
+				maximal = false
+				break
 			}
 		}
 		if maximal {
 			out = append(out, pi)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // MemberWB decides membership of p in M(WB(k)) over the candidate space:
 // it reports a witness p' ∈ WB(k) with p ≡s p' if one exists among the
 // candidates. Since every candidate is subsumed by p, it suffices to check
 // p ⊑ candidate (Theorem 13's structure: the approximation is equivalent to
-// p iff p is in M(WB(k)), restricted to the searched space).
-func MemberWB(p *core.PatternTree, c cq.Class, opts Options) (*core.PatternTree, bool) {
+// p iff p is in M(WB(k)), restricted to the searched space). The first
+// error — ctx done, or an inner Solve call tripped — stops the search.
+func MemberWB(ctx context.Context, p *core.PatternTree, c cq.Class, opts Options) (*core.PatternTree, bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
 	if InWB(p, c) {
-		return p, true
+		return p, true, nil
 	}
 	limit := opts.maxCandidates()
 	st := opts.stats()
-	isWitness := func(t *core.PatternTree) bool {
-		if !InWB(t, c) {
-			return false
-		}
-		st.Inc(obs.CtrApproxVerified)
-		return subsume.Subsumes(p, t, opts.Subsume) && subsume.Subsumes(t, p, opts.Subsume)
-	}
-	if pool := par.New(opts.Parallelism, st); pool.Parallel() {
-		return memberWBParallel(p, opts, pool, limit, isWitness)
-	}
 	var witness *core.PatternTree
 	count := 0
-	Candidates(p, opts, func(t *core.PatternTree) bool {
+	err := search(ctx, p, opts, func(t *core.PatternTree) (bool, error) {
+		if !InWB(t, c) {
+			return false, nil
+		}
+		st.Inc(obs.CtrApproxVerified)
+		if ok, err := subsume.Subsumes(ctx, p, t, opts.Subsume); !ok || err != nil {
+			return false, err
+		}
+		return subsume.Subsumes(ctx, t, p, opts.Subsume)
+	}, func(t *core.PatternTree, ok bool) bool {
 		count++
-		if isWitness(t) {
+		if ok {
 			witness = t
-			return false
 		}
-		return count < limit
+		return !ok && count < limit
 	})
-	return witness, witness != nil
-}
-
-// memberWBParallel examines up to limit candidates — the same cap the
-// sequential search applies — in enumeration-order batches and returns the
-// first witness, so the reported witness is identical at every parallelism
-// level.
-func memberWBParallel(p *core.PatternTree, opts Options, pool *par.Pool, limit int, isWitness func(*core.PatternTree) bool) (*core.PatternTree, bool) {
-	if p.HasConstants() {
-		//lint:ignore R2 documented precondition: callers gate on HasConstants (Section 5.2)
-		panic("approx: approximations are only defined for constant-free pattern trees (Section 5.2)")
+	if err != nil {
+		return nil, false, err
 	}
-	stream, quit := candidateStream(p, opts)
-	defer close(quit)
-	count := 0
-	chunk := 4 * pool.Workers()
-	batch := make([]*core.PatternTree, 0, chunk)
-	for count < limit {
-		n := chunk
-		if rest := limit - count; rest < n {
-			n = rest
-		}
-		batch = batch[:0]
-		for t := range stream {
-			batch = append(batch, t)
-			if len(batch) == n {
-				break
-			}
-		}
-		if len(batch) == 0 {
-			break
-		}
-		witnesses := par.Map(pool, len(batch), func(i int) bool { return isWitness(batch[i]) })
-		for i, ok := range witnesses {
-			if ok {
-				return batch[i], true
-			}
-		}
-		count += len(batch)
-		if len(batch) < n {
-			break
-		}
-	}
-	return nil, false
+	return witness, witness != nil, nil
 }
 
 // IsApproximation checks whether cand is a WB(k)-approximation of p
 // relative to the candidate space: cand ∈ WB(k), cand ⊑ p, and no candidate
 // strictly between them. (Proposition 8 studies the unrestricted version of
-// this problem, which is Π₂ᴾ-hard already.)
-func IsApproximation(cand, p *core.PatternTree, c cq.Class, opts Options) bool {
-	if !InWB(cand, c) || !subsume.Subsumes(cand, p, opts.Subsume) {
-		return false
+// this problem, which is Π₂ᴾ-hard already.) The first error stops the
+// search.
+func IsApproximation(ctx context.Context, cand, p *core.PatternTree, c cq.Class, opts Options) (bool, error) {
+	if err := ctx.Err(); err != nil || !InWB(cand, c) {
+		return false, err
+	}
+	if ok, err := subsume.Subsumes(ctx, cand, p, opts.Subsume); !ok || err != nil {
+		return false, err
 	}
 	better := false
 	limit := opts.maxCandidates()
 	count := 0
-	Candidates(p, opts, func(t *core.PatternTree) bool {
+	err := search(ctx, p, opts, func(t *core.PatternTree) (bool, error) {
+		return strictlyBetween(ctx, cand, t, p, c, opts.Subsume)
+	}, func(_ *core.PatternTree, ok bool) bool {
 		count++
-		if InWB(t, c) &&
-			subsume.Subsumes(t, p, opts.Subsume) &&
-			subsume.Subsumes(cand, t, opts.Subsume) &&
-			!subsume.Subsumes(t, cand, opts.Subsume) {
-			better = true
-			return false
-		}
-		return count < limit
+		better = ok
+		return !ok && count < limit
 	})
-	return !better
+	return !better && err == nil, err
+}
+
+// strictlyBetween reports whether the candidate t is a class member with
+// cand ⊏ t ⊑ p.
+func strictlyBetween(ctx context.Context, cand, t, p *core.PatternTree, c cq.Class, sopts subsume.Options) (bool, error) {
+	if !InWB(t, c) {
+		return false, nil
+	}
+	if ok, err := subsume.Subsumes(ctx, t, p, sopts); !ok || err != nil {
+		return false, err
+	}
+	if ok, err := subsume.Subsumes(ctx, cand, t, sopts); !ok || err != nil {
+		return false, err
+	}
+	back, err := subsume.Subsumes(ctx, t, cand, sopts)
+	return !back && err == nil, err
 }

@@ -1,11 +1,15 @@
 package approx
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"wdpt/internal/core"
 	"wdpt/internal/cq"
+	"wdpt/internal/db"
 	"wdpt/internal/gen"
+	"wdpt/internal/obs"
 	"wdpt/internal/subsume"
 )
 
@@ -41,7 +45,7 @@ func TestInWB(t *testing.T) {
 
 func TestApproximateTreeAlreadyInClass(t *testing.T) {
 	p := gen.PathWDPT(2)
-	ap, err := Approximate(p, WB(1), Options{})
+	ap, err := Approximate(context.Background(), p, WB(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +58,14 @@ func TestApproximateTriangleNode(t *testing.T) {
 	// The WB(1)-approximation of the triangle node collapses the triangle
 	// to a self-loop (cf. the CQ-level result).
 	p := triangleTree()
-	ap, err := Approximate(p, WB(1), Options{})
+	ap, err := Approximate(context.Background(), p, WB(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !InWB(ap, WB(1)) {
 		t.Fatal("approximation must be in WB(1)")
 	}
-	if !subsume.Subsumes(ap, p, subsume.Options{}) {
+	if !subsumes(t, ap, p) {
 		t.Fatal("approximation must be subsumed by p")
 	}
 	// The candidate collapsing all of a, b, c yields E(a,a); it must be
@@ -72,13 +76,13 @@ func TestApproximateTriangleNode(t *testing.T) {
 			cq.NewAtom("V", cq.V("x")),
 		},
 	}, []string{"x"})
-	if !subsume.Equivalent(ap, loop, subsume.Options{}) {
+	if !equivalent(t, ap, loop) {
 		t.Fatalf("approximation is not the loop tree:\n%s", ap)
 	}
-	if !IsApproximation(ap, p, WB(1), Options{}) {
+	if !isApproximation(t, ap, p, WB(1)) {
 		t.Fatal("IsApproximation rejects the computed approximation")
 	}
-	if IsApproximation(p, p, WB(1), Options{}) {
+	if isApproximation(t, p, p, WB(1)) {
 		t.Fatal("p itself is not in WB(1), cannot be its own approximation")
 	}
 }
@@ -97,11 +101,11 @@ func TestApproximateWithOptionalChild(t *testing.T) {
 			{Atoms: []cq.Atom{cq.NewAtom("L", cq.V("a"), cq.V("l"))}},
 		},
 	}, []string{"l"})
-	ap, err := Approximate(p, WB(1), Options{})
+	ap, err := Approximate(context.Background(), p, WB(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !InWB(ap, WB(1)) || !subsume.Subsumes(ap, p, subsume.Options{}) {
+	if !InWB(ap, WB(1)) || !subsumes(t, ap, p) {
 		t.Fatal("approximation invariants violated")
 	}
 	if ap.NumNodes() != 2 {
@@ -116,12 +120,12 @@ func TestApproximateWithOptionalChild(t *testing.T) {
 	d.Insert("E", "s", "s")
 	d.Insert("L", "s", "lab")
 	pAns := cq.NewMappingSet()
-	for _, h := range p.Evaluate(d) {
+	for _, h := range solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
 		pAns.Add(h)
 	}
-	for _, h := range ap.Evaluate(d) {
+	for _, h := range solve(t, ap, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
 		ok := false
-		for _, g := range p.Evaluate(d) {
+		for _, g := range solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
 			if h.SubsumedBy(g) {
 				ok = true
 				break
@@ -152,20 +156,20 @@ func TestMemberWB(t *testing.T) {
 	if InWB(p, WB(1)) {
 		t.Fatal("4-cycle is not syntactically TW(1)")
 	}
-	w, ok := MemberWB(p, WB(1), Options{})
+	w, ok := memberWB(t, p, WB(1))
 	if !ok {
 		t.Fatal("even cycle tree should be in M(WB(1))")
 	}
-	if !subsume.Equivalent(p, w, subsume.Options{}) {
+	if !equivalent(t, p, w) {
 		t.Fatal("witness is not subsumption-equivalent")
 	}
 	// The triangle tree is not in M(WB(1)).
-	if _, ok := MemberWB(triangleTree(), WB(1), Options{}); ok {
+	if _, ok := memberWB(t, triangleTree(), WB(1)); ok {
 		t.Fatal("triangle tree must not be in M(WB(1))")
 	}
 	// Trees in the class are trivially members.
 	path := gen.PathWDPT(2)
-	if w, ok := MemberWB(path, WB(1), Options{}); !ok || w != path {
+	if w, ok := memberWB(t, path, WB(1)); !ok || w != path {
 		t.Fatal("class member must witness itself")
 	}
 }
@@ -192,10 +196,10 @@ func TestFigure2FamilyProperties(t *testing.T) {
 	if p2.Size() <= 0 || p1.Size() <= 0 {
 		t.Fatal("sizes must be positive")
 	}
-	if !subsume.Subsumes(p2, p1, subsume.Options{}) {
+	if !subsumes(t, p2, p1) {
 		t.Fatal("p2 ⊑ p1 must hold (Theorem 15)")
 	}
-	if subsume.Subsumes(p1, p2, subsume.Options{}) {
+	if subsumes(t, p1, p2) {
 		t.Fatal("p1 ⋢ p2: p1 is strictly more general")
 	}
 }
@@ -235,12 +239,15 @@ func TestApproximationAnswersSoundProperty(t *testing.T) {
 		if p.HasConstants() {
 			continue
 		}
-		aps := ApproximateAll(p, WB(1), Options{})
+		aps, err := ApproximateAll(context.Background(), p, WB(1), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, ap := range aps {
 			if !InWB(ap, WB(1)) {
 				t.Fatalf("seed %d: candidate not in class", seed)
 			}
-			if !subsume.Subsumes(ap, p, subsume.Options{}) {
+			if !subsumes(t, ap, p) {
 				t.Fatalf("seed %d: candidate not subsumed by p", seed)
 			}
 		}
@@ -255,18 +262,18 @@ func TestHWPrimeClassApproximation(t *testing.T) {
 	if InWB(p, WBPrime(1)) {
 		t.Fatal("triangle not beta-acyclic")
 	}
-	ap, err := Approximate(p, WBPrime(1), Options{})
+	ap, err := Approximate(context.Background(), p, WBPrime(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !InWB(ap, WBPrime(1)) || !subsume.Subsumes(ap, p, subsume.Options{}) {
+	if !InWB(ap, WBPrime(1)) || !subsumes(t, ap, p) {
 		t.Fatal("HW'(1) approximation invariants violated")
 	}
-	apTW, err := Approximate(p, WB(1), Options{})
+	apTW, err := Approximate(context.Background(), p, WB(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !subsume.Equivalent(ap, apTW, subsume.Options{}) {
+	if !equivalent(t, ap, apTW) {
 		t.Fatalf("TW(1) and HW'(1) approximations should coincide on binary patterns:\n%s\nvs\n%s", ap, apTW)
 	}
 }
@@ -289,5 +296,84 @@ func TestThetaStyleTreeIsInWBPrime2ButNotWBPrime1(t *testing.T) {
 	}
 	if !InWB(p, WBPrime(2)) {
 		t.Fatal("every subquery has ghw <= 2")
+	}
+}
+
+// solver is the evaluation entry point that trees, unions and the
+// optimized evaluators share.
+type solver interface {
+	Solve(context.Context, *db.Database, core.SolveOptions) (core.Result, error)
+}
+
+// solve runs one Solve call under a background context, failing the test
+// on error.
+func solve(t testing.TB, s solver, d *db.Database, opts core.SolveOptions) core.Result {
+	t.Helper()
+	res, err := s.Solve(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// subsumes is subsume.Subsumes under a background context, failing the
+// test on error.
+func subsumes(t *testing.T, p1, p2 *core.PatternTree) bool {
+	t.Helper()
+	ok, err := subsume.Subsumes(context.Background(), p1, p2, subsume.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+// equivalent is subsume.Equivalent under a background context, failing the
+// test on error.
+func equivalent(t *testing.T, p1, p2 *core.PatternTree) bool {
+	t.Helper()
+	ok, err := subsume.Equivalent(context.Background(), p1, p2, subsume.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+// memberWB is MemberWB under a background context, failing the test on
+// error.
+func memberWB(t *testing.T, p *core.PatternTree, c cq.Class) (*core.PatternTree, bool) {
+	t.Helper()
+	w, ok, err := MemberWB(context.Background(), p, c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, ok
+}
+
+// isApproximation is IsApproximation under a background context, failing
+// the test on error.
+func isApproximation(t *testing.T, cand, p *core.PatternTree, c cq.Class) bool {
+	t.Helper()
+	ok, err := IsApproximation(context.Background(), cand, p, c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+// TestMemberWBStopsOnCancelledContext: an already-cancelled context ends
+// the membership search with the context error before any candidate is
+// generated, at every parallelism level.
+func TestMemberWBStopsOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, par := range []int{1, 8} {
+		st := obs.NewStats()
+		opts := Options{Parallelism: par, Subsume: subsume.Options{Stats: st}}
+		if _, ok, err := MemberWB(ctx, gen.SymmetricCycleTree(4), WB(1), opts); ok || !errors.Is(err, context.Canceled) {
+			t.Fatalf("P=%d: MemberWB = %v, %v; want false and context.Canceled", par, ok, err)
+		}
+		if n := st.Snapshot()["approx.candidates_generated"]; n != 0 {
+			t.Errorf("P=%d: %d candidates generated after cancellation, want 0", par, n)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 package approx
 
 import (
+	"context"
+
 	"wdpt/internal/core"
 	"wdpt/internal/cq"
-	"wdpt/internal/cqeval"
 	"wdpt/internal/db"
 )
 
@@ -20,8 +21,9 @@ type Optimized struct {
 }
 
 // Optimize prepares an FPT evaluator for p with respect to WB(k) given as
-// the CQ class c. The construction cost depends only on |p|.
-func Optimize(p *core.PatternTree, c cq.Class, opts Options) *Optimized {
+// the CQ class c. The construction cost depends only on |p|; ctx bounds the
+// membership search.
+func Optimize(ctx context.Context, p *core.PatternTree, c cq.Class, opts Options) (*Optimized, error) {
 	o := &Optimized{original: p}
 	if p.HasConstants() {
 		// The membership machinery is constant-free (Section 5.2); fall
@@ -29,12 +31,16 @@ func Optimize(p *core.PatternTree, c cq.Class, opts Options) *Optimized {
 		if InWB(p, c) {
 			o.witness = p
 		}
-		return o
+		return o, nil
 	}
-	if w, ok := MemberWB(p, c, opts); ok {
+	w, ok, err := MemberWB(ctx, p, c, opts)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
 		o.witness = w.PruneNonProjecting()
 	}
-	return o
+	return o, nil
 }
 
 // Tractable reports whether a globally tractable witness is available.
@@ -43,20 +49,12 @@ func (o *Optimized) Tractable() bool { return o.witness != nil }
 // Witness returns the subsumption-equivalent tractable tree, or nil.
 func (o *Optimized) Witness() *core.PatternTree { return o.witness }
 
-// PartialEval answers PARTIAL-EVAL for the original tree; through the
-// witness when available (Corollary 2).
-func (o *Optimized) PartialEval(d *db.Database, h cq.Mapping, eng cqeval.Engine) bool {
-	if o.witness != nil {
-		return o.witness.PartialEval(d, h, eng)
+// Solve evaluates the original tree. PARTIAL-EVAL and MAX-EVAL run on the
+// witness when one exists (Corollary 2); every other mode, and every mode
+// without a witness, runs on the original.
+func (o *Optimized) Solve(ctx context.Context, d *db.Database, opts core.SolveOptions) (core.Result, error) {
+	if o.witness != nil && (opts.Mode == core.ModePartial || opts.Mode == core.ModeMax) {
+		return o.witness.Solve(ctx, d, opts)
 	}
-	return o.original.PartialEval(d, h, eng)
-}
-
-// MaxEval answers MAX-EVAL for the original tree; through the witness when
-// available (Corollary 2).
-func (o *Optimized) MaxEval(d *db.Database, h cq.Mapping, eng cqeval.Engine) bool {
-	if o.witness != nil {
-		return o.witness.MaxEval(d, h, eng)
-	}
-	return o.original.MaxEval(d, h, eng)
+	return o.original.Solve(ctx, d, opts)
 }

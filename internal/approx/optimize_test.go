@@ -1,6 +1,7 @@
 package approx
 
 import (
+	"context"
 	"testing"
 
 	"wdpt/internal/core"
@@ -14,7 +15,7 @@ func TestOptimizeTractableWitness(t *testing.T) {
 	// witness and answer PARTIAL-EVAL / MAX-EVAL identically to the
 	// original on concrete databases.
 	p := gen.SymmetricCycleTree(4)
-	o := Optimize(p, WB(1), Options{})
+	o := optimize(t, p)
 	if !o.Tractable() {
 		t.Fatal("expected a tractable witness for the even cycle")
 	}
@@ -29,10 +30,10 @@ func TestOptimizeTractableWitness(t *testing.T) {
 			Rels:         []gen.RelSpec{{Name: "E", Arity: 2}, {Name: "V", Arity: 1}},
 		}, seed)
 		for _, h := range []cq.Mapping{{}, {"x": "0"}, {"x": "1"}, {"x": "9"}} {
-			if got, want := o.PartialEval(d, h, eng), p.PartialEval(d, h, eng); got != want {
+			if got, want := solve(t, o, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds, solve(t, p, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds; got != want {
 				t.Fatalf("seed %d: PartialEval(%v) = %v via witness, %v direct", seed, h, got, want)
 			}
-			if got, want := o.MaxEval(d, h, eng), p.MaxEval(d, h, eng); got != want {
+			if got, want := solve(t, o, d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds, solve(t, p, d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds; got != want {
 				t.Fatalf("seed %d: MaxEval(%v) = %v via witness, %v direct", seed, h, got, want)
 			}
 		}
@@ -41,7 +42,7 @@ func TestOptimizeTractableWitness(t *testing.T) {
 
 func TestOptimizeNonMemberFallsBack(t *testing.T) {
 	p := gen.SymmetricCycleTree(3) // odd: not in M(WB(1))
-	o := Optimize(p, WB(1), Options{})
+	o := optimize(t, p)
 	if o.Tractable() {
 		t.Fatal("odd cycle must have no WB(1) witness")
 	}
@@ -50,7 +51,7 @@ func TestOptimizeNonMemberFallsBack(t *testing.T) {
 		Rels: []gen.RelSpec{{Name: "E", Arity: 2}, {Name: "V", Arity: 1}},
 	}, 1)
 	h := cq.Mapping{}
-	if o.PartialEval(d, h, eng) != p.PartialEval(d, h, eng) {
+	if solve(t, o, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds != solve(t, p, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds {
 		t.Fatal("fallback disagrees with the original tree")
 	}
 }
@@ -59,16 +60,16 @@ func TestOptimizeWithConstants(t *testing.T) {
 	// Trees with constants skip the membership machinery but may still be
 	// syntactically tractable.
 	p := gen.MusicWDPT("x", "y", "z", "zp")
-	o := Optimize(p, WB(1), Options{})
+	o := optimize(t, p)
 	if !o.Tractable() {
 		t.Fatal("the music tree is syntactically in WB(1)")
 	}
 	eng := cqeval.Auto()
 	d := gen.MusicDatabase()
-	if !o.PartialEval(d, cq.Mapping{"y": "Caribou"}, eng) {
+	if !solve(t, o, d, core.SolveOptions{Mode: core.ModePartial, Mapping: cq.Mapping{"y": "Caribou"}, Engine: eng}).Holds {
 		t.Fatal("partial answer lost")
 	}
-	if !o.MaxEval(d, cq.Mapping{"x": "Swim", "y": "Caribou", "z": "2"}, eng) {
+	if !solve(t, o, d, core.SolveOptions{Mode: core.ModeMax, Mapping: cq.Mapping{"x": "Swim", "y": "Caribou", "z": "2"}, Engine: eng}).Holds {
 		t.Fatal("maximal answer lost")
 	}
 }
@@ -82,11 +83,22 @@ func TestOptimizeWitnessIsPruned(t *testing.T) {
 			{Atoms: []cq.Atom{cq.NewAtom("E", cq.V("y"), cq.V("dead"))}},
 		},
 	}, []string{"x"})
-	o := Optimize(p, WB(1), Options{})
+	o := optimize(t, p)
 	if !o.Tractable() {
 		t.Fatal("tree is syntactically tractable")
 	}
 	if o.Witness().NumNodes() != 1 {
 		t.Fatalf("witness should be pruned to the root, got %d nodes", o.Witness().NumNodes())
 	}
+}
+
+// optimize is Optimize for WB(1) under a background context, failing the
+// test on error.
+func optimize(t *testing.T, p *core.PatternTree) *Optimized {
+	t.Helper()
+	o, err := Optimize(context.Background(), p, WB(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }

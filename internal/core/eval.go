@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"wdpt/internal/cq"
@@ -129,32 +128,6 @@ func (p *PatternTree) isMaximalHom(units []extUnit, d *db.Database, a cq.IDAssig
 	return true
 }
 
-// Evaluate computes p(D): the projections to x̄ of all maximal
-// homomorphisms from p to D (Definition 2).
-//
-// Deprecated: use Solve with ModeEnumerate.
-func (p *PatternTree) Evaluate(d *db.Database) []cq.Mapping {
-	res, _ := p.Solve(context.Background(), d, SolveOptions{Mode: ModeEnumerate})
-	return res.Answers
-}
-
-// EvaluateObs is Evaluate with work counts recorded on st.
-//
-// Deprecated: use Solve with ModeEnumerate and SolveOptions.Stats.
-func (p *PatternTree) EvaluateObs(d *db.Database, st *obs.Stats) []cq.Mapping {
-	res, _ := p.Solve(context.Background(), d, SolveOptions{Mode: ModeEnumerate, Stats: st})
-	return res.Answers
-}
-
-// EvaluateMaximal computes p_m(D): the restriction of p(D) to mappings that
-// are maximal with respect to ⊑ (Section 3.4).
-//
-// Deprecated: use Solve with ModeMaximal.
-func (p *PatternTree) EvaluateMaximal(d *db.Database) []cq.Mapping {
-	res, _ := p.Solve(context.Background(), d, SolveOptions{Mode: ModeMaximal})
-	return res.Answers
-}
-
 // evalBand prepares the subtree band [T', T”] for an exact-evaluation
 // query: T' is the minimal subtree containing dom(h) and T” the maximal
 // subtree adding no free variables outside dom(h). ok=false means h cannot
@@ -182,28 +155,13 @@ func (p *PatternTree) evalBand(h cq.Mapping) (tmin, tmax Subtree, ok bool) {
 	return tmin, tmax, true
 }
 
-// Eval decides h ∈ p(D) with the naive baseline: it enumerates the subtrees
-// between the minimal subtree of dom(h) and the maximal subtree without new
-// free variables, searches homomorphisms consistent with h, and checks
-// maximality. Correct for every WDPT; exponential in |p|.
-//
-// Deprecated: use Solve with ModeExactNaive.
-func (p *PatternTree) Eval(d *db.Database, h cq.Mapping) bool {
-	res, _ := p.Solve(context.Background(), d, SolveOptions{Mode: ModeExactNaive, Mapping: h})
-	return res.Holds
-}
-
-// EvalObs is Eval with work counts recorded on st.
-//
-// Deprecated: use Solve with ModeExactNaive and SolveOptions.Stats.
-func (p *PatternTree) EvalObs(d *db.Database, h cq.Mapping, st *obs.Stats) bool {
-	res, _ := p.Solve(context.Background(), d, SolveOptions{Mode: ModeExactNaive, Mapping: h, Stats: st})
-	return res.Holds
-}
-
-// evalNaive is the band-enumeration baseline behind ModeExactNaive. The
-// meter checkpoints once per enumerated band so deadlines and cancellation
-// interrupt the exponential subtree enumeration between bands.
+// evalNaive is the band-enumeration baseline behind ModeExactNaive: it
+// enumerates the subtrees between the minimal subtree of dom(h) and the
+// maximal subtree without new free variables, searches homomorphisms
+// consistent with h, and checks maximality. Correct for every WDPT;
+// exponential in |p|. The meter checkpoints once per enumerated band so
+// deadlines and cancellation interrupt the exponential subtree enumeration
+// between bands.
 func (p *PatternTree) evalNaive(d *db.Database, h cq.Mapping, st *obs.Stats, m *guard.Meter) bool {
 	tmin, tmax, ok := p.evalBand(h)
 	if !ok {
@@ -268,16 +226,8 @@ func (p *PatternTree) enumerateBand(base, within Subtree, visit func(Subtree) bo
 	rec(0, frontier)
 }
 
-// PartialEval decides PARTIAL-EVAL (Section 3.3): is there h' ∈ p(D) with
-// h ⊑ h'?
-//
-// Deprecated: use Solve with ModePartial.
-func (p *PatternTree) PartialEval(d *db.Database, h cq.Mapping, eng cqeval.Engine) bool {
-	res, _ := p.Solve(context.Background(), d, SolveOptions{Mode: ModePartial, Mapping: h, Engine: eng})
-	return res.Holds
-}
-
-// partialEval is the minimal-subtree PARTIAL-EVAL check behind ModePartial.
+// partialEval decides PARTIAL-EVAL (Section 3.3) behind ModePartial: is
+// there h' ∈ p(D) with h ⊑ h'?
 // Following the proof of Theorem 8, it suffices to find any homomorphism on
 // the minimal subtree containing dom(h) consistent with h; the CQ test is
 // delegated to the engine, so the whole check runs in polynomial time when
@@ -299,8 +249,6 @@ func (p *PatternTree) partialEval(d *db.Database, h cq.Mapping, eng cqeval.Engin
 // PartialEvalEnumerate is the ablation baseline for PARTIAL-EVAL: it
 // enumerates all rooted subtrees containing dom(h) instead of using the
 // minimal-subtree characterization.
-//
-//lint:ignore R7 ablation baseline measured by E3; deliberately not part of the Solve surface
 func (p *PatternTree) PartialEvalEnumerate(d *db.Database, h cq.Mapping) bool {
 	free := p.FreeSet()
 	for v := range h {
@@ -321,18 +269,6 @@ func (p *PatternTree) PartialEvalEnumerate(d *db.Database, h cq.Mapping) bool {
 		return true
 	})
 	return found
-}
-
-// MaxEval decides MAX-EVAL (Section 3.4): is h ∈ p_m(D)? Following the
-// proof of Theorem 9: h is a maximal answer iff h is a partial answer and no
-// proper extension of h by any further free variable is a partial answer.
-// Tractable when the WDPT is globally tractable and the engine is
-// decomposition-guided.
-//
-// Deprecated: use Solve with ModeMax.
-func (p *PatternTree) MaxEval(d *db.Database, h cq.Mapping, eng cqeval.Engine) bool {
-	res, _ := p.Solve(context.Background(), d, SolveOptions{Mode: ModeMax, Mapping: h, Engine: eng})
-	return res.Holds
 }
 
 // ProperExtensionExists reports whether some answer h' ∈ p(D) properly
@@ -359,15 +295,6 @@ func (p *PatternTree) ProperExtensionExists(d *db.Database, h cq.Mapping, eng cq
 		}
 	}
 	return false
-}
-
-// EvalInterface decides h ∈ p(D) with the interface-relation algorithm of
-// Theorem 6.
-//
-// Deprecated: use Solve with ModeExact.
-func (p *PatternTree) EvalInterface(d *db.Database, h cq.Mapping, eng cqeval.Engine) bool {
-	res, _ := p.Solve(context.Background(), d, SolveOptions{Mode: ModeExact, Mapping: h, Engine: eng})
-	return res.Holds
 }
 
 // evalInterface is the interface-relation algorithm behind ModeExact

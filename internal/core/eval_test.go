@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -18,7 +19,7 @@ import (
 func TestExample2(t *testing.T) {
 	p := gen.MusicWDPT("x", "y", "z", "zp")
 	d := gen.MusicDatabase()
-	answers := p.Evaluate(d)
+	answers := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 	mu1 := cq.Mapping{"x": "Our_love", "y": "Caribou"}
 	mu2 := cq.Mapping{"x": "Swim", "y": "Caribou", "z": "2"}
 	if len(answers) != 2 {
@@ -39,7 +40,7 @@ func TestExample2(t *testing.T) {
 func TestExample3(t *testing.T) {
 	p := gen.MusicWDPT("y", "z", "zp")
 	d := gen.MusicDatabase()
-	answers := p.Evaluate(d)
+	answers := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 	mu1p := cq.Mapping{"y": "Caribou"}
 	mu2p := cq.Mapping{"y": "Caribou", "z": "2"}
 	if len(answers) != 2 {
@@ -59,7 +60,7 @@ func TestExample3(t *testing.T) {
 func TestExample7(t *testing.T) {
 	p := gen.MusicWDPT("y", "z")
 	d := gen.MusicDatabase()
-	max := p.EvaluateMaximal(d)
+	max := solve(t, p, d, core.SolveOptions{Mode: core.ModeMaximal}).Answers
 	if len(max) != 1 {
 		t.Fatalf("p_m(D) = %v, want exactly μ2", max)
 	}
@@ -67,7 +68,7 @@ func TestExample7(t *testing.T) {
 		t.Fatalf("p_m(D) = %v", max)
 	}
 	// Both μ1 and μ2 are still in p(D).
-	if got := len(p.Evaluate(d)); got != 2 {
+	if got := len(solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers); got != 2 {
 		t.Fatalf("p(D) = %d answers, want 2", got)
 	}
 }
@@ -90,10 +91,10 @@ func TestEvalDecisionMusic(t *testing.T) {
 		{cq.Mapping{"w": "Swim"}, false},
 	}
 	for i, c := range cases {
-		if got := p.Eval(d, c.h); got != c.want {
+		if got := solve(t, p, d, core.SolveOptions{Mode: core.ModeExactNaive, Mapping: c.h}).Holds; got != c.want {
 			t.Fatalf("case %d: Eval(%v) = %v, want %v", i, c.h, got, c.want)
 		}
-		if got := p.EvalInterface(d, c.h, eng); got != c.want {
+		if got := solve(t, p, d, core.SolveOptions{Mode: core.ModeExact, Mapping: c.h, Engine: eng}).Holds; got != c.want {
 			t.Fatalf("case %d: EvalInterface(%v) = %v, want %v", i, c.h, got, c.want)
 		}
 	}
@@ -105,25 +106,25 @@ func TestPartialEvalMusic(t *testing.T) {
 	eng := cqeval.Auto()
 	// {x: Swim, y: Caribou} is not an exact answer but is a partial one.
 	h := cq.Mapping{"x": "Swim", "y": "Caribou"}
-	if p.Eval(d, h) {
+	if solve(t, p, d, core.SolveOptions{Mode: core.ModeExactNaive, Mapping: h}).Holds {
 		t.Fatal("should not be an exact answer")
 	}
-	if !p.PartialEval(d, h, eng) {
+	if !solve(t, p, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds {
 		t.Fatal("should be a partial answer")
 	}
 	if !p.PartialEvalEnumerate(d, h) {
 		t.Fatal("enumeration baseline disagrees")
 	}
 	// z' never matches: no partial answer binds zp.
-	if p.PartialEval(d, cq.Mapping{"zp": "1970"}, eng) {
+	if solve(t, p, d, core.SolveOptions{Mode: core.ModePartial, Mapping: cq.Mapping{"zp": "1970"}, Engine: eng}).Holds {
 		t.Fatal("zp has no match in the database")
 	}
 	// Non-free variable.
-	if p.PartialEval(d, cq.Mapping{"nonfree": "1"}, eng) {
+	if solve(t, p, d, core.SolveOptions{Mode: core.ModePartial, Mapping: cq.Mapping{"nonfree": "1"}, Engine: eng}).Holds {
 		t.Fatal("non-free variable accepted")
 	}
 	// The empty mapping is a partial answer iff p(D) is nonempty.
-	if !p.PartialEval(d, cq.Mapping{}, eng) {
+	if !solve(t, p, d, core.SolveOptions{Mode: core.ModePartial, Mapping: cq.Mapping{}, Engine: eng}).Holds {
 		t.Fatal("empty mapping should be a partial answer")
 	}
 }
@@ -132,13 +133,13 @@ func TestMaxEvalMusic(t *testing.T) {
 	p := gen.MusicWDPT("y", "z")
 	d := gen.MusicDatabase()
 	eng := cqeval.Auto()
-	if !p.MaxEval(d, cq.Mapping{"y": "Caribou", "z": "2"}, eng) {
+	if !solve(t, p, d, core.SolveOptions{Mode: core.ModeMax, Mapping: cq.Mapping{"y": "Caribou", "z": "2"}, Engine: eng}).Holds {
 		t.Fatal("μ2 should be a maximal answer")
 	}
-	if p.MaxEval(d, cq.Mapping{"y": "Caribou"}, eng) {
+	if solve(t, p, d, core.SolveOptions{Mode: core.ModeMax, Mapping: cq.Mapping{"y": "Caribou"}, Engine: eng}).Holds {
 		t.Fatal("μ1' is subsumed by μ2'")
 	}
-	if p.MaxEval(d, cq.Mapping{"y": "Nobody"}, eng) {
+	if solve(t, p, d, core.SolveOptions{Mode: core.ModeMax, Mapping: cq.Mapping{"y": "Nobody"}, Engine: eng}).Holds {
 		t.Fatal("not even a partial answer")
 	}
 }
@@ -165,10 +166,10 @@ func TestProposition3(t *testing.T) {
 		if !p.GloballyIn(cq.TW(1)) {
 			t.Fatalf("%s: reduction instance should be in g-TW(1)", tc.name)
 		}
-		if got := p.Eval(d, h); got != tc.want {
+		if got := solve(t, p, d, core.SolveOptions{Mode: core.ModeExactNaive, Mapping: h}).Holds; got != tc.want {
 			t.Fatalf("%s: Eval = %v, want %v", tc.name, got, tc.want)
 		}
-		if got := p.EvalInterface(d, h, eng); got != tc.want {
+		if got := solve(t, p, d, core.SolveOptions{Mode: core.ModeExact, Mapping: h, Engine: eng}).Holds; got != tc.want {
 			t.Fatalf("%s: EvalInterface = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -182,7 +183,7 @@ func TestProposition3Random(t *testing.T) {
 		g := gen.RandomGraph(5, 0.6, seed)
 		p, d, h := gen.ThreeColorInstance(g)
 		want := g.IsThreeColorable()
-		if got := p.EvalInterface(d, h, eng); got != want {
+		if got := solve(t, p, d, core.SolveOptions{Mode: core.ModeExact, Mapping: h, Engine: eng}).Holds; got != want {
 			t.Fatalf("seed %d: EvalInterface = %v, want %v", seed, got, want)
 		}
 	}
@@ -191,10 +192,10 @@ func TestProposition3Random(t *testing.T) {
 // randomMapping picks a plausible query mapping: with some probability the
 // projection of an actual answer (possibly truncated), otherwise random
 // bindings of free variables.
-func randomMapping(rng *rand.Rand, p *core.PatternTree, d *db.Database) cq.Mapping {
+func randomMapping(t *testing.T, rng *rand.Rand, p *core.PatternTree, d *db.Database) cq.Mapping {
 	free := p.Free()
 	if rng.Intn(2) == 0 {
-		answers := p.Evaluate(d)
+		answers := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 		if len(answers) > 0 {
 			h := answers[rng.Intn(len(answers))].Clone()
 			// Possibly truncate to get partial/non-exact mappings.
@@ -228,9 +229,9 @@ func TestEvalEnginesAgreeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := gen.RandomWDPT(gen.TreeParams{MaxDepth: 2, MaxChildren: 2, AtomsPerNode: 2, FreshVarsPerNode: 2}, seed)
 		d := gen.RandomDatabase(gen.DBParams{DomainSize: 3, TuplesPerRel: 7}, seed+1)
-		h := randomMapping(rng, p, d)
+		h := randomMapping(t, rng, p, d)
 
-		answers := p.Evaluate(d)
+		answers := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 		inAnswers := false
 		for _, a := range answers {
 			if a.Equal(h) {
@@ -238,7 +239,7 @@ func TestEvalEnginesAgreeProperty(t *testing.T) {
 				break
 			}
 		}
-		if got := p.Eval(d, h); got != inAnswers {
+		if got := solve(t, p, d, core.SolveOptions{Mode: core.ModeExactNaive, Mapping: h}).Holds; got != inAnswers {
 			t.Logf("seed %d: Eval=%v membership=%v h=%v tree:\n%s\ndb:\n%s", seed, got, inAnswers, h, p, d)
 			return false
 		}
@@ -259,17 +260,17 @@ func TestEvalEnginesAgreeProperty(t *testing.T) {
 			}
 		}
 		for _, eng := range engs {
-			if got := p.EvalInterface(d, h, eng); got != inAnswers {
+			if got := solve(t, p, d, core.SolveOptions{Mode: core.ModeExact, Mapping: h, Engine: eng}).Holds; got != inAnswers {
 				t.Logf("seed %d eng %s: EvalInterface=%v want %v h=%v tree:\n%s\ndb:\n%s",
 					seed, eng.Name(), got, inAnswers, h, p, d)
 				return false
 			}
-			if got := p.PartialEval(d, h, eng); got != wantPartial {
+			if got := solve(t, p, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds; got != wantPartial {
 				t.Logf("seed %d eng %s: PartialEval=%v want %v h=%v tree:\n%s\ndb:\n%s",
 					seed, eng.Name(), got, wantPartial, h, p, d)
 				return false
 			}
-			if got := p.MaxEval(d, h, eng); got != wantMax {
+			if got := solve(t, p, d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds; got != wantMax {
 				t.Logf("seed %d eng %s: MaxEval=%v want %v h=%v tree:\n%s\ndb:\n%s",
 					seed, eng.Name(), got, wantMax, h, p, d)
 				return false
@@ -294,12 +295,12 @@ func TestMaxEvalAgainstEnumeration(t *testing.T) {
 		p := gen.RandomWDPT(gen.TreeParams{MaxDepth: 2}, seed)
 		d := gen.RandomDatabase(gen.DBParams{DomainSize: 3, TuplesPerRel: 6}, seed*7+1)
 		maximal := cq.NewMappingSet()
-		for _, h := range p.EvaluateMaximal(d) {
+		for _, h := range solve(t, p, d, core.SolveOptions{Mode: core.ModeMaximal}).Answers {
 			maximal.Add(h)
 		}
-		for _, h := range p.Evaluate(d) {
+		for _, h := range solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
 			want := maximal.Contains(h)
-			if got := p.MaxEval(d, h, eng); got != want {
+			if got := solve(t, p, d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds; got != want {
 				t.Fatalf("seed %d: MaxEval(%v) = %v, want %v\ntree:\n%s", seed, h, got, want, p)
 			}
 		}
@@ -315,8 +316,8 @@ func TestProjectionFreeSemantics(t *testing.T) {
 			continue
 		}
 		d := gen.RandomDatabase(gen.DBParams{DomainSize: 3, TuplesPerRel: 6}, seed+100)
-		all := p.Evaluate(d)
-		max := p.EvaluateMaximal(d)
+		all := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
+		max := solve(t, p, d, core.SolveOptions{Mode: core.ModeMaximal}).Answers
 		if len(all) != len(max) {
 			t.Fatalf("seed %d: projection-free p(D)=%d but p_m(D)=%d", seed, len(all), len(max))
 		}
@@ -335,12 +336,12 @@ func TestCQSpecialCase(t *testing.T) {
 	d := gen.ChainDatabase(5)
 	eng := cqeval.Auto()
 	want := q.Evaluate(d)
-	got := p.Evaluate(d)
+	got := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 	if len(want) != len(got) {
 		t.Fatalf("CQ answers %d, WDPT answers %d", len(want), len(got))
 	}
 	for _, h := range want {
-		if !p.Eval(d, h) || !p.PartialEval(d, h, eng) || !p.MaxEval(d, h, eng) {
+		if !solve(t, p, d, core.SolveOptions{Mode: core.ModeExactNaive, Mapping: h}).Holds || !solve(t, p, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds || !solve(t, p, d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds {
 			t.Fatalf("answer %v not recognized by all three problems", h)
 		}
 	}
@@ -355,7 +356,7 @@ func TestEvalRejectsMalformedMappings(t *testing.T) {
 		{"z": "2"},
 		{"x": "Swim", "unknown": "1"},
 	} {
-		if p.Eval(d, h) || p.EvalInterface(d, h, eng) || p.PartialEval(d, h, eng) || p.MaxEval(d, h, eng) {
+		if solve(t, p, d, core.SolveOptions{Mode: core.ModeExactNaive, Mapping: h}).Holds || solve(t, p, d, core.SolveOptions{Mode: core.ModeExact, Mapping: h, Engine: eng}).Holds || solve(t, p, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds || solve(t, p, d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds {
 			t.Fatalf("malformed mapping %v accepted", h)
 		}
 	}
@@ -369,15 +370,15 @@ func TestStarWDPTEvaluation(t *testing.T) {
 	eng := cqeval.Auto()
 	// Answer: x=a with z0=z1=z2=b is maximal; x=a alone is not an answer.
 	full := cq.Mapping{"x": "a", "z0": "b", "z1": "b", "z2": "b"}
-	if !p.Eval(d, full) || !p.EvalInterface(d, full, eng) {
+	if !solve(t, p, d, core.SolveOptions{Mode: core.ModeExactNaive, Mapping: full}).Holds || !solve(t, p, d, core.SolveOptions{Mode: core.ModeExact, Mapping: full, Engine: eng}).Holds {
 		t.Fatal("full star answer missing")
 	}
-	if p.Eval(d, cq.Mapping{"x": "a"}) {
+	if solve(t, p, d, core.SolveOptions{Mode: core.ModeExactNaive, Mapping: cq.Mapping{"x": "a"}}).Holds {
 		t.Fatal("non-maximal star answer accepted")
 	}
 	d2 := db.New()
 	d2.Insert("V", "lonely")
-	if !p.Eval(d2, cq.Mapping{"x": "lonely"}) {
+	if !solve(t, p, d2, core.SolveOptions{Mode: core.ModeExactNaive, Mapping: cq.Mapping{"x": "lonely"}}).Holds {
 		t.Fatal("isolated vertex answer missing")
 	}
 }
@@ -385,13 +386,13 @@ func TestStarWDPTEvaluation(t *testing.T) {
 func TestEvaluateLargerMusic(t *testing.T) {
 	p := gen.MusicWDPT("x", "y", "z", "zp")
 	d := gen.MusicDatabaseLarge(20, 3, 42)
-	answers := p.Evaluate(d)
+	answers := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 	eng := cqeval.Auto()
 	if len(answers) == 0 {
 		t.Fatal("expected answers on the large music db")
 	}
 	for _, h := range answers[:min(10, len(answers))] {
-		if !p.EvalInterface(d, h, eng) {
+		if !solve(t, p, d, core.SolveOptions{Mode: core.ModeExact, Mapping: h, Engine: eng}).Holds {
 			t.Fatalf("EvalInterface rejects enumerated answer %v", h)
 		}
 	}
@@ -410,16 +411,27 @@ func TestChainDatabasePathWDPT(t *testing.T) {
 	d := gen.ChainDatabase(5)
 	eng := cqeval.Auto()
 	h := cq.Mapping{"y0": "0", "y1": "1", "y2": "2", "y3": "3"}
-	if !p.Eval(d, h) || !p.EvalInterface(d, h, eng) {
+	if !solve(t, p, d, core.SolveOptions{Mode: core.ModeExactNaive, Mapping: h}).Holds || !solve(t, p, d, core.SolveOptions{Mode: core.ModeExact, Mapping: h, Engine: eng}).Holds {
 		t.Fatal("full chain answer missing")
 	}
 	// Truncated mapping is not exact (extension exists) but is partial.
 	ht := cq.Mapping{"y0": "0", "y1": "1"}
-	if p.Eval(d, ht) {
+	if solve(t, p, d, core.SolveOptions{Mode: core.ModeExactNaive, Mapping: ht}).Holds {
 		t.Fatal("truncated chain should not be exact")
 	}
-	if !p.PartialEval(d, ht, eng) {
+	if !solve(t, p, d, core.SolveOptions{Mode: core.ModePartial, Mapping: ht, Engine: eng}).Holds {
 		t.Fatal("truncated chain should be partial")
 	}
 	_ = fmt.Sprint()
+}
+
+// solve runs one Solve call under a background context, failing the test
+// on error.
+func solve(t testing.TB, p *core.PatternTree, d *db.Database, opts core.SolveOptions) core.Result {
+	t.Helper()
+	res, err := p.Solve(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"wdpt/internal/cq"
@@ -65,16 +64,6 @@ func (p *PatternTree) PruneNonProjecting() *PatternTree {
 	return MustNew(rootSpec, p.free)
 }
 
-// EvaluateWith computes p(D) like Evaluate but delegates all conjunctive-
-// query work to the given engine, so that enumeration also benefits from
-// decomposition-guided evaluation on globally tractable trees.
-//
-// Deprecated: use Solve with ModeEnumerate and SolveOptions.Engine.
-func (p *PatternTree) EvaluateWith(d *db.Database, eng cqeval.Engine) []cq.Mapping {
-	res, _ := p.Solve(context.Background(), d, SolveOptions{Mode: ModeEnumerate, Engine: eng})
-	return res.Answers
-}
-
 // ExplainNodes returns the engine's plan for every node of the tree in
 // preorder, labeled "node <id>" — the structured form behind
 // wdpteval -explain. Each node's atoms form one conjunctive query, which is
@@ -88,60 +77,4 @@ func (p *PatternTree) ExplainNodes(d *db.Database, eng cqeval.Engine) []obs.Plan
 		plans = append(plans, pl)
 	}
 	return plans
-}
-
-// EvaluateFunc streams p(D): visit receives each answer once; returning
-// false stops the enumeration early. Equivalent to Evaluate but without
-// materializing the answer set — answers still arrive deduplicated.
-//
-//lint:ignore R7 streaming variant: Solve materializes its Result, so there is no Solve equivalent to delegate to
-func (p *PatternTree) EvaluateFunc(d *db.Database, visit func(cq.Mapping) bool) {
-	emitted := cq.NewMappingSet()
-	visited := make(map[string]bool)
-	stopped := false
-	var expand func(s Subtree, h cq.Mapping)
-	expand = func(s Subtree, h cq.Mapping) {
-		if stopped {
-			return
-		}
-		key := s.Key() + "|" + h.Key()
-		if visited[key] {
-			return
-		}
-		visited[key] = true
-		extendable := false
-		for _, u := range p.extensionUnits(s) {
-			var exts []cq.Mapping
-			cq.Homomorphisms(u.atoms, d, h, func(g cq.Mapping) bool {
-				exts = append(exts, g.Clone())
-				return true
-			})
-			if len(exts) == 0 {
-				continue
-			}
-			extendable = true
-			next := s.Clone()
-			for _, n := range u.nodes {
-				next[n.id] = true
-			}
-			for _, g := range exts {
-				expand(next, h.Union(g))
-				if stopped {
-					return
-				}
-			}
-		}
-		if !extendable {
-			answer := h.Restrict(p.free)
-			if emitted.Add(answer) {
-				if !visit(answer) {
-					stopped = true
-				}
-			}
-		}
-	}
-	cq.Homomorphisms(p.root.atoms, d, nil, func(h cq.Mapping) bool {
-		expand(p.RootSubtree(), h.Clone())
-		return !stopped
-	})
 }

@@ -52,7 +52,7 @@ func TestPruneKeepsRoot(t *testing.T) {
 		t.Fatalf("pruned nodes = %d, want root only", pruned.NumNodes())
 	}
 	d := gen.RandomDatabase(gen.DBParams{Rels: []gen.RelSpec{{Name: "r", Arity: 1}, {Name: "s", Arity: 2}}}, 1)
-	a1, a2 := p.Evaluate(d), pruned.Evaluate(d)
+	a1, a2 := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers, solve(t, pruned, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 	if len(a1) != len(a2) {
 		t.Fatalf("answers changed: %v vs %v", a1, a2)
 	}
@@ -65,11 +65,11 @@ func TestPrunePreservesAnswersProperty(t *testing.T) {
 		p := gen.RandomWDPT(gen.TreeParams{MaxDepth: 2, MaxChildren: 2, FreeProb: 0.25}, seed)
 		pruned := p.PruneNonProjecting()
 		d := gen.RandomDatabase(gen.DBParams{DomainSize: 3, TuplesPerRel: 7}, seed+99)
-		if !sameAnswerSets(p.Evaluate(d), pruned.Evaluate(d)) {
+		if !sameAnswerSets(solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers, solve(t, pruned, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers) {
 			t.Logf("seed %d: p(D) changed\noriginal:\n%s\npruned:\n%s", seed, p, pruned)
 			return false
 		}
-		if !sameAnswerSets(p.EvaluateMaximal(d), pruned.EvaluateMaximal(d)) {
+		if !sameAnswerSets(solve(t, p, d, core.SolveOptions{Mode: core.ModeMaximal}).Answers, solve(t, pruned, d, core.SolveOptions{Mode: core.ModeMaximal}).Answers) {
 			t.Logf("seed %d: p_m(D) changed", seed)
 			return false
 		}
@@ -103,9 +103,9 @@ func TestEvaluateWithMatchesEvaluate(t *testing.T) {
 	f := func(seed int64) bool {
 		p := gen.RandomWDPT(gen.TreeParams{MaxDepth: 2, MaxChildren: 2}, seed)
 		d := gen.RandomDatabase(gen.DBParams{DomainSize: 3, TuplesPerRel: 7}, seed+5)
-		want := p.Evaluate(d)
+		want := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 		for _, eng := range engines {
-			if !sameAnswerSets(want, p.EvaluateWith(d, eng)) {
+			if !sameAnswerSets(want, solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate, Engine: eng}).Answers) {
 				t.Logf("seed %d engine %s disagrees", seed, eng.Name())
 				return false
 			}
@@ -120,45 +120,8 @@ func TestEvaluateWithMatchesEvaluate(t *testing.T) {
 func TestEvaluateWithOnMusic(t *testing.T) {
 	p := gen.MusicWDPT("x", "y", "z", "zp")
 	d := gen.MusicDatabase()
-	got := p.EvaluateWith(d, cqeval.Auto())
+	got := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate, Engine: cqeval.Auto()}).Answers
 	if len(got) != 2 {
 		t.Fatalf("answers = %v", got)
-	}
-}
-
-func TestEvaluateFuncStreamsAndStops(t *testing.T) {
-	p := gen.MusicWDPT("x", "y", "z", "zp")
-	d := gen.MusicDatabase()
-	var streamed []cq.Mapping
-	p.EvaluateFunc(d, func(h cq.Mapping) bool {
-		streamed = append(streamed, h)
-		return true
-	})
-	if !sameAnswerSets(streamed, p.Evaluate(d)) {
-		t.Fatalf("streamed answers differ: %v", streamed)
-	}
-	// Early stop after the first answer.
-	count := 0
-	p.EvaluateFunc(d, func(cq.Mapping) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("early stop visited %d answers", count)
-	}
-}
-
-func TestEvaluateFuncProperty(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		p := gen.RandomWDPT(gen.TreeParams{MaxDepth: 2}, seed)
-		d := gen.RandomDatabase(gen.DBParams{DomainSize: 3, TuplesPerRel: 6}, seed+3)
-		var streamed []cq.Mapping
-		p.EvaluateFunc(d, func(h cq.Mapping) bool {
-			streamed = append(streamed, h)
-			return true
-		})
-		if !sameAnswerSets(streamed, p.Evaluate(d)) {
-			t.Fatalf("seed %d: streamed answers differ", seed)
-		}
 	}
 }

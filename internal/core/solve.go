@@ -12,14 +12,13 @@ import (
 	"wdpt/internal/par"
 )
 
-// This file is the consolidated entry point for every WDPT evaluation
-// problem of Section 3. Solve subsumes the historical per-problem functions
-// (Evaluate, EvaluateMaximal, Eval, EvalInterface, PartialEval, MaxEval,
-// EvaluateWith), which survive as thin deprecated wrappers; new callers and
-// new evaluation variants go through Solve so that context cancellation,
-// engine selection, observability, parallelism, and resource budgets are
-// configured in one place (wdptlint rule R7 enforces this for future
-// exported functions).
+// This file is the one entry point for every WDPT evaluation problem of
+// Section 3: ModeEnumerate computes p(D), ModeMaximal p_m(D), ModeExact and
+// ModeExactNaive decide EVAL, ModePartial decides PARTIAL-EVAL and ModeMax
+// MAX-EVAL. Every caller — the Section 4–5 procedures in internal/subsume
+// and internal/approx included — goes through Solve, so context
+// cancellation, engine selection, observability, parallelism, and resource
+// budgets are configured in one place.
 //
 // Determinism contract: for every mode and every Parallelism level the
 // returned answers are byte-identical, and at Parallelism ≤ 1 the counter
@@ -321,8 +320,7 @@ func (p *PatternTree) enumerateSolve(ctx context.Context, d *db.Database, eng cq
 // expandSolve grows the subtree/homomorphism pair (s, h) along extension
 // units until no extension is possible, collecting the free projections of
 // the maximal homomorphisms. With eng == nil the node CQs go to the
-// backtracking solver (the historical Evaluate path); otherwise to the
-// engine (the historical EvaluateWith path). The meter checkpoints each
+// backtracking solver; otherwise to the engine. The meter checkpoints each
 // expansion, charges enumerated extension homomorphisms, and gates answer
 // collection on the answer budget.
 func (p *PatternTree) expandSolve(d *db.Database, eng cqeval.Engine, st *obs.Stats, visited map[string]bool, answers *cq.MappingSet, s Subtree, h cq.Mapping, m *guard.Meter) {

@@ -82,7 +82,7 @@ func TestFromCQ(t *testing.T) {
 		t.Fatal("FromCQ shape wrong")
 	}
 	d := gen.ChainDatabase(3)
-	if got := len(p.Evaluate(d)); got != len(q.Evaluate(d)) {
+	if got := len(solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers); got != len(q.Evaluate(d)) {
 		t.Fatalf("FromCQ answers = %d, CQ answers = %d", got, len(q.Evaluate(d)))
 	}
 }

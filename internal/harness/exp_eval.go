@@ -16,13 +16,7 @@ import (
 // parallelism — the single entry point all evaluation experiments now go
 // through, exercising the same code path wdpteval serves.
 func solveHolds(cfg Config, p *core.PatternTree, d *db.Database, mode core.Mode, h cq.Mapping, eng cqeval.Engine) bool {
-	res, _ := p.Solve(cfg.Context(), d, core.SolveOptions{
-		Mode:        mode,
-		Mapping:     h,
-		Engine:      eng,
-		Parallelism: cfg.Parallelism,
-	})
-	return res.Holds
+	return cfg.solve(p, d, core.SolveOptions{Mode: mode, Mapping: h, Engine: eng, Parallelism: cfg.Parallelism}).Holds
 }
 
 func init() {

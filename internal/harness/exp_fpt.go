@@ -2,6 +2,7 @@ package harness
 
 import (
 	"wdpt/internal/approx"
+	"wdpt/internal/core"
 	"wdpt/internal/cq"
 	"wdpt/internal/gen"
 )
@@ -33,9 +34,13 @@ func runE13(cfg Config) *Table {
 	}
 	p := gen.SymmetricCycleTree(m)
 	var opt *approx.Optimized
+	var err error
 	setup := Measure(1, func() {
-		opt = approx.Optimize(p, approx.WB(1), approx.Options{})
+		opt, err = approx.Optimize(cfg.Context(), p, approx.WB(1), approx.Options{})
 	})
+	if t.noteError(err) {
+		return t
+	}
 	if !opt.Tractable() {
 		t.Notes = append(t.Notes, "ERROR: even symmetric cycle should be in M(WB(1))")
 		return t
@@ -53,10 +58,12 @@ func runE13(cfg Config) *Table {
 		}, int64(n))
 		h := cq.Mapping{}
 		var a1, a2, b1, b2 bool
-		tOrigP := cfg.Measure(func() { a1 = p.PartialEval(d, h, eng) })
-		tWitP := cfg.Measure(func() { a2 = opt.PartialEval(d, h, eng) })
-		tOrigM := cfg.Measure(func() { b1 = p.MaxEval(d, h, eng) })
-		tWitM := cfg.Measure(func() { b2 = opt.MaxEval(d, h, eng) })
+		partial := core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}
+		maximal := core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}
+		tOrigP := cfg.Measure(func() { a1 = cfg.solve(p, d, partial).Holds })
+		tWitP := cfg.Measure(func() { a2 = cfg.solve(opt, d, partial).Holds })
+		tOrigM := cfg.Measure(func() { b1 = cfg.solve(p, d, maximal).Holds })
+		tWitM := cfg.Measure(func() { b2 = cfg.solve(opt, d, maximal).Holds })
 		if a1 != a2 || b1 != b2 {
 			t.Notes = append(t.Notes, "ERROR: witness answers differ from the original tree")
 		}

@@ -39,7 +39,7 @@ func runE10(cfg Config) *Table {
 	p := gen.DirectedCycleTree(4)
 	var ap = p
 	computeTime := Measure(1, func() {
-		a, err := approx.Approximate(p, approx.WB(1), approx.Options{})
+		a, err := approx.Approximate(cfg.Context(), p, approx.WB(1), approx.Options{})
 		if err != nil {
 			t.Notes = append(t.Notes, "ERROR: "+err.Error())
 			return
@@ -57,8 +57,9 @@ func runE10(cfg Config) *Table {
 	}
 	for _, per := range sizes {
 		d := gen.LayeredDatabase(4, per, outDeg, int64(per))
-		tDirect := Measure(1, func() { p.Evaluate(d) })
-		tApprox := Measure(1, func() { ap.Evaluate(d) })
+		enumerate := core.SolveOptions{Mode: core.ModeEnumerate}
+		tDirect := Measure(1, func() { cfg.solve(p, d, enumerate) })
+		tApprox := Measure(1, func() { cfg.solve(ap, d, enumerate) })
 		winner := "direct"
 		if tApprox+computeTime < tDirect {
 			winner = "approximation"
@@ -93,9 +94,13 @@ func runE11(cfg Config) *Table {
 	for _, m := range counts {
 		union := buildPathUnion(m)
 		var ans bool
-		durPos := cfg.Measure(func() { ans = union.Eval(d, hPos, eng) })
+		durPos := cfg.Measure(func() {
+			ans = cfg.solve(union, d, core.SolveOptions{Mode: core.ModeExact, Mapping: hPos, Engine: eng}).Holds
+		})
 		t.AddRow("⋃-EVAL paths (positive)", m, ans, durPos)
-		durNeg := cfg.Measure(func() { ans = union.Eval(d, hNeg, eng) })
+		durNeg := cfg.Measure(func() {
+			ans = cfg.solve(union, d, core.SolveOptions{Mode: core.ModeExact, Mapping: hNeg, Engine: eng}).Holds
+		})
 		t.AddRow("⋃-EVAL paths (negative)", m, ans, durNeg)
 	}
 	// UWB(1)-approximation of a union containing a cyclic member.
@@ -108,7 +113,7 @@ func runE11(cfg Config) *Table {
 			return
 		}
 		approxMembers = len(qs)
-		if !uwdpt.Subsumes(uwdpt.AsUnionOfWDPTs(qs), u, subsume.Options{}) {
+		if ok, err := uwdpt.Subsumes(cfg.Context(), uwdpt.AsUnionOfWDPTs(qs), u, subsume.Options{}); !t.noteError(err) && !ok {
 			t.Notes = append(t.Notes, "ERROR: approximation not subsumed by the union")
 		}
 	})

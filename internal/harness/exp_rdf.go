@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"wdpt/internal/core"
 	"wdpt/internal/gen"
 	"wdpt/internal/rdf"
 )
@@ -39,8 +40,9 @@ func runE12(cfg Config) *Table {
 		d := gen.MusicDatabaseLarge(sz[0], sz[1], int64(sz[0]))
 		encD := rdf.EncodeDatabase(d)
 		var relAnswers, rdfAnswers int
-		tRel := cfg.Measure(func() { relAnswers = len(p.Evaluate(d)) })
-		tRDF := cfg.Measure(func() { rdfAnswers = len(enc.Evaluate(encD)) })
+		enumerate := core.SolveOptions{Mode: core.ModeEnumerate}
+		tRel := cfg.Measure(func() { relAnswers = len(cfg.solve(p, d, enumerate).Answers) })
+		tRDF := cfg.Measure(func() { rdfAnswers = len(cfg.solve(enc, encD, enumerate).Answers) })
 		if relAnswers != rdfAnswers {
 			t.Notes = append(t.Notes,
 				fmt.Sprintf("ERROR: answer counts differ at %d bands: %d vs %d", sz[0], relAnswers, rdfAnswers))
@@ -56,8 +58,9 @@ func runE12(cfg Config) *Table {
 	encD := rdf.EncodeDatabase(d)
 	eng := cfg.Engine()
 	h := map[string]string{"x": "Swim", "y": "Caribou", "z": "2"}
-	relAns := p.EvalInterface(d, h, eng)
-	rdfAns := enc.EvalInterface(encD, h, eng)
+	exact := core.SolveOptions{Mode: core.ModeExact, Mapping: h, Engine: eng}
+	relAns := cfg.solve(p, d, exact).Holds
+	rdfAns := cfg.solve(enc, encD, exact).Holds
 	if relAns != rdfAns || !relAns {
 		t.Notes = append(t.Notes, "ERROR: EVAL disagrees through the encoding")
 	}

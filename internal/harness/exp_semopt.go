@@ -46,9 +46,11 @@ func runE6(cfg Config) *Table {
 	for _, m := range ms {
 		p := gen.SymmetricCycleTree(m)
 		var member bool
+		var err error
 		dur := Measure(1, func() {
-			_, member = approx.MemberWB(p, approx.WB(1), approx.Options{Parallelism: cfg.Parallelism})
+			_, member, err = approx.MemberWB(cfg.Context(), p, approx.WB(1), approx.Options{Parallelism: cfg.Parallelism})
 		})
+		t.noteError(err)
 		wantMember := m%2 == 0
 		if member != wantMember {
 			t.Notes = append(t.Notes, fmt.Sprintf("ERROR: m=%d member=%v want %v", m, member, wantMember))
@@ -76,13 +78,13 @@ func runE7(cfg Config) *Table {
 		p := gen.TriangleWithPath(l)
 		var size int
 		dur := Measure(1, func() {
-			ap, err := approx.Approximate(p, approx.WB(1), approx.Options{Parallelism: cfg.Parallelism})
+			ap, err := approx.Approximate(cfg.Context(), p, approx.WB(1), approx.Options{Parallelism: cfg.Parallelism})
 			if err != nil {
 				t.Notes = append(t.Notes, "ERROR: "+err.Error())
 				return
 			}
 			size = ap.Size()
-			if !subsume.Subsumes(ap, p, subsume.Options{}) {
+			if ok, err := subsume.Subsumes(cfg.Context(), ap, p, subsume.Options{}); !t.noteError(err) && !ok {
 				t.Notes = append(t.Notes, "ERROR: approximation not subsumed by p")
 			}
 		})
@@ -120,9 +122,12 @@ func runE8(cfg Config) *Table {
 		// suite re-checks it; here it documents the family).
 		p1 := gen.Figure2P1(1, k)
 		p2 := gen.Figure2P2(1, k)
-		if !subsume.Subsumes(p2, p1, subsume.Options{}) {
+		ok, err := subsume.Subsumes(cfg.Context(), p2, p1, subsume.Options{})
+		switch {
+		case t.noteError(err):
+		case !ok:
 			t.Notes = append(t.Notes, "ERROR: p2 ⊑ p1 failed at n=1")
-		} else {
+		default:
 			t.Notes = append(t.Notes, "verified: p2 ⊑ p1 at n=1 (exact subsumption test)")
 		}
 	}

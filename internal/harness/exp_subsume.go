@@ -29,15 +29,19 @@ func runE5(cfg Config) *Table {
 	if cfg.Quick {
 		widths = []int{2, 3}
 	}
+	ctx := cfg.Context()
 	for _, w := range widths {
 		p := gen.StarWDPT(w)
 		var holds bool
+		var err error
 		fast := Measure(1, func() {
-			holds = subsume.Subsumes(p, p, subsume.Options{})
+			holds, err = subsume.Subsumes(ctx, p, p, subsume.Options{})
 		})
+		t.noteError(err)
 		slow := Measure(1, func() {
-			subsume.Subsumes(p, p, subsume.Options{InnerEnumerate: true})
+			_, err = subsume.Subsumes(ctx, p, p, subsume.Options{InnerEnumerate: true})
 		})
+		t.noteError(err)
 		t.AddRow(w, p.Size(), holds, fast, slow)
 		if !holds {
 			t.Notes = append(t.Notes, "ERROR: reflexive subsumption failed")
@@ -46,9 +50,11 @@ func runE5(cfg Config) *Table {
 	// Equivalence of syntactic variants: the music tree with swapped
 	// children (both directions, so this is the ≡s row).
 	p1 := gen.MusicWDPT("x", "y", "z", "zp")
+	var err error
 	eq := cfg.Measure(func() {
-		subsume.Equivalent(p1, p1, subsume.Options{})
+		_, err = subsume.Equivalent(ctx, p1, p1, subsume.Options{})
 	})
+	t.noteError(err)
 	t.AddRow("music≡s", p1.Size(), true, eq, "-")
 	t.Notes = append(t.Notes,
 		"expected shape: both columns grow with the 2^width outer subtree enumeration, but the enumeration inner check multiplies in another 2^width factor")

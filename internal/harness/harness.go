@@ -12,7 +12,9 @@ import (
 	"strings"
 	"time"
 
+	"wdpt/internal/core"
 	"wdpt/internal/cqeval"
+	"wdpt/internal/db"
 	"wdpt/internal/obs"
 )
 
@@ -138,6 +140,20 @@ func (c Config) Engine() cqeval.Engine {
 	return cqeval.WithStats(cqeval.Auto(), c.Stats)
 }
 
+// solver is the evaluation entry point that pattern trees, unions and the
+// Corollary 2/3 evaluators share.
+type solver interface {
+	Solve(context.Context, *db.Database, core.SolveOptions) (core.Result, error)
+}
+
+// solve runs s under the config's context with exactly opts. An unbudgeted
+// call errs only when the driver cancels the run, which leaves the row short
+// rather than wrong.
+func (c Config) solve(s solver, d *db.Database, opts core.SolveOptions) core.Result {
+	res, _ := s.Solve(c.Context(), d, opts)
+	return res
+}
+
 // Table is a rendered experiment result: a titled grid of rows.
 type Table struct {
 	ID      string
@@ -146,6 +162,16 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+}
+
+// noteError records err as an ERROR note, the way experiments flag a broken
+// invariant, and reports whether there was one.
+func (t *Table) noteError(err error) bool {
+	if err == nil {
+		return false
+	}
+	t.Notes = append(t.Notes, "ERROR: "+err.Error())
+	return true
 }
 
 // AddRow appends a row, formatting every cell with %v.

@@ -1,9 +1,11 @@
 package rdf
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
+	"wdpt/internal/core"
 	"wdpt/internal/cq"
 	"wdpt/internal/cqeval"
 	"wdpt/internal/db"
@@ -61,8 +63,8 @@ func TestEncodeMusicTree(t *testing.T) {
 		t.Fatal("node structure changed")
 	}
 	d := gen.MusicDatabase()
-	want := p.Evaluate(d)
-	got := enc.Evaluate(EncodeDatabase(d))
+	want := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
+	got := solve(t, enc, EncodeDatabase(d), core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 	if len(want) != len(got) {
 		t.Fatalf("music answers %d vs %d:\n%v\n%v", len(want), len(got), want, got)
 	}
@@ -85,8 +87,8 @@ func TestEncodePreservesAnswersProperty(t *testing.T) {
 		p := gen.RandomWDPT(gen.TreeParams{MaxDepth: 2, MaxChildren: 2}, seed)
 		d := gen.RandomDatabase(gen.DBParams{DomainSize: 3, TuplesPerRel: 6}, seed+13)
 		enc, encD := Encode(p), EncodeDatabase(d)
-		want := p.Evaluate(d)
-		got := enc.Evaluate(encD)
+		want := solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
+		got := solve(t, enc, encD, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 		if len(want) != len(got) {
 			t.Logf("seed %d: %d vs %d answers", seed, len(want), len(got))
 			return false
@@ -103,15 +105,15 @@ func TestEncodePreservesAnswersProperty(t *testing.T) {
 		// Spot-check the decision problems on one answer.
 		if len(want) > 0 {
 			h := want[0]
-			if !enc.EvalInterface(encD, h, eng) {
+			if !solve(t, enc, encD, core.SolveOptions{Mode: core.ModeExact, Mapping: h, Engine: eng}).Holds {
 				t.Logf("seed %d: EvalInterface lost answer %v", seed, h)
 				return false
 			}
-			if !enc.PartialEval(encD, h, eng) {
+			if !solve(t, enc, encD, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds {
 				t.Logf("seed %d: PartialEval lost answer %v", seed, h)
 				return false
 			}
-			if enc.MaxEval(encD, h, eng) != maximalIn(h, want) {
+			if solve(t, enc, encD, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds != maximalIn(h, want) {
 				t.Logf("seed %d: MaxEval disagrees for %v", seed, h)
 				return false
 			}
@@ -166,4 +168,15 @@ func TestRelationSymbolNamespacing(t *testing.T) {
 	if len(got) != 1 || got[0]["x"] != "R" {
 		t.Fatalf("answers = %v", got)
 	}
+}
+
+// solve runs one Solve call under a background context, failing the test
+// on error.
+func solve(t testing.TB, p *core.PatternTree, d *db.Database, opts core.SolveOptions) core.Result {
+	t.Helper()
+	res, err := p.Solve(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -120,7 +120,7 @@ func (c *resultCache) len() int {
 // snapshot. The query is keyed by a hash of its canonical tree rendering —
 // not the request text — so reformatted but identical queries share an
 // entry; every option that can change the response body participates.
-func cacheKey(ds *Dataset, canonicalQuery string, req *Request, par int) string {
+func cacheKey(ds *Dataset, canonicalQuery string, req *Request, h cq.Mapping, par int) string {
 	sum := sha256.Sum256([]byte(canonicalQuery))
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\x00%d\x00%s\x00%s\x00%s\x00%d\x00%v\x00", ds.Name, ds.Version, hex.EncodeToString(sum[:]), req.Mode, req.Engine, par, req.Fallback)
@@ -128,8 +128,8 @@ func cacheKey(ds *Dataset, canonicalQuery string, req *Request, par int) string 
 		fmt.Fprintf(&b, "w%d,t%d,a%d", req.Budget.WallMS, req.Budget.MaxTuples, req.Budget.MaxAnswers)
 	}
 	b.WriteByte('\x00')
-	// The candidate mapping is request-supplied bytes: its length-prefixed
-	// key keeps two different mappings from ever sharing an entry.
-	b.WriteString(cq.Mapping(req.Mapping).Key())
+	// h is the normalized candidate mapping; its length-prefixed key keeps
+	// two different mappings from ever sharing an entry.
+	b.WriteString(h.Key())
 	return b.String()
 }

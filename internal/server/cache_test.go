@@ -151,7 +151,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 			&Request{Mode: "enumerate", Engine: "auto", Mapping: map[string]string{"x": "1"}}
 	}
 	ds, req := base()
-	ref := cacheKey(ds, "Q", req, 1)
+	ref := cacheKey(ds, "Q", req, req.Mapping, 1)
 
 	mutations := map[string]func(ds *Dataset, req *Request) (canonical string, par int){
 		"version":     func(ds *Dataset, req *Request) (string, int) { ds.Version = 2; return "Q", 1 },
@@ -167,13 +167,13 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	for name, mutate := range mutations {
 		ds, req := base()
 		canonical, par := mutate(ds, req)
-		if got := cacheKey(ds, canonical, req, par); got == ref {
+		if got := cacheKey(ds, canonical, req, req.Mapping, par); got == ref {
 			t.Errorf("mutating %s did not change the cache key", name)
 		}
 	}
 	// And identical inputs agree.
 	ds2, req2 := base()
-	if cacheKey(ds2, "Q", req2, 1) != ref {
+	if cacheKey(ds2, "Q", req2, req2.Mapping, 1) != ref {
 		t.Error("identical inputs produced different keys")
 	}
 }

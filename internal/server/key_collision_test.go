@@ -93,3 +93,32 @@ func TestServerKeepsCollidingInstantiatedAtoms(t *testing.T) {
 		}
 	}
 }
+
+// TestServerRejectsTwiceNamedVariable: "?x" and "x" name one variable, so
+// the mapping is ambiguous. Its verdict used to depend on map iteration
+// order; now every send gets the same 400 naming the least such variable,
+// and nothing reaches the cache.
+func TestServerRejectsTwiceNamedVariable(t *testing.T) {
+	cl := serveFacts(t, []string{"R", "Swim"}, []string{"S", "Swim", "b"})
+	req := server.Request{Dataset: "d", Query: optQuery, Mode: "partial",
+		Mapping: map[string]string{"?y": "b", "y": "c", "?x": "Swim", "x": "Nope"}}
+	var first []byte
+	for i := 0; i < 60; i++ {
+		res, err := cl.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != http.StatusBadRequest || !bytes.Contains(res.Body, []byte(`"bad_request"`)) ||
+			!bytes.Contains(res.Body, []byte(`variable \"x\" is named twice`)) {
+			t.Fatalf("send %d: status %d body %s, want 400 bad_request naming x", i, res.Status, res.Body)
+		}
+		if first == nil {
+			first = res.Body
+		} else if !bytes.Equal(res.Body, first) {
+			t.Fatalf("send %d: body %s differs from the first %s", i, res.Body, first)
+		}
+	}
+	if hits := scrape(t, cl)["wdpt_server_cache_hits_total"]; hits != 0 {
+		t.Errorf("server.cache_hits = %d, want 0", hits)
+	}
+}

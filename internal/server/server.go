@@ -518,6 +518,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, ErrorPayload{Code: "bad_budget", Message: "budget fields must be non-negative"})
 		return
 	}
+	// The mapping is normalized once, before the cache key is built, so the
+	// key and the verdict see the same variables.
+	h, err := requestMapping(req.Mapping)
+	if err != nil {
+		fail(http.StatusBadRequest, ErrorPayload{Code: "bad_request", Message: err.Error()})
+		return
+	}
 	parseSpan := root.Child("parse")
 	q, trees, canonical, err := parseRequestQuery(req.Query)
 	parseSpan.End()
@@ -549,7 +556,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Stats responses bypass the cache (counters vary run to run); traced
 	// responses do too, in both directions, because the trace is embedded
 	// in the body.
-	key := cacheKey(ds, canonical, &req, par)
+	key := cacheKey(ds, canonical, &req, h, par)
 	if !req.Stats && !wantTrace {
 		lookupSpan := root.Child("cache_lookup")
 		lookupStart := time.Now()
@@ -589,10 +596,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	solveEng := eng
 	if st != nil {
 		solveEng = cqeval.WithStats(eng, st)
-	}
-	h := cq.Mapping{}
-	for k, v := range req.Mapping {
-		h[strings.TrimPrefix(k, "?")] = v
 	}
 	opts := core.SolveOptions{
 		Mode:        mode,
@@ -667,6 +670,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if status == http.StatusOK && !req.Stats && !wantTrace {
 		s.cache.put(key, buf.Bytes())
 	}
+}
+
+// requestMapping strips the optional "?" from each variable of a request
+// mapping. A variable named twice ("?x" and "x") is an error naming the least
+// such variable, so the verdict never depends on map iteration order.
+func requestMapping(m map[string]string) (cq.Mapping, error) {
+	h := make(cq.Mapping, len(m))
+	twice := ""
+	for k, v := range m {
+		name := strings.TrimPrefix(k, "?")
+		if _, seen := h[name]; seen && (twice == "" || name < twice) {
+			twice = name
+		}
+		h[name] = v
+	}
+	if twice != "" {
+		return nil, fmt.Errorf("variable %q is named twice in the mapping", twice)
+	}
+	return h, nil
 }
 
 // logQuery emits one structured query-log line for a finished /v1/query

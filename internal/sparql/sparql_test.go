@@ -1,9 +1,11 @@
 package sparql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"wdpt/internal/core"
 	"wdpt/internal/db"
 	"wdpt/internal/gen"
 	"wdpt/internal/subsume"
@@ -117,7 +119,7 @@ func TestOptNormalFormPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers := tree.Evaluate(d)
+	answers := solve(t, tree, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 	want := map[string]bool{
 		"x=1,y=2,z=3,w=9": true,
 		"x=5,w=9":         true,
@@ -153,7 +155,7 @@ func TestParseQueryAgainstMusicFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := gen.MusicWDPT("x", "y", "z", "zp")
-	if !subsume.Equivalent(tree, ref, subsume.Options{}) {
+	if ok, err := subsume.Equivalent(context.Background(), tree, ref, subsume.Options{}); err != nil || !ok {
 		t.Fatalf("parsed tree differs from fixture:\n%s\nvs\n%s", tree, ref)
 	}
 }
@@ -208,7 +210,7 @@ func TestFromWDPTRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !subsume.Equivalent(p, back, subsume.Options{}) {
+	if ok, err := subsume.Equivalent(context.Background(), p, back, subsume.Options{}); err != nil || !ok {
 		t.Fatalf("FromWDPT/ToWDPT round trip not equivalent:\n%s\nvs\n%s", p, back)
 	}
 }
@@ -293,7 +295,7 @@ func TestEvaluateParsedTripleQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := cqTripleStore()
-	answers := tree.Evaluate(ts)
+	answers := solve(t, tree, ts, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 	if len(answers) != 2 {
 		t.Fatalf("answers = %v, want 2", answers)
 	}
@@ -351,7 +353,7 @@ func TestParseSPARQLMusic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers := tree.Evaluate(d)
+	answers := solve(t, tree, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 	if len(answers) != 2 {
 		t.Fatalf("answers = %v", answers)
 	}
@@ -456,4 +458,15 @@ func FuzzParseSPARQL(f *testing.F) {
 			t.Fatal("nil tree without error")
 		}
 	})
+}
+
+// solve runs one Solve call under a background context, failing the test
+// on error.
+func solve(t testing.TB, p *core.PatternTree, d *db.Database, opts core.SolveOptions) core.Result {
+	t.Helper()
+	res, err := p.Solve(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

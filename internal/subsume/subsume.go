@@ -13,15 +13,20 @@
 // the asymmetry of Theorem 11 comes from: when p2 is globally tractable the
 // inner check runs in polynomial time and overall membership drops from
 // Π₂ᴾ to coNP.
+//
+// Every evaluation inside the search is a Solve call under the caller's
+// context, so a deadline or cancellation stops the search with an error.
 package subsume
 
 import (
+	"context"
 	"fmt"
 
 	"wdpt/internal/core"
 	"wdpt/internal/cq"
 	"wdpt/internal/cqeval"
 	"wdpt/internal/db"
+	"wdpt/internal/guard"
 	"wdpt/internal/obs"
 )
 
@@ -59,63 +64,92 @@ func (o Options) stats() *obs.Stats {
 // Subsumes decides p1 ⊑ p2: over every database, every answer of p1 is
 // subsumed by an answer of p2. The test is exact; its running time is
 // exponential in the size of p1 (the problem is Π₂ᴾ-complete, Section 4).
-func Subsumes(p1, p2 *core.PatternTree, opts Options) bool {
-	_, _, ok := findCounterexample(p1, p2, opts)
-	return !ok
+func Subsumes(ctx context.Context, p1, p2 *core.PatternTree, opts Options) (bool, error) {
+	_, _, found, err := CounterExample(ctx, p1, p2, opts)
+	return !found && err == nil, err
 }
 
 // CounterExample searches for a witness against p1 ⊑ p2: a database D and
-// an answer h ∈ p1(D) not subsumed by any answer of p2 over D. ok=false
-// means p1 ⊑ p2 holds.
-func CounterExample(p1, p2 *core.PatternTree, opts Options) (*db.Database, cq.Mapping, bool) {
-	return findCounterexample(p1, p2, opts)
-}
-
-func findCounterexample(p1, p2 *core.PatternTree, opts Options) (*db.Database, cq.Mapping, bool) {
+// an answer h ∈ p1(D) not subsumed by any answer of p2 over D. found=false
+// with a nil error means p1 ⊑ p2 holds. A deadline or cancellation of ctx
+// surfaces as a *guard.TripError.
+func CounterExample(ctx context.Context, p1, p2 *core.PatternTree, opts Options) (d *db.Database, h cq.Mapping, found bool, err error) {
 	eng := opts.engine()
 	st := opts.stats()
 	consts := collectConstants(p1, p2)
-	var witnessD *db.Database
-	var witnessH cq.Mapping
-	found := false
 	p1.EnumerateSubtrees(func(s core.Subtree) bool {
-		atoms := p1.SubtreeAtoms(s)
-		QuotientDatabasesObs(atoms, consts, st, func(d *db.Database) bool {
-			for _, h := range p1.EvaluateObs(d, st) {
-				subsumed := false
+		QuotientDatabases(p1.SubtreeAtoms(s), consts, st, func(qd *db.Database) bool {
+			if err = ctx.Err(); err != nil {
+				return false
+			}
+			var res core.Result
+			if res, err = p1.Solve(ctx, qd, core.SolveOptions{Mode: core.ModeEnumerate, Stats: st}); err != nil {
+				return false
+			}
+			for _, a := range res.Answers {
 				st.Inc(obs.CtrInnerChecks)
-				if opts.InnerEnumerate {
-					for _, g := range p2.EvaluateObs(d, st) {
-						if h.SubsumedBy(g) {
-							subsumed = true
-							break
-						}
-					}
-				} else {
-					subsumed = p2.PartialEval(d, h, eng)
+				var subsumed bool
+				if subsumed, err = subsumedIn(ctx, p2, qd, a, opts.InnerEnumerate, eng, st); err != nil {
+					return false
 				}
 				if !subsumed {
-					witnessD, witnessH, found = d, h, true
+					d, h, found = qd, a, true
 					return false
 				}
 			}
 			return true
 		})
-		return !found
+		return !found && err == nil
 	})
-	return witnessD, witnessH, found
+	if err != nil {
+		return nil, nil, false, tripOf(err)
+	}
+	return d, h, found, nil
+}
+
+// subsumedIn reports whether some answer of p over d subsumes h: by
+// PARTIAL-EVAL (Theorem 11's inner check) or, with enumerate, by scanning
+// p(D) — the generic Π₂ᴾ ablation.
+func subsumedIn(ctx context.Context, p *core.PatternTree, d *db.Database, h cq.Mapping, enumerate bool, eng cqeval.Engine, st *obs.Stats) (bool, error) {
+	if !enumerate {
+		res, err := p.Solve(ctx, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng})
+		return res.Holds, err
+	}
+	res, err := p.Solve(ctx, d, core.SolveOptions{Mode: core.ModeEnumerate, Stats: st})
+	if err != nil {
+		return false, err
+	}
+	for _, g := range res.Answers {
+		if h.SubsumedBy(g) {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// tripOf reports a bare context error the way a tripped meter does, so a
+// deadline matches guard.ErrDeadline whether a Solve call or the search
+// loop noticed it first.
+func tripOf(err error) error {
+	if err == context.Canceled || err == context.DeadlineExceeded {
+		return &guard.TripError{Reason: err}
+	}
+	return err
 }
 
 // Equivalent decides subsumption-equivalence p1 ≡s p2 (both directions).
-func Equivalent(p1, p2 *core.PatternTree, opts Options) bool {
-	return Subsumes(p1, p2, opts) && Subsumes(p2, p1, opts)
+func Equivalent(ctx context.Context, p1, p2 *core.PatternTree, opts Options) (bool, error) {
+	if ok, err := Subsumes(ctx, p1, p2, opts); !ok || err != nil {
+		return false, err
+	}
+	return Subsumes(ctx, p2, p1, opts)
 }
 
 // MaxEquivalent decides p1 ≡max p2: p1_m(D) = p2_m(D) over every database.
 // By Proposition 5 this coincides with subsumption-equivalence, which is how
 // it is decided here; tests cross-validate the proposition semantically.
-func MaxEquivalent(p1, p2 *core.PatternTree, opts Options) bool {
-	return Equivalent(p1, p2, opts)
+func MaxEquivalent(ctx context.Context, p1, p2 *core.PatternTree, opts Options) (bool, error) {
+	return Equivalent(ctx, p1, p2, opts)
 }
 
 // collectConstants gathers the constants mentioned by both trees.
@@ -138,16 +172,10 @@ func collectConstants(trees ...*core.PatternTree) []string {
 // QuotientDatabases enumerates the homomorphic images of the frozen atoms:
 // for every partition of the variables and every assignment of blocks to
 // fresh constants or to constants from consts, the ground image database is
-// passed to visit. visit returning false stops the enumeration. This is the
-// small-model space on which subsumption of (unions of) WDPTs can be
-// refuted.
-func QuotientDatabases(atoms []cq.Atom, consts []string, visit func(*db.Database) bool) {
-	QuotientDatabasesObs(atoms, consts, nil, visit)
-}
-
-// QuotientDatabasesObs is QuotientDatabases with each enumerated candidate
-// database counted on st.
-func QuotientDatabasesObs(atoms []cq.Atom, consts []string, st *obs.Stats, visit func(*db.Database) bool) {
+// passed to visit, and counted on st. visit returning false stops the
+// enumeration. This is the small-model space on which subsumption of
+// (unions of) WDPTs can be refuted.
+func QuotientDatabases(atoms []cq.Atom, consts []string, st *obs.Stats, visit func(*db.Database) bool) {
 	vars := cq.AtomsVars(atoms)
 	assign := make(cq.Mapping, len(vars))
 	// reps tracks current block representatives among variables.

@@ -1,11 +1,16 @@
 package subsume
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"wdpt/internal/core"
 	"wdpt/internal/cq"
+	"wdpt/internal/db"
 	"wdpt/internal/gen"
+	"wdpt/internal/guard"
 )
 
 func TestSubsumptionReflexive(t *testing.T) {
@@ -15,7 +20,7 @@ func TestSubsumptionReflexive(t *testing.T) {
 		gen.StarWDPT(2),
 	}
 	for i, p := range trees {
-		if !Subsumes(p, p, Options{}) {
+		if !subsumes(t, p, p, Options{}) {
 			t.Fatalf("tree %d: p ⊑ p must hold", i)
 		}
 	}
@@ -29,13 +34,13 @@ func TestSubsumptionMusicPruned(t *testing.T) {
 			cq.NewAtom("published", cq.V("x"), cq.C("after_2010")),
 		},
 	}, []string{"x", "y"})
-	if !Subsumes(rootOnly, full, Options{}) {
+	if !subsumes(t, rootOnly, full, Options{}) {
 		t.Fatal("root-only tree should be subsumed by the full tree")
 	}
-	if Subsumes(full, rootOnly, Options{}) {
+	if subsumes(t, full, rootOnly, Options{}) {
 		t.Fatal("full tree answers bind z and cannot be subsumed by root-only")
 	}
-	if Equivalent(full, rootOnly, Options{}) {
+	if equivalent(t, full, rootOnly, Options{}) {
 		t.Fatal("not subsumption-equivalent")
 	}
 }
@@ -48,13 +53,16 @@ func TestCounterExampleWitness(t *testing.T) {
 			cq.NewAtom("published", cq.V("x"), cq.C("after_2010")),
 		},
 	}, []string{"x", "y"})
-	d, h, found := CounterExample(full, rootOnly, Options{})
+	d, h, found, err := CounterExample(context.Background(), full, rootOnly, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !found {
 		t.Fatal("expected a counterexample")
 	}
 	// Verify the witness: h ∈ full(D), and no answer of rootOnly subsumes h.
 	inP1 := false
-	for _, a := range full.Evaluate(d) {
+	for _, a := range solve(t, full, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
 		if a.Equal(h) {
 			inP1 = true
 		}
@@ -62,7 +70,7 @@ func TestCounterExampleWitness(t *testing.T) {
 	if !inP1 {
 		t.Fatalf("witness mapping %v is not an answer of p1 over\n%s", h, d)
 	}
-	for _, g := range rootOnly.Evaluate(d) {
+	for _, g := range solve(t, rootOnly, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
 		if h.SubsumedBy(g) {
 			t.Fatalf("witness %v is subsumed by %v — not a counterexample", h, g)
 		}
@@ -91,7 +99,7 @@ func TestSubsumptionMatchesCQContainment(t *testing.T) {
 		// Rename free variables so positional containment matches by name.
 		want := cq.ContainedIn(c.q1, c.q2)
 		p1, p2 := core.FromCQ(c.q1), core.FromCQ(renameFreeLike(c.q2, c.q1))
-		if got := Subsumes(p1, p2, Options{}); got != want {
+		if got := subsumes(t, p1, p2, Options{}); got != want {
 			t.Fatalf("case %d: Subsumes = %v, containment = %v", i, got, want)
 		}
 	}
@@ -132,8 +140,8 @@ func TestInnerChecksAgree(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		p1 := gen.RandomWDPT(gen.TreeParams{MaxDepth: 1, MaxChildren: 1, AtomsPerNode: 1, FreshVarsPerNode: 1}, seed)
 		p2 := gen.RandomWDPT(gen.TreeParams{MaxDepth: 1, MaxChildren: 1, AtomsPerNode: 1, FreshVarsPerNode: 1}, seed+50)
-		fast := Subsumes(p1, p2, Options{})
-		slow := Subsumes(p1, p2, Options{InnerEnumerate: true})
+		fast := subsumes(t, p1, p2, Options{})
+		slow := subsumes(t, p1, p2, Options{InnerEnumerate: true})
 		if fast != slow {
 			t.Fatalf("seed %d: inner checks disagree: fast=%v slow=%v\np1:\n%s\np2:\n%s", seed, fast, slow, p1, p2)
 		}
@@ -146,11 +154,11 @@ func TestSubsumptionSoundOnRandomDatabases(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		p1 := gen.RandomWDPT(gen.TreeParams{MaxDepth: 1, MaxChildren: 1, AtomsPerNode: 1, FreshVarsPerNode: 1}, seed)
 		p2 := gen.RandomWDPT(gen.TreeParams{MaxDepth: 1, MaxChildren: 1, AtomsPerNode: 1, FreshVarsPerNode: 1}, seed+31)
-		holds := Subsumes(p1, p2, Options{})
+		holds := subsumes(t, p1, p2, Options{})
 		for dbSeed := int64(0); dbSeed < 4; dbSeed++ {
 			d := gen.RandomDatabase(gen.DBParams{DomainSize: 3, TuplesPerRel: 6}, dbSeed)
-			a2 := p2.Evaluate(d)
-			for _, h := range p1.Evaluate(d) {
+			a2 := solve(t, p2, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
+			for _, h := range solve(t, p1, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
 				subsumed := false
 				for _, g := range a2 {
 					if h.SubsumedBy(g) {
@@ -183,19 +191,19 @@ func TestProposition5(t *testing.T) {
 			{Atoms: []cq.Atom{cq.NewAtom("rating", cq.V("x"), cq.V("z"))}},
 		},
 	}, []string{"x", "y", "z", "zp"})
-	if !Equivalent(p1, p2, Options{}) {
+	if !equivalent(t, p1, p2, Options{}) {
 		t.Fatal("child order must not matter for subsumption-equivalence")
 	}
-	if !MaxEquivalent(p1, p2, Options{}) {
+	if ok, err := MaxEquivalent(context.Background(), p1, p2, Options{}); err != nil || !ok {
 		t.Fatal("MaxEquivalent must agree")
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		d := gen.MusicDatabaseLarge(6, 2, seed)
 		m1 := cq.NewMappingSet()
-		for _, h := range p1.EvaluateMaximal(d) {
+		for _, h := range solve(t, p1, d, core.SolveOptions{Mode: core.ModeMaximal}).Answers {
 			m1.Add(h)
 		}
-		m2 := p2.EvaluateMaximal(d)
+		m2 := solve(t, p2, d, core.SolveOptions{Mode: core.ModeMaximal}).Answers
 		if m1.Len() != len(m2) {
 			t.Fatalf("seed %d: maximal answer counts differ: %d vs %d", seed, m1.Len(), len(m2))
 		}
@@ -220,10 +228,10 @@ func TestSubsumptionDetectsStrictlyMoreOptional(t *testing.T) {
 			{Atoms: []cq.Atom{cq.NewAtom("E", cq.V("y"), cq.V("w"))}},
 		},
 	}, []string{"x", "y", "w"})
-	if !Subsumes(base, extended, Options{}) {
+	if !subsumes(t, base, extended, Options{}) {
 		t.Fatal("base ⊑ extended should hold")
 	}
-	if Subsumes(extended, base, Options{}) {
+	if subsumes(t, extended, base, Options{}) {
 		t.Fatal("extended ⋢ base: answers binding w are not subsumed")
 	}
 }
@@ -237,11 +245,14 @@ func TestSubsumptionWithConstantsProperty(t *testing.T) {
 	for seed := int64(0); seed < 14; seed++ {
 		p1 := gen.RandomWDPT(params, seed)
 		p2 := gen.RandomWDPT(params, seed+77)
-		d, h, refuted := CounterExample(p1, p2, Options{})
+		d, h, refuted, err := CounterExample(context.Background(), p1, p2, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if refuted {
 			// Verify the witness end to end.
 			found := false
-			for _, a := range p1.Evaluate(d) {
+			for _, a := range solve(t, p1, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
 				if a.Equal(h) {
 					found = true
 				}
@@ -249,7 +260,7 @@ func TestSubsumptionWithConstantsProperty(t *testing.T) {
 			if !found {
 				t.Fatalf("seed %d: witness %v is not an answer of p1 over\n%s", seed, h, d)
 			}
-			for _, g := range p2.Evaluate(d) {
+			for _, g := range solve(t, p2, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
 				if h.SubsumedBy(g) {
 					t.Fatalf("seed %d: witness %v subsumed by %v", seed, h, g)
 				}
@@ -260,8 +271,8 @@ func TestSubsumptionWithConstantsProperty(t *testing.T) {
 		// contain the constant pool used by the generator).
 		for dbSeed := int64(0); dbSeed < 3; dbSeed++ {
 			d := gen.RandomDatabase(gen.DBParams{DomainSize: 3, TuplesPerRel: 7}, dbSeed)
-			a2 := p2.Evaluate(d)
-			for _, a := range p1.Evaluate(d) {
+			a2 := solve(t, p2, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
+			for _, a := range solve(t, p1, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
 				ok := false
 				for _, g := range a2 {
 					if a.SubsumedBy(g) {
@@ -296,10 +307,56 @@ func TestSubsumptionTransitivity(t *testing.T) {
 			cq.NewAtom("published", cq.V("x"), cq.C("after_2010")),
 		},
 	}, []string{"x", "y"})
-	if !Subsumes(rootOnly, mid, Options{}) || !Subsumes(mid, full, Options{}) {
+	if !subsumes(t, rootOnly, mid, Options{}) || !subsumes(t, mid, full, Options{}) {
 		t.Fatal("chain links should hold")
 	}
-	if !Subsumes(rootOnly, full, Options{}) {
+	if !subsumes(t, rootOnly, full, Options{}) {
 		t.Fatal("transitivity violated")
+	}
+}
+
+// solve runs one Solve call under a background context, failing the test
+// on error.
+func solve(t testing.TB, p *core.PatternTree, d *db.Database, opts core.SolveOptions) core.Result {
+	t.Helper()
+	res, err := p.Solve(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// subsumes is Subsumes under a background context, failing the test on
+// error.
+func subsumes(t *testing.T, p1, p2 *core.PatternTree, opts Options) bool {
+	t.Helper()
+	ok, err := Subsumes(context.Background(), p1, p2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+// equivalent is Equivalent under a background context, failing the test on
+// error.
+func equivalent(t *testing.T, p1, p2 *core.PatternTree, opts Options) bool {
+	t.Helper()
+	ok, err := Equivalent(context.Background(), p1, p2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+// TestSubsumesStopsAtDeadline: the Π₂ᴾ search can be stopped — a 1 ms
+// deadline on the width-4 star with the enumeration inner check ends it with
+// a deadline trip instead of running to completion.
+func TestSubsumesStopsAtDeadline(t *testing.T) {
+	p := gen.StarWDPT(4)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	ok, err := Subsumes(ctx, p, p, Options{InnerEnumerate: true})
+	if ok || !errors.Is(err, guard.ErrDeadline) {
+		t.Fatalf("Subsumes = %v, %v; want false and a guard.ErrDeadline trip", ok, err)
 	}
 }

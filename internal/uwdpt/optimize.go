@@ -1,9 +1,10 @@
 package uwdpt
 
 import (
+	"context"
+
 	"wdpt/internal/core"
 	"wdpt/internal/cq"
-	"wdpt/internal/cqeval"
 	"wdpt/internal/db"
 )
 
@@ -35,24 +36,14 @@ func (o *OptimizedUnion) Tractable() bool { return o.witness != nil }
 // Witness returns the equivalent union of tractable CQs, or nil.
 func (o *OptimizedUnion) Witness() *Union { return o.witness }
 
-// PartialEval answers ⋃-PARTIAL-EVAL for the original union.
-//
-//lint:ignore R7 Corollary 3 witness evaluator: dispatches between witness and original, both of which route through Solve
-func (o *OptimizedUnion) PartialEval(d *db.Database, h cq.Mapping, eng cqeval.Engine) bool {
-	if o.witness != nil {
-		return o.witness.PartialEval(d, h, eng)
+// Solve evaluates the original union. ⋃-PARTIAL-EVAL and ⋃-MAX-EVAL run on
+// the witness union when one exists (Corollary 3); every other mode, and
+// every mode without a witness, runs on the original.
+func (o *OptimizedUnion) Solve(ctx context.Context, d *db.Database, opts core.SolveOptions) (core.Result, error) {
+	if o.witness != nil && (opts.Mode == core.ModePartial || opts.Mode == core.ModeMax) {
+		return o.witness.Solve(ctx, d, opts)
 	}
-	return o.original.PartialEval(d, h, eng)
-}
-
-// MaxEval answers ⋃-MAX-EVAL for the original union.
-//
-//lint:ignore R7 Corollary 3 witness evaluator: dispatches between witness and original, both of which route through Solve
-func (o *OptimizedUnion) MaxEval(d *db.Database, h cq.Mapping, eng cqeval.Engine) bool {
-	if o.witness != nil {
-		return o.witness.MaxEval(d, h, eng)
-	}
-	return o.original.MaxEval(d, h, eng)
+	return o.original.Solve(ctx, d, opts)
 }
 
 // Originals returns the trees of the original union; exposed so callers can

@@ -88,7 +88,7 @@ func UCQReduce(qs []*cq.CQ) []*cq.CQ {
 // Theorem 17.2). maxCQs caps the subtree enumeration (0 = no cap); exact
 // reports whether the cap was NOT hit, i.e. the answer is exact.
 func MemberUWB(u *Union, c cq.Class, maxCQs int) (witnesses []*cq.CQ, member, exact bool) {
-	translation := u.CQTranslation(maxCQs)
+	translation := u.CQTranslation(maxCQs, nil)
 	exact = maxCQs == 0 || len(translation) < maxCQs
 	reduced := UCQReduce(translation)
 	for _, q := range reduced {
@@ -116,7 +116,7 @@ func ApproximateUWB(u *Union, c cq.Class, maxCQs int) ([]*cq.CQ, error) {
 	if !c.SubqueryClosed() {
 		return nil, fmt.Errorf("uwdpt: class %s is not subquery-closed; use TW(k) or HW'(k)", c.Name())
 	}
-	translation := u.CQTranslation(maxCQs)
+	translation := u.CQTranslation(maxCQs, nil)
 	var members []*cq.CQ
 	for _, q := range translation {
 		members = append(members, cq.ApproximationsInClass(q, c)...)

@@ -256,59 +256,12 @@ func (u *Union) anyMember(ctx context.Context, d *db.Database, opts core.SolveOp
 	return holds, nil
 }
 
-// Evaluate computes φ(D) = ⋃ p_i(D).
-//
-// Deprecated: use Solve with core.ModeEnumerate.
-func (u *Union) Evaluate(d *db.Database) []cq.Mapping {
-	res, _ := u.Solve(context.Background(), d, core.SolveOptions{Mode: core.ModeEnumerate})
-	return res.Answers
-}
-
-// EvaluateMaximal computes φ_m(D): the ⊑-maximal members of φ(D).
-//
-// Deprecated: use Solve with core.ModeMaximal.
-func (u *Union) EvaluateMaximal(d *db.Database) []cq.Mapping {
-	res, _ := u.Solve(context.Background(), d, core.SolveOptions{Mode: core.ModeMaximal})
-	return res.Answers
-}
-
-// Eval decides ⋃-EVAL: h ∈ φ(D), i.e. h ∈ p_i(D) for some member. Each
-// member test uses the interface algorithm, so the union problem stays in
-// LOGCFL for unions of ℓ-C(k) ∩ BI(c) trees (Theorem 16.1).
-//
-// Deprecated: use Solve with core.ModeExact.
-func (u *Union) Eval(d *db.Database, h cq.Mapping, eng cqeval.Engine) bool {
-	res, _ := u.Solve(context.Background(), d, core.SolveOptions{Mode: core.ModeExact, Mapping: h, Engine: eng})
-	return res.Holds
-}
-
-// PartialEval decides ⋃-PARTIAL-EVAL: some answer of some member extends h
-// (Theorem 16.2).
-//
-// Deprecated: use Solve with core.ModePartial.
-func (u *Union) PartialEval(d *db.Database, h cq.Mapping, eng cqeval.Engine) bool {
-	res, _ := u.Solve(context.Background(), d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng})
-	return res.Holds
-}
-
-// MaxEval decides ⋃-MAX-EVAL: h is a ⊑-maximal element of φ(D).
-//
-// Deprecated: use Solve with core.ModeMax.
-func (u *Union) MaxEval(d *db.Database, h cq.Mapping, eng cqeval.Engine) bool {
-	res, _ := u.Solve(context.Background(), d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng})
-	return res.Holds
-}
-
 // CQTranslation computes φ_cq (Section 6): the union, over members p and
 // rooted subtrees T' of p, of the projected CQs r_T'. The number of
 // subtrees can be exponential; maxCQs caps the output (0 = no cap).
-// Duplicate CQs (same atoms and free variables) are merged.
-func (u *Union) CQTranslation(maxCQs int) []*cq.CQ {
-	return u.CQTranslationObs(maxCQs, nil)
-}
-
-// CQTranslationObs is CQTranslation with each emitted CQ counted on st.
-func (u *Union) CQTranslationObs(maxCQs int, st *obs.Stats) []*cq.CQ {
+// Duplicate CQs (same atoms and free variables) are merged; each emitted CQ
+// is counted on st.
+func (u *Union) CQTranslation(maxCQs int, st *obs.Stats) []*cq.CQ {
 	var out []*cq.CQ
 	seen := make(map[string]bool)
 	for _, p := range u.trees {
@@ -331,25 +284,25 @@ func (u *Union) CQTranslationObs(maxCQs int, st *obs.Stats) []*cq.CQ {
 
 // Subsumes decides φ ⊑ φ': over every database, every answer of φ is
 // subsumed by an answer of φ'. The small-model space is the same as for
-// single trees, applied to each member of the left-hand union.
-func Subsumes(u1, u2 *Union, opts subsume.Options) bool {
+// single trees, applied to each member of the left-hand union; every
+// evaluation on it is a Solve call under ctx, and the first error stops the
+// search.
+func Subsumes(ctx context.Context, u1, u2 *Union, opts subsume.Options) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
 	consts := unionConstants(u1, u2)
 	eng := opts.Engine
 	if eng == nil {
 		eng = cqeval.Auto()
 	}
 	holds := true
+	var err error
 	for _, p := range u1.trees {
 		p.EnumerateSubtrees(func(s core.Subtree) bool {
-			atoms := p.SubtreeAtoms(s)
-			subsume.QuotientDatabases(atoms, consts, func(d *db.Database) bool {
-				for _, h := range u1.Evaluate(d) {
-					if !u2.PartialEval(d, h, eng) {
-						holds = false
-						return false
-					}
-				}
-				return true
+			subsume.QuotientDatabases(p.SubtreeAtoms(s), consts, nil, func(d *db.Database) bool {
+				holds, err = answersSubsumed(ctx, u1, u2, d, eng)
+				return holds
 			})
 			return holds
 		})
@@ -357,12 +310,31 @@ func Subsumes(u1, u2 *Union, opts subsume.Options) bool {
 			break
 		}
 	}
-	return holds
+	return holds, err
+}
+
+// answersSubsumed reports whether every answer of u1 over d is a partial
+// answer of u2 (⋃-PARTIAL-EVAL, Theorem 16).
+func answersSubsumed(ctx context.Context, u1, u2 *Union, d *db.Database, eng cqeval.Engine) (bool, error) {
+	all, err := u1.Solve(ctx, d, core.SolveOptions{Mode: core.ModeEnumerate})
+	if err != nil {
+		return false, err
+	}
+	for _, h := range all.Answers {
+		res, err := u2.Solve(ctx, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng})
+		if err != nil || !res.Holds {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // Equivalent decides subsumption-equivalence of unions.
-func Equivalent(u1, u2 *Union, opts subsume.Options) bool {
-	return Subsumes(u1, u2, opts) && Subsumes(u2, u1, opts)
+func Equivalent(ctx context.Context, u1, u2 *Union, opts subsume.Options) (bool, error) {
+	if ok, err := Subsumes(ctx, u1, u2, opts); !ok || err != nil {
+		return false, err
+	}
+	return Subsumes(ctx, u2, u1, opts)
 }
 
 func unionConstants(us ...*Union) []string {

@@ -1,11 +1,14 @@
 package uwdpt
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"wdpt/internal/core"
 	"wdpt/internal/cq"
 	"wdpt/internal/cqeval"
+	"wdpt/internal/db"
 	"wdpt/internal/gen"
 	"wdpt/internal/subsume"
 )
@@ -37,22 +40,22 @@ func TestUnionEvaluation(t *testing.T) {
 	}, []string{"a", "b"}))
 	d := gen.MusicDatabase()
 	d.Insert("likes", "alice", "caribou")
-	answers := u.Evaluate(d)
+	answers := solve(t, u, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 	// Music part: (Our_love, Caribou), (Swim, Caribou); likes part: 1.
 	if len(answers) != 3 {
 		t.Fatalf("union answers = %v, want 3", answers)
 	}
 	eng := cqeval.Auto()
-	if !u.Eval(d, cq.Mapping{"a": "alice", "b": "caribou"}, eng) {
+	if !solve(t, u, d, core.SolveOptions{Mode: core.ModeExact, Mapping: cq.Mapping{"a": "alice", "b": "caribou"}, Engine: eng}).Holds {
 		t.Fatal("likes answer missing")
 	}
-	if !u.Eval(d, cq.Mapping{"x": "Swim", "y": "Caribou"}, eng) {
+	if !solve(t, u, d, core.SolveOptions{Mode: core.ModeExact, Mapping: cq.Mapping{"x": "Swim", "y": "Caribou"}, Engine: eng}).Holds {
 		t.Fatal("music answer missing")
 	}
-	if u.Eval(d, cq.Mapping{"x": "alice"}, eng) {
+	if solve(t, u, d, core.SolveOptions{Mode: core.ModeExact, Mapping: cq.Mapping{"x": "alice"}, Engine: eng}).Holds {
 		t.Fatal("bogus answer accepted")
 	}
-	if !u.PartialEval(d, cq.Mapping{"y": "Caribou"}, eng) {
+	if !solve(t, u, d, core.SolveOptions{Mode: core.ModePartial, Mapping: cq.Mapping{"y": "Caribou"}, Engine: eng}).Holds {
 		t.Fatal("partial answer missing")
 	}
 }
@@ -70,19 +73,19 @@ func TestUnionMaxEval(t *testing.T) {
 	d := gen.ChainDatabase(2) // E(0,1), E(1,2)
 	eng := cqeval.Auto()
 	// {x:0} ∈ φ(D) via p1 but is properly extended by {x:0, y:1} from p2.
-	if u.MaxEval(d, cq.Mapping{"x": "0"}, eng) {
+	if solve(t, u, d, core.SolveOptions{Mode: core.ModeMax, Mapping: cq.Mapping{"x": "0"}, Engine: eng}).Holds {
 		t.Fatal("{x:0} is not maximal in the union")
 	}
-	if !u.MaxEval(d, cq.Mapping{"x": "0", "y": "1"}, eng) {
+	if !solve(t, u, d, core.SolveOptions{Mode: core.ModeMax, Mapping: cq.Mapping{"x": "0", "y": "1"}, Engine: eng}).Holds {
 		t.Fatal("{x:0, y:1} should be maximal")
 	}
 	// Cross-check against enumerated maximal answers.
 	maxSet := cq.NewMappingSet()
-	for _, h := range u.EvaluateMaximal(d) {
+	for _, h := range solve(t, u, d, core.SolveOptions{Mode: core.ModeMaximal}).Answers {
 		maxSet.Add(h)
 	}
-	for _, h := range u.Evaluate(d) {
-		if got := u.MaxEval(d, h, eng); got != maxSet.Contains(h) {
+	for _, h := range solve(t, u, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
+		if got := solve(t, u, d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds; got != maxSet.Contains(h) {
 			t.Fatalf("MaxEval(%v) = %v disagrees with enumeration", h, got)
 		}
 	}
@@ -91,13 +94,13 @@ func TestUnionMaxEval(t *testing.T) {
 func TestCQTranslation(t *testing.T) {
 	p := gen.MusicWDPT("x", "y", "z", "zp")
 	u := MustNew(p)
-	qs := u.CQTranslation(0)
+	qs := u.CQTranslation(0, nil)
 	// 4 subtrees, pairwise distinct CQs (Example 8 shape).
 	if len(qs) != 4 {
 		t.Fatalf("translation = %d CQs, want 4", len(qs))
 	}
 	// The cap is honored.
-	if got := len(u.CQTranslation(2)); got != 2 {
+	if got := len(u.CQTranslation(2, nil)); got != 2 {
 		t.Fatalf("capped translation = %d, want 2", got)
 	}
 }
@@ -112,8 +115,8 @@ func TestProposition9Equivalence(t *testing.T) {
 		},
 	}, []string{"x", "z"})
 	u := MustNew(p)
-	trans := AsUnionOfWDPTs(u.CQTranslation(0))
-	if !Equivalent(u, trans, subsume.Options{}) {
+	trans := AsUnionOfWDPTs(u.CQTranslation(0, nil))
+	if ok, err := Equivalent(context.Background(), u, trans, subsume.Options{}); err != nil || !ok {
 		t.Fatal("φ and φ_cq must be subsumption-equivalent")
 	}
 }
@@ -204,7 +207,7 @@ func TestApproximateUWB(t *testing.T) {
 		t.Fatal("no approximation members")
 	}
 	// The approximation must be subsumed by φ and consist of TW(1) CQs.
-	if !Subsumes(AsUnionOfWDPTs(approx), u, subsume.Options{}) {
+	if ok, err := Subsumes(context.Background(), AsUnionOfWDPTs(approx), u, subsume.Options{}); err != nil || !ok {
 		t.Fatal("UWB approximation must be subsumed by the union")
 	}
 	for _, q := range approx {
@@ -229,10 +232,10 @@ func TestUnionSubsumptionVsMembers(t *testing.T) {
 	p2 := gen.PathWDPT(2)
 	u1 := MustNew(p1)
 	u12 := MustNew(p1, p2)
-	if !Subsumes(u1, u12, subsume.Options{}) {
+	if ok, err := Subsumes(context.Background(), u1, u12, subsume.Options{}); err != nil || !ok {
 		t.Fatal("member should be subsumed by union")
 	}
-	if !Subsumes(u12, u12, subsume.Options{}) {
+	if ok, err := Subsumes(context.Background(), u12, u12, subsume.Options{}); err != nil || !ok {
 		t.Fatal("union subsumes itself")
 	}
 }
@@ -247,19 +250,19 @@ func TestTheorem16AgreementProperty(t *testing.T) {
 			gen.RandomWDPT(gen.TreeParams{MaxDepth: 2, MaxChildren: 1}, seed+100),
 		)
 		d := gen.RandomDatabase(gen.DBParams{DomainSize: 3, TuplesPerRel: 6}, seed+7)
-		answers := u.Evaluate(d)
+		answers := solve(t, u, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers
 		maxSet := cq.NewMappingSet()
-		for _, h := range u.EvaluateMaximal(d) {
+		for _, h := range solve(t, u, d, core.SolveOptions{Mode: core.ModeMaximal}).Answers {
 			maxSet.Add(h)
 		}
 		for _, h := range answers {
-			if !u.Eval(d, h, eng) {
+			if !solve(t, u, d, core.SolveOptions{Mode: core.ModeExact, Mapping: h, Engine: eng}).Holds {
 				t.Fatalf("seed %d: enumerated answer %v rejected by Eval", seed, h)
 			}
-			if !u.PartialEval(d, h, eng) {
+			if !solve(t, u, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds {
 				t.Fatalf("seed %d: enumerated answer %v rejected by PartialEval", seed, h)
 			}
-			if got := u.MaxEval(d, h, eng); got != maxSet.Contains(h) {
+			if got := solve(t, u, d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds; got != maxSet.Contains(h) {
 				t.Fatalf("seed %d: MaxEval(%v) = %v disagrees", seed, h, got)
 			}
 		}
@@ -292,10 +295,10 @@ func TestOptimizeUnionCorollary3(t *testing.T) {
 			Rels:         []gen.RelSpec{{Name: "E", Arity: 2}, {Name: "V", Arity: 1}},
 		}, seed)
 		for _, h := range []cq.Mapping{{}, {"x": "0"}, {"x": "9"}, {"y0": "1"}} {
-			if got, want := o.PartialEval(d, h, eng), u.PartialEval(d, h, eng); got != want {
+			if got, want := solve(t, o, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds, solve(t, u, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng}).Holds; got != want {
 				t.Fatalf("seed %d: PartialEval(%v) witness=%v direct=%v", seed, h, got, want)
 			}
-			if got, want := o.MaxEval(d, h, eng), u.MaxEval(d, h, eng); got != want {
+			if got, want := solve(t, o, d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds, solve(t, u, d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds; got != want {
 				t.Fatalf("seed %d: MaxEval(%v) witness=%v direct=%v", seed, h, got, want)
 			}
 		}
@@ -318,10 +321,38 @@ func TestOptimizeUnionNonMember(t *testing.T) {
 	d := gen.RandomDatabase(gen.DBParams{
 		Rels: []gen.RelSpec{{Name: "E", Arity: 2}, {Name: "V", Arity: 1}},
 	}, 1)
-	if o.PartialEval(d, cq.Mapping{}, eng) != u.PartialEval(d, cq.Mapping{}, eng) {
+	if solve(t, o, d, core.SolveOptions{Mode: core.ModePartial, Mapping: cq.Mapping{}, Engine: eng}).Holds != solve(t, u, d, core.SolveOptions{Mode: core.ModePartial, Mapping: cq.Mapping{}, Engine: eng}).Holds {
 		t.Fatal("fallback disagrees")
 	}
-	if o.MaxEval(d, cq.Mapping{}, eng) != u.MaxEval(d, cq.Mapping{}, eng) {
+	if solve(t, o, d, core.SolveOptions{Mode: core.ModeMax, Mapping: cq.Mapping{}, Engine: eng}).Holds != solve(t, u, d, core.SolveOptions{Mode: core.ModeMax, Mapping: cq.Mapping{}, Engine: eng}).Holds {
 		t.Fatal("fallback MaxEval disagrees")
+	}
+}
+
+// solver is the evaluation entry point that trees, unions and the
+// optimized evaluators share.
+type solver interface {
+	Solve(context.Context, *db.Database, core.SolveOptions) (core.Result, error)
+}
+
+// solve runs one Solve call under a background context, failing the test
+// on error.
+func solve(t testing.TB, s solver, d *db.Database, opts core.SolveOptions) core.Result {
+	t.Helper()
+	res, err := s.Solve(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSubsumesStopsOnCancelledContext: an already-cancelled context ends
+// union subsumption with the context error before anything is enumerated.
+func TestSubsumesStopsOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	u := MustNew(gen.PathWDPT(2))
+	if ok, err := Subsumes(ctx, u, u, subsume.Options{}); ok || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Subsumes = %v, %v; want false and context.Canceled", ok, err)
 	}
 }

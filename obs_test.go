@@ -28,7 +28,7 @@ func TestCounterExactnessNaive(t *testing.T) {
 	d := gen.MusicDatabase()
 	st := wdpt.NewStats()
 	eng := wdpt.WithStats(wdpt.NaiveEngine(), st)
-	if got := len(p.EvaluateWith(d, eng)); got != 2 {
+	if got := len(solve(t, p, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate, Engine: eng}).Answers); got != 2 {
 		t.Fatalf("p(D) has %d answers, want 2", got)
 	}
 	snapshotDiff(t, st.Snapshot(), map[string]int64{
@@ -51,7 +51,7 @@ func TestCounterExactnessYannakakis(t *testing.T) {
 	d := gen.MusicDatabase()
 	st := wdpt.NewStats()
 	eng := wdpt.WithStats(wdpt.YannakakisEngine(), st)
-	if got := len(p.EvaluateWith(d, eng)); got != 2 {
+	if got := len(solve(t, p, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate, Engine: eng}).Answers); got != 2 {
 		t.Fatalf("p(D) has %d answers, want 2", got)
 	}
 	snapshotDiff(t, st.Snapshot(), map[string]int64{
@@ -82,7 +82,7 @@ func TestCounterExactnessBands(t *testing.T) {
 	d := gen.MusicDatabase()
 	st := wdpt.NewStats()
 	h := wdpt.Mapping{"x": "Swim", "y": "Caribou", "z": "2"}
-	if !p.EvalObs(d, h, st) {
+	if !solve(t, p, d, wdpt.SolveOptions{Mode: wdpt.ModeExactNaive, Mapping: h, Stats: st}).Holds {
 		t.Fatal("h should be an answer of Figure 1 over Example 2's database")
 	}
 	snapshotDiff(t, st.Snapshot(), map[string]int64{

@@ -100,7 +100,7 @@ func TestSolveDeterminismFigure1(t *testing.T) {
 // TestSolveSequentialMatchesLegacyCounters pins that Solve at
 // Parallelism ≤ 1 reproduces the exact counter totals of the historical
 // sequential evaluator — the same numbers TestCounterExactnessYannakakis
-// pins for the deprecated EvaluateWith path.
+// pins for an engine-driven ModeEnumerate call.
 func TestSolveSequentialMatchesLegacyCounters(t *testing.T) {
 	p := gen.MusicWDPT("x", "y", "z", "zp")
 	d := gen.MusicDatabase()

@@ -1,6 +1,7 @@
 package wdpt_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,15 +29,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := musicDB()
-	answers := p.Evaluate(d)
+	answers := solve(t, p, d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}).Answers
 	if len(answers) != 2 {
 		t.Fatalf("answers = %v", answers)
 	}
 	eng := wdpt.AutoEngine()
-	if !p.PartialEval(d, wdpt.Mapping{"y": "Caribou"}, eng) {
+	if !solve(t, p, d, wdpt.SolveOptions{Mode: wdpt.ModePartial, Mapping: wdpt.Mapping{"y": "Caribou"}, Engine: eng}).Holds {
 		t.Fatal("partial answer missing")
 	}
-	if !p.EvalInterface(d, wdpt.Mapping{"x": "Swim", "y": "Caribou", "z": "2"}, eng) {
+	if !solve(t, p, d, wdpt.SolveOptions{Mode: wdpt.ModeExact, Mapping: wdpt.Mapping{"x": "Swim", "y": "Caribou", "z": "2"}, Engine: eng}).Holds {
 		t.Fatal("exact answer missing")
 	}
 	cl := p.Classify()
@@ -68,21 +69,22 @@ func TestFacadeAnalysisAndApproximation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, member := wdpt.MemberWB(tri, wdpt.WB(1), wdpt.ApproxOptions{}); member {
-		t.Fatal("triangle should not be in M(WB(1))")
+	ctx := context.Background()
+	if _, member, err := wdpt.MemberWB(ctx, tri, wdpt.WB(1), wdpt.ApproxOptions{}); err != nil || member {
+		t.Fatalf("triangle should not be in M(WB(1)) (err %v)", err)
 	}
-	ap, err := wdpt.Approximate(tri, wdpt.WB(1), wdpt.ApproxOptions{})
+	ap, err := wdpt.Approximate(ctx, tri, wdpt.WB(1), wdpt.ApproxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wdpt.Subsumes(ap, tri, wdpt.SubsumeOptions{}) {
-		t.Fatal("approximation must be subsumed")
+	if ok, err := wdpt.Subsumes(ctx, ap, tri, wdpt.SubsumeOptions{}); err != nil || !ok {
+		t.Fatalf("approximation must be subsumed (err %v)", err)
 	}
-	if !wdpt.IsApproximation(ap, tri, wdpt.WB(1), wdpt.ApproxOptions{}) {
-		t.Fatal("IsApproximation rejected the computed approximation")
+	if ok, err := wdpt.IsApproximation(ctx, ap, tri, wdpt.WB(1), wdpt.ApproxOptions{}); err != nil || !ok {
+		t.Fatalf("IsApproximation rejected the computed approximation (err %v)", err)
 	}
-	if d, h, found := wdpt.SubsumptionCounterExample(tri, ap, wdpt.SubsumeOptions{}); !found || d == nil || h == nil {
-		t.Fatal("tri ⋢ approximation should have a counterexample")
+	if d, h, found, err := wdpt.SubsumptionCounterExample(ctx, tri, ap, wdpt.SubsumeOptions{}); err != nil || !found || d == nil || h == nil {
+		t.Fatalf("tri ⋢ approximation should have a counterexample (err %v)", err)
 	}
 }
 
@@ -107,7 +109,8 @@ func ExampleParseQuery() {
 	p, _ := wdpt.ParseQuery(`
 		(recorded_by(?x, ?y) AND published(?x, "after_2010"))
 		OPT rating(?x, ?z)`)
-	for _, h := range p.Evaluate(d) {
+	res, _ := p.Solve(context.Background(), d, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate})
+	for _, h := range res.Answers {
 		fmt.Println(h)
 	}
 	// Output:
@@ -115,20 +118,22 @@ func ExampleParseQuery() {
 	// {x -> Swim, y -> Caribou, z -> 2}
 }
 
-// ExamplePatternTree_MaxEval shows the maximal-mappings semantics of
-// Section 3.4 (the paper's Example 7).
-func ExamplePatternTree_MaxEval() {
+// ExamplePatternTree_Solve shows the maximal-mappings semantics of
+// Section 3.4 (the paper's Example 7) through MAX-EVAL.
+func ExamplePatternTree_Solve() {
 	d := wdpt.NewDatabase()
 	d.Insert("recorded_by", "Swim", "Caribou")
 	d.Insert("published", "Swim", "after_2010")
 	d.Insert("rating", "Swim", "2")
 
 	p, _ := wdpt.ParseQuery(`SELECT ?y ?z WHERE
-		(recorded_by(?x, ?y) AND published(?x, "after_2010"))
-		OPT rating(?x, ?z)`)
+        (recorded_by(?x, ?y) AND published(?x, "after_2010"))
+        OPT rating(?x, ?z)`)
 	eng := wdpt.AutoEngine()
-	fmt.Println(p.MaxEval(d, wdpt.Mapping{"y": "Caribou"}, eng))
-	fmt.Println(p.MaxEval(d, wdpt.Mapping{"y": "Caribou", "z": "2"}, eng))
+	for _, h := range []wdpt.Mapping{{"y": "Caribou"}, {"y": "Caribou", "z": "2"}} {
+		res, _ := p.Solve(context.Background(), d, wdpt.SolveOptions{Mode: wdpt.ModeMax, Mapping: h, Engine: eng})
+		fmt.Println(res.Holds)
+	}
 	// Output:
 	// false
 	// true
@@ -138,8 +143,10 @@ func ExamplePatternTree_MaxEval() {
 // pattern (Section 5.2).
 func ExampleApproximate() {
 	tri, _ := wdpt.ParseWDPT(`ANS(?x) { e(?a,?b), e(?b,?c), e(?c,?a), v(?x) }`)
-	ap, _ := wdpt.Approximate(tri, wdpt.WB(1), wdpt.ApproxOptions{})
-	fmt.Println(wdpt.Subsumes(ap, tri, wdpt.SubsumeOptions{}))
+	ctx := context.Background()
+	ap, _ := wdpt.Approximate(ctx, tri, wdpt.WB(1), wdpt.ApproxOptions{})
+	subsumed, _ := wdpt.Subsumes(ctx, ap, tri, wdpt.SubsumeOptions{})
+	fmt.Println(subsumed)
 	// Output:
 	// true
 }
@@ -162,7 +169,7 @@ func TestFacadeUnionOptimizer(t *testing.T) {
 	d.Insert("E", "b", "a")
 	d.Insert("V", "v")
 	eng := wdpt.AutoEngine()
-	if !o.PartialEval(d, wdpt.Mapping{"x": "v"}, eng) {
+	if !solve(t, o, d, wdpt.SolveOptions{Mode: wdpt.ModePartial, Mapping: wdpt.Mapping{"x": "v"}, Engine: eng}).Holds {
 		t.Fatal("partial answer lost through the union witness")
 	}
 }
@@ -179,7 +186,7 @@ func TestFacadeRDF(t *testing.T) {
 	d := wdpt.NewDatabase()
 	d.Insert("a", "1")
 	d.Insert("b", "1", "2")
-	if got := len(enc.Evaluate(wdpt.EncodeRDFDatabase(d))); got != 1 {
+	if got := len(solve(t, enc, wdpt.EncodeRDFDatabase(d), wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}).Answers); got != 1 {
 		t.Fatalf("encoded answers = %d", got)
 	}
 }
@@ -209,7 +216,7 @@ func TestFacadeSPARQLSyntax(t *testing.T) {
 	ts.Add("Swim", "recorded_by", "Caribou")
 	ts.Add("Swim", "published", "after_2010")
 	ts.Add("Swim", "rating", "2")
-	answers := p.Evaluate(ts.Database)
+	answers := solve(t, p, ts.Database, wdpt.SolveOptions{Mode: wdpt.ModeEnumerate}).Answers
 	if len(answers) != 1 || answers[0]["z"] != "2" {
 		t.Fatalf("answers = %v", answers)
 	}
@@ -217,4 +224,21 @@ func TestFacadeSPARQLSyntax(t *testing.T) {
 	if err != nil || len(u.Trees()) != 2 {
 		t.Fatalf("union: %v", err)
 	}
+}
+
+// solver is the evaluation entry point that trees, unions and the
+// optimized evaluators share.
+type solver interface {
+	Solve(context.Context, *wdpt.Database, wdpt.SolveOptions) (wdpt.SolveResult, error)
+}
+
+// solve runs one Solve call under a background context, failing tb on
+// error.
+func solve(tb testing.TB, s solver, d *wdpt.Database, opts wdpt.SolveOptions) wdpt.SolveResult {
+	tb.Helper()
+	res, err := s.Solve(context.Background(), d, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
