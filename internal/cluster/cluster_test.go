@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -71,6 +72,8 @@ type fleet struct {
 	coordCl  *client.Client
 	coordURL string
 	members  []*httptest.Server
+	// singleURL is the plain single node's base URL, for raw-body posts.
+	singleURL string
 	// memberHits counts /v1/query arrivals per member, index-aligned with
 	// members.
 	memberHits []*atomic.Int64
@@ -115,7 +118,24 @@ func startFleet(t *testing.T, n int, specs map[string]string, cfg server.Config)
 	shs := httptest.NewServer(single)
 	t.Cleanup(shs.Close)
 	f.single = client.New(shs.URL, nil)
+	f.singleURL = shs.URL
 	return f
+}
+
+// postRaw posts body verbatim to base's /v1/query and returns the status
+// and the response body.
+func postRaw(t *testing.T, base, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
 }
 
 // bothBodies queries the coordinator and the single node with the same
@@ -306,6 +326,38 @@ func TestWidthBoundNotMaskedByScatter(t *testing.T) {
 	}
 	if got.Status != want.Status || !bytes.Equal(got.Body, want.Body) {
 		t.Fatalf("width-bound body diverged (status %d):\n%s\nwant:\n%s", got.Status, got.Body, want.Body)
+	}
+}
+
+// TestTrailingDataRejectedLikeSingleNode pins that a request document
+// followed by anything but whitespace is a 400 bad_request on the
+// coordinator with the single node's exact bytes, whether the document
+// alone would scatter (a union) or proxy (a single tree). A trailing
+// newline stays legal.
+func TestTrailingDataRejectedLikeSingleNode(t *testing.T) {
+	f := startFleet(t, 3, chainSpecs(t), server.Config{MaxInFlight: 16})
+	for _, q := range []string{unionQuery, "SELECT ?y0 WHERE E(?y0, ?y1)"} {
+		doc, err := json.Marshal(server.Request{Dataset: "chain", Query: q, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tail := range []string{" trailing garbage", " {}", "}", "\n\n1"} {
+			body := string(doc) + tail
+			wantStatus, want := postRaw(t, f.singleURL, body)
+			gotStatus, got := postRaw(t, f.coordURL, body)
+			if wantStatus != http.StatusBadRequest || !bytes.Contains(want, []byte(`"bad_request"`)) {
+				t.Fatalf("single node served %d for %q, want 400 bad_request: %s", wantStatus, tail, want)
+			}
+			if gotStatus != wantStatus || !bytes.Equal(got, want) {
+				t.Fatalf("coordinator diverged on %q (status %d):\n%s\nwant:\n%s", tail, gotStatus, got, want)
+			}
+		}
+		wantStatus, want := postRaw(t, f.singleURL, string(doc)+"\n")
+		gotStatus, got := postRaw(t, f.coordURL, string(doc)+"\n")
+		if wantStatus != http.StatusOK || gotStatus != wantStatus || !bytes.Equal(got, want) {
+			t.Fatalf("trailing newline: coordinator %d, single node %d, want 200 and equal bodies:\n%s\nwant:\n%s",
+				gotStatus, wantStatus, got, want)
+		}
 	}
 }
 

@@ -180,11 +180,9 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.Request
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || len(body) > maxProxyBytes {
-		// Malformed or oversized: the local server produces the exact
-		// single-node error body.
+	if err := server.DecodeRequest(bytes.NewReader(body), &req); err != nil || len(body) > maxProxyBytes {
+		// Malformed, oversized or followed by more than whitespace: the
+		// local server produces the exact single-node error body.
 		c.replayLocal(w, r, body)
 		return
 	}
