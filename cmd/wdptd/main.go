@@ -46,7 +46,8 @@
 //	-slow-query-threshold d promote queries at or above d to WARN with their
 //	                        span tree inline (0 disables)
 //	-selfcheck              start on an ephemeral port, probe the API once
-//	                        (health, datasets, one query per dataset, the
+//	                        (health, datasets, one query per dataset sent
+//	                        twice so the second is a cache hit, the
 //	                        /metrics scrape), verify each dataset's probe
 //	                        query round-trips byte-identically on both
 //	                        storage backends (docs/STORAGE.md) and through
@@ -234,7 +235,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	go func() { serveErr <- hs.Serve(ln) }()
 
 	if *selfcheck {
-		err := selfCheck(fmt.Sprintf("http://%s", ln.Addr()), stdout, *metricsOut)
+		// A coordinator proxies the probes to their owners, so only a
+		// caching member must show the re-sent probes as hits.
+		expectHits := *cacheSize > 0 && *role == "member"
+		err := selfCheck(fmt.Sprintf("http://%s", ln.Addr()), stdout, *metricsOut, expectHits)
 		if err == nil {
 			err = backendRoundTrip(reg, stdout)
 		}
@@ -317,13 +321,15 @@ func openQueryLog(dest string, stdout, stderr io.Writer) (*slog.Logger, func(), 
 }
 
 // selfCheck probes a freshly started server end to end: health, the dataset
-// listing, one enumeration query per dataset built from its first relation,
-// and the /metrics scrape — the Prometheus exposition must parse with
-// cumulative, monotone histogram buckets, carry the per-request histogram
-// and report the probe requests. It is the smoke test scripts/check.sh
-// runs against examples/. When metricsOut is non-empty, the scraped
-// exposition is written there (the CI artifact).
-func selfCheck(base string, stdout io.Writer, metricsOut string) error {
+// listing, one enumeration query per dataset built from its first relation
+// and sent twice, and the /metrics scrape — the Prometheus exposition must
+// parse with cumulative, monotone histogram buckets, carry the per-request
+// histogram and report the probe requests. The re-sent probe must return
+// the first body, and with expectHits it must be a result-cache hit: the
+// scrape must count at least one hit per dataset. It is the smoke test
+// scripts/check.sh runs against examples/. When metricsOut is non-empty,
+// the scraped exposition is written there (the CI artifact).
+func selfCheck(base string, stdout io.Writer, metricsOut string, expectHits bool) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	c := client.New(base, nil)
@@ -352,51 +358,72 @@ func selfCheck(base string, stdout io.Writer, metricsOut string) error {
 			vars[i] = fmt.Sprintf("?v%d", i+1)
 		}
 		query := fmt.Sprintf("SELECT ?v1 WHERE %s(%s)", rel.Name, strings.Join(vars, ", "))
-		res, err := c.Query(ctx, server.Request{Dataset: ds.Name, Query: query, Parallelism: 1})
-		if err != nil {
-			return fmt.Errorf("dataset %q: %w", ds.Name, err)
+		req := server.Request{Dataset: ds.Name, Query: query, Parallelism: 1}
+		var first []byte
+		for send := 0; send < 2; send++ {
+			res, err := c.Query(ctx, req)
+			if err != nil {
+				return fmt.Errorf("dataset %q: %w", ds.Name, err)
+			}
+			if res.Status != http.StatusOK || res.Report == nil || res.Report.AnswerCount == nil {
+				return fmt.Errorf("dataset %q: status %d, want 200 with a report", ds.Name, res.Status)
+			}
+			if first != nil && !bytes.Equal(res.Body, first) {
+				return fmt.Errorf("dataset %q: the re-sent probe returned a different body", ds.Name)
+			}
+			first = res.Body
+			queries++
 		}
-		if res.Status != http.StatusOK || res.Report == nil || res.Report.AnswerCount == nil {
-			return fmt.Errorf("dataset %q: status %d, want 200 with a report", ds.Name, res.Status)
-		}
-		queries++
 	}
-	if err := checkMetrics(ctx, c, queries, metricsOut); err != nil {
+	wantHits := 0
+	if expectHits {
+		wantHits = len(list.Datasets)
+	}
+	hits, err := checkMetrics(ctx, c, queries, wantHits, metricsOut)
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "wdptd: selfcheck ok (%d dataset(s), %d probe quer%s, registry version %d, metrics endpoint ok)\n",
-		len(list.Datasets), queries, pluralIES(queries), h.Version)
+	fmt.Fprintf(stdout, "wdptd: selfcheck ok (%d dataset(s), %d probe quer%s, %d cache hit(s), registry version %d, metrics endpoint ok)\n",
+		len(list.Datasets), queries, pluralIES(queries), hits, h.Version)
 	return nil
 }
 
 // checkMetrics sanity-checks the /metrics exposition after the probe
-// queries ran.
-func checkMetrics(ctx context.Context, c *client.Client, queries int, metricsOut string) error {
+// queries ran and returns the result-cache hits it reports, failing when
+// they are fewer than wantHits.
+func checkMetrics(ctx context.Context, c *client.Client, queries, wantHits int, metricsOut string) (int, error) {
 	text, err := c.MetricsText(ctx)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	fams, err := obs.ParsePromText(text)
 	if err != nil {
-		return fmt.Errorf("/metrics does not parse as Prometheus exposition: %w", err)
+		return 0, fmt.Errorf("/metrics does not parse as Prometheus exposition: %w", err)
 	}
 	if err := obs.CheckHistograms(fams); err != nil {
-		return err
+		return 0, err
 	}
 	qd := fams[obs.HistQueryDuration.String()]
 	if qd == nil || qd.Type != "histogram" || len(qd.Samples) == 0 {
-		return fmt.Errorf("/metrics is missing the %s histogram", obs.HistQueryDuration)
+		return 0, fmt.Errorf("/metrics is missing the %s histogram", obs.HistQueryDuration)
 	}
 	reqs := fams["wdpt_server_requests_total"]
 	if reqs == nil || len(reqs.Samples) != 1 || reqs.Samples[0].Value < float64(queries) {
-		return fmt.Errorf("/metrics does not report at least %d requests on wdpt_server_requests_total", queries)
+		return 0, fmt.Errorf("/metrics does not report at least %d requests on wdpt_server_requests_total", queries)
+	}
+	hits := 0
+	if f := fams["wdpt_server_cache_hits_total"]; f != nil && len(f.Samples) == 1 {
+		hits = int(f.Samples[0].Value)
+	}
+	if hits < wantHits {
+		return 0, fmt.Errorf("/metrics reports %d result-cache hits on wdpt_server_cache_hits_total, want at least %d (one per re-sent probe)", hits, wantHits)
 	}
 	if metricsOut != "" {
 		if err := os.WriteFile(metricsOut, []byte(text), 0o644); err != nil {
-			return fmt.Errorf("writing -metrics-out: %w", err)
+			return 0, fmt.Errorf("writing -metrics-out: %w", err)
 		}
 	}
-	return nil
+	return hits, nil
 }
 
 // backendRoundTrip re-evaluates each dataset's probe query on both storage

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wdpt/internal/server"
 )
 
 func writeDataset(t *testing.T, name, content string) string {
@@ -31,6 +34,33 @@ func TestSelfcheck(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "backend round-trip ok (2 dataset(s)") {
 		t.Fatalf("stdout = %q, want a backend round-trip ok line", stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "4 probe queries, 2 cache hit(s)") {
+		t.Fatalf("stdout = %q, want each dataset's re-sent probe served from the cache", stdout.String())
+	}
+}
+
+// TestSelfcheckRequiresCacheHits pins the hit-path probe: against a server
+// whose cache serves no hits, a selfcheck that expects them fails, naming
+// the counter; one that does not expect them passes.
+func TestSelfcheckRequiresCacheHits(t *testing.T) {
+	reg, err := server.NewRegistry(map[string]string{"chain": writeDataset(t, "chain.txt", "E(0, 1).\nE(1, 2).\n")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.NewServer(server.Config{Registry: reg, CacheSize: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	var stdout strings.Builder
+	err = selfCheck(hs.URL, &stdout, "", true)
+	if err == nil || !strings.Contains(err.Error(), "wdpt_server_cache_hits_total") {
+		t.Fatalf("selfCheck = %v, want a cache-hit failure", err)
+	}
+	if err := selfCheck(hs.URL, &stdout, "", false); err != nil {
+		t.Fatalf("selfCheck without expected hits: %v", err)
 	}
 }
 

@@ -130,8 +130,9 @@ const (
 	// CtrServerCacheHits counts query responses served from the wdptd
 	// result cache.
 	CtrServerCacheHits
-	// CtrServerCacheMisses counts query requests evaluated because no cached
-	// response existed for (dataset version, query, mode, options).
+	// CtrServerCacheMisses counts cacheable query requests that found no
+	// cached response for (dataset version, query text as sent, mode,
+	// options); it is counted before the query is parsed.
 	CtrServerCacheMisses
 	// CtrServerCacheEvictions counts result-cache entries evicted in LRU
 	// order when the cache reaches its size cap.

@@ -14,7 +14,8 @@
 # a cluster smoke (scripts/cluster_smoke.sh: 3 members + 1 coordinator,
 # byte-parity with and without a killed member, a wdptstress -quick run
 # whose STRESS_<date>-smoke.json artifact benchdiff must accept),
-# and bounded parser + backend-equivalence + snapshot-loader fuzz smokes.
+# and bounded parser + backend-equivalence + snapshot-loader + query-request
+# fuzz smokes.
 # CI (.github/workflows/ci.yml) runs exactly this script.
 #
 #   ./scripts/check.sh
@@ -135,6 +136,8 @@ if [[ "${WDPT_SKIP_FUZZ:-0}" != "1" ]]; then
   go test -run='^FuzzBackendEquivalence$' -fuzz='^FuzzBackendEquivalence$' -fuzztime="${fuzztime}" .
   echo "== fuzz smoke: FuzzSnapshotLoader (${fuzztime})"
   go test -run='^FuzzSnapshotLoader$' -fuzz='^FuzzSnapshotLoader$' -fuzztime="${fuzztime}" ./internal/db/snapshot
+  echo "== fuzz smoke: FuzzQueryRequest (${fuzztime})"
+  go test -run='^FuzzQueryRequest$' -fuzz='^FuzzQueryRequest$' -fuzztime="${fuzztime}" ./internal/server
 else
   echo "== fuzz smoke skipped (WDPT_SKIP_FUZZ=1)"
 fi
