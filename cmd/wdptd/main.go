@@ -203,10 +203,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *role == "coordinator" {
 		peers := splitPeers(*clusterPeers)
 		coord, cerr := cluster.NewCoordinator(cluster.CoordinatorConfig{
-			Local:        srv,
-			Peers:        peers,
-			VirtualNodes: *vnodes,
-			Peer:         cluster.PeerConfig{ProbeInterval: *healthInterval},
+			Local:         srv,
+			Peers:         peers,
+			VirtualNodes:  *vnodes,
+			ProbeInterval: *healthInterval,
 		})
 		if cerr != nil {
 			fmt.Fprintf(stderr, "wdptd: %v\n", cerr)

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,34 +78,49 @@ type fleet struct {
 	// memberHits counts /v1/query arrivals per member, index-aligned with
 	// members.
 	memberHits []*atomic.Int64
-	single     *client.Client
+	// memberStatus, when set non-zero, makes that member answer every
+	// /v1/query with the status instead of evaluating it.
+	memberStatus []*atomic.Int32
+	single       *client.Client
+	// local is the coordinator's own server; its stats sink carries the
+	// cluster.* counters.
+	local *server.Server
 }
 
 // startFleet starts n members, a coordinator over them, and a plain
-// single-node reference server, all over the same dataset files.
-func startFleet(t *testing.T, n int, specs map[string]string, cfg server.Config) *fleet {
+// single-node reference server, all over the same dataset files. Each
+// opts function may adjust the coordinator's config before it is built.
+func startFleet(t *testing.T, n int, specs map[string]string, cfg server.Config, opts ...func(*cluster.CoordinatorConfig)) *fleet {
 	t.Helper()
 	f := &fleet{}
 	var endpoints []string
 	for i := 0; i < n; i++ {
 		srv := newNode(t, cfg, specs)
 		hits := &atomic.Int64{}
+		status := &atomic.Int32{}
 		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/query" {
 				hits.Add(1)
+				if code := status.Load(); code != 0 {
+					w.WriteHeader(int(code))
+					_, _ = w.Write([]byte(`{"error":{"code":"shutting_down","message":"server is shutting down"}}`))
+					return
+				}
 			}
 			srv.ServeHTTP(w, r)
 		}))
 		t.Cleanup(hs.Close)
 		f.members = append(f.members, hs)
 		f.memberHits = append(f.memberHits, hits)
+		f.memberStatus = append(f.memberStatus, status)
 		endpoints = append(endpoints, hs.URL)
 	}
-	local := newNode(t, cfg, specs)
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		Local: local,
-		Peers: endpoints,
-	})
+	f.local = newNode(t, cfg, specs)
+	ccfg := cluster.CoordinatorConfig{Local: f.local, Peers: endpoints}
+	for _, opt := range opts {
+		opt(&ccfg)
+	}
+	coord, err := cluster.NewCoordinator(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,4 +521,231 @@ func TestCoordinatorStartClose(t *testing.T) {
 		t.Fatalf("healthy after probe = %d, want 2", got)
 	}
 	f.coord.Close()
+}
+
+// countingTransport wraps http.DefaultTransport and counts requests by
+// "METHOD host/path".
+type countingTransport struct {
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.seen[r.Method+" "+r.URL.Host+r.URL.Path]++
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestProbesUseHTTPClient pins that health probes go through
+// CoordinatorConfig.HTTPClient: one GET /healthz per member per ProbeAll.
+func TestProbesUseHTTPClient(t *testing.T) {
+	ct := &countingTransport{seen: map[string]int{}}
+	f := startFleet(t, 3, chainSpecs(t), server.Config{MaxInFlight: 4}, func(cfg *cluster.CoordinatorConfig) {
+		cfg.HTTPClient = &http.Client{Transport: ct, Timeout: time.Minute}
+	})
+	f.coord.Peers().ProbeAll(context.Background())
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	for _, hs := range f.members {
+		key := "GET " + strings.TrimPrefix(hs.URL, "http://") + "/healthz"
+		if ct.seen[key] != 1 {
+			t.Errorf("%s seen %d times through HTTPClient, want 1 (all: %v)", key, ct.seen[key], ct.seen)
+		}
+	}
+	if len(ct.seen) != len(f.members) {
+		t.Errorf("HTTPClient saw %v, want only the %d probes", ct.seen, len(f.members))
+	}
+}
+
+// TestOversizeMemberBodyReplaysLocally pins the member-read bound: a member
+// 200 body past maxMemberBodyBytes (4 MiB) is neither served nor merged.
+// The coordinator replays the request locally, so its body is the single
+// node's, the matching counter rises by exactly one, and the members stay
+// healthy (they answered).
+func TestOversizeMemberBodyReplaysLocally(t *testing.T) {
+	huge := bytes.Repeat([]byte{'x'}, 5<<20)
+	for _, tc := range []struct {
+		name    string
+		query   string
+		counter obs.Counter
+	}{
+		{"proxy", "SELECT ?y0 WHERE E(?y0, ?y1)", obs.CtrClusterRouteLocal},
+		{"scatter", unionQuery, obs.CtrClusterScatterFallbacks},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var members []string
+			for i := 0; i < 2; i++ {
+				hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					w.Header().Set("Content-Type", "application/json")
+					_, _ = w.Write(huge)
+				}))
+				t.Cleanup(hs.Close)
+				members = append(members, hs.URL)
+			}
+			specs := chainSpecs(t)
+			cfg := server.Config{MaxInFlight: 4}
+			local := newNode(t, cfg, specs)
+			coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Local: local, Peers: members})
+			if err != nil {
+				t.Fatal(err)
+			}
+			chs := httptest.NewServer(coord)
+			t.Cleanup(chs.Close)
+			shs := httptest.NewServer(newNode(t, cfg, specs))
+			t.Cleanup(shs.Close)
+
+			doc, err := json.Marshal(server.Request{Dataset: "chain", Query: tc.query, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := local.Stats().Get(tc.counter)
+			gotStatus, got := postRaw(t, chs.URL, string(doc))
+			wantStatus, want := postRaw(t, shs.URL, string(doc))
+			if wantStatus != http.StatusOK || gotStatus != wantStatus || !bytes.Equal(got, want) {
+				t.Fatalf("coordinator served %d (%d bytes), single node %d; want equal 200 bodies", gotStatus, len(got), wantStatus)
+			}
+			if d := local.Stats().Get(tc.counter) - before; d != 1 {
+				t.Errorf("%s rose by %d, want 1", tc.counter, d)
+			}
+			if h := coord.Peers().Healthy(); len(h) != len(members) {
+				t.Errorf("healthy peers = %v, want all %d", h, len(members))
+			}
+		})
+	}
+}
+
+// endpointCounts scrapes the coordinator's per-endpoint attempt and failure
+// counters from /metrics.
+func endpointCounts(t *testing.T, f *fleet) (attempts, failures map[string]float64) {
+	t.Helper()
+	text, err := f.coordCl.MetricsText(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParsePromText(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(family string) map[string]float64 {
+		out := map[string]float64{}
+		if fam := fams[family]; fam != nil {
+			for _, s := range fam.Samples {
+				out[s.Labels["endpoint"]] += s.Value
+			}
+		}
+		return out
+	}
+	return read("wdptd_client_endpoint_attempts_total"), read("wdptd_client_endpoint_failures_total")
+}
+
+// ownerIndex returns the index of the chain dataset's ring owner in
+// f.members, and the next owner in failover order.
+func ownerIndex(t *testing.T, f *fleet) (owner, next int) {
+	t.Helper()
+	owners := f.coord.Ring().Owners("chain", len(f.members))
+	owner, next = -1, -1
+	for i, hs := range f.members {
+		switch hs.URL {
+		case owners[0]:
+			owner = i
+		case owners[1]:
+			next = i
+		}
+	}
+	if owner < 0 || next < 0 {
+		t.Fatalf("ring owners %v are not members", owners)
+	}
+	return owner, next
+}
+
+const proxiedQuery = "SELECT ?y0 WHERE E(?y0, ?y1)"
+
+// TestEndpointAccountingProxy pins that a proxied query counts one attempt
+// on its owner and none elsewhere.
+func TestEndpointAccountingProxy(t *testing.T) {
+	f := startFleet(t, 3, chainSpecs(t), server.Config{MaxInFlight: 4})
+	owner, _ := ownerIndex(t, f)
+	if _, err := f.coordCl.Query(context.Background(), server.Request{Dataset: "chain", Query: proxiedQuery}); err != nil {
+		t.Fatal(err)
+	}
+	attempts, failures := endpointCounts(t, f)
+	for i, hs := range f.members {
+		want := 0.0
+		if i == owner {
+			want = 1
+		}
+		if attempts[hs.URL] != want || failures[hs.URL] != 0 {
+			t.Errorf("%s: attempts %v failures %v, want %v and 0", hs.URL, attempts[hs.URL], failures[hs.URL], want)
+		}
+	}
+}
+
+// TestEndpointAccountingScatter pins that each scatter leg counts one
+// attempt on the endpoint it was assigned (round-robin over the sorted
+// healthy list).
+func TestEndpointAccountingScatter(t *testing.T) {
+	f := startFleet(t, 3, chainSpecs(t), server.Config{MaxInFlight: 4})
+	healthy := f.coord.Peers().Healthy()
+	if _, err := f.coordCl.Query(context.Background(), server.Request{Dataset: "chain", Query: unionQuery}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{}
+	for i := 0; i < 4; i++ { // unionQuery has four members
+		want[healthy[i%len(healthy)]]++
+	}
+	attempts, failures := endpointCounts(t, f)
+	for _, ep := range healthy {
+		if attempts[ep] != want[ep] || failures[ep] != 0 {
+			t.Errorf("%s: attempts %v failures %v, want %v and 0", ep, attempts[ep], failures[ep], want[ep])
+		}
+	}
+}
+
+// TestEndpointAccounting503FailsOver pins that a member answering 503
+// counts a failed attempt on it, and the proxy still fails over to the next
+// owner with the single node's bytes. The draining member stays healthy.
+func TestEndpointAccounting503FailsOver(t *testing.T) {
+	f := startFleet(t, 3, chainSpecs(t), server.Config{MaxInFlight: 4})
+	owner, next := ownerIndex(t, f)
+	f.memberStatus[owner].Store(http.StatusServiceUnavailable)
+	failovers := f.local.Stats().Get(obs.CtrClusterFailovers)
+	req := server.Request{Dataset: "chain", Query: proxiedQuery, Parallelism: 1}
+	got, want := f.bothBodies(t, req)
+	if got.Status != http.StatusOK || !bytes.Equal(got.Body, want.Body) {
+		t.Fatalf("failover body diverged (status %d):\n%s\nwant:\n%s", got.Status, got.Body, want.Body)
+	}
+	if d := f.local.Stats().Get(obs.CtrClusterFailovers) - failovers; d != 1 {
+		t.Errorf("cluster.failovers rose by %d, want 1", d)
+	}
+	attempts, failures := endpointCounts(t, f)
+	ownerURL, nextURL := f.members[owner].URL, f.members[next].URL
+	if attempts[ownerURL] != 1 || failures[ownerURL] != 1 {
+		t.Errorf("owner: attempts %v failures %v, want 1 and 1", attempts[ownerURL], failures[ownerURL])
+	}
+	if attempts[nextURL] != 1 || failures[nextURL] != 0 {
+		t.Errorf("next owner: attempts %v failures %v, want 1 and 0", attempts[nextURL], failures[nextURL])
+	}
+	if !f.coord.Peers().IsHealthy(ownerURL) {
+		t.Error("a 503 demoted the owner; draining is not a peer failure")
+	}
+}
+
+// TestEndpointAccountingTransportError pins that an exchange with a dead
+// member counts a failed attempt on it and demotes it.
+func TestEndpointAccountingTransportError(t *testing.T) {
+	f := startFleet(t, 3, chainSpecs(t), server.Config{MaxInFlight: 4})
+	owner, _ := ownerIndex(t, f)
+	ownerURL := f.members[owner].URL
+	f.members[owner].Close()
+	if _, err := f.coordCl.Query(context.Background(), server.Request{Dataset: "chain", Query: proxiedQuery}); err != nil {
+		t.Fatal(err)
+	}
+	attempts, failures := endpointCounts(t, f)
+	if attempts[ownerURL] != 1 || failures[ownerURL] != 1 {
+		t.Errorf("dead owner: attempts %v failures %v, want 1 and 1", attempts[ownerURL], failures[ownerURL])
+	}
+	if f.coord.Peers().IsHealthy(ownerURL) {
+		t.Error("dead owner still healthy")
+	}
 }

@@ -3,9 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,7 +17,6 @@ import (
 	"wdpt/internal/obs"
 	"wdpt/internal/report"
 	"wdpt/internal/server"
-	"wdpt/internal/server/client"
 	"wdpt/internal/sparql"
 )
 
@@ -42,11 +40,12 @@ type CoordinatorConfig struct {
 	// VirtualNodes is the ring's per-peer virtual-node count
 	// (DefaultVirtualNodes when <= 0).
 	VirtualNodes int
-	// Peer configures health probing. Stats and Latency default to the
-	// coordinator's own sinks when nil.
-	Peer PeerConfig
-	// HTTPClient performs proxy exchanges and health probes; nil uses a
-	// client bounded by client.DefaultTimeout (never http.DefaultClient).
+	// ProbeInterval is the background health-probe period
+	// (DefaultProbeInterval when zero).
+	ProbeInterval time.Duration
+	// HTTPClient performs every member exchange: proxy forwards, scatter
+	// legs and health probes. Nil uses a client bounded by memberTimeout
+	// (never http.DefaultClient).
 	HTTPClient *http.Client
 }
 
@@ -62,20 +61,12 @@ type CoordinatorConfig struct {
 // is replayed through Local verbatim — so degraded responses come off the
 // exact single-node guard ladder, not a reimplementation of it.
 type Coordinator struct {
-	local   *server.Server
-	ring    *Ring
-	peers   *Peers
-	hc      *http.Client
-	clients map[string]*client.Client // per-peer, keyed by normalized endpoint
-	st      *obs.Stats
-	latency *obs.HistVec
-
-	// attempts and failures are the per-endpoint client accounting families
-	// (client.attempts{endpoint=...}), exposed through Local's /metrics.
-	attempts *obs.CounterVec
-	failures *obs.CounterVec
-
-	mux *http.ServeMux
+	local *server.Server
+	ring  *Ring
+	peers *Peers
+	x     *exchanger
+	st    *obs.Stats
+	mux   *http.ServeMux
 }
 
 // NewCoordinator builds a coordinator over the given members. Call Start to
@@ -90,37 +81,29 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
-		hc = &http.Client{Timeout: client.DefaultTimeout}
+		hc = &http.Client{Timeout: memberTimeout}
 	}
-	c := &Coordinator{
-		local:    cfg.Local,
-		ring:     ring,
+	x := &exchanger{
 		hc:       hc,
-		st:       cfg.Local.Stats(),
 		latency:  obs.NewHistVec(obs.HistClusterPeerLatency, nil, "peer", "kind", "outcome"),
 		attempts: obs.NewCounterVec(obs.CVecClientEndpointAttempts, "endpoint"),
 		failures: obs.NewCounterVec(obs.CVecClientEndpointFailures, "endpoint"),
-		clients:  make(map[string]*client.Client),
 	}
-	pc := cfg.Peer
-	if pc.Stats == nil {
-		pc.Stats = c.st
+	c := &Coordinator{
+		local: cfg.Local,
+		ring:  ring,
+		x:     x,
+		st:    cfg.Local.Stats(),
+		mux:   http.NewServeMux(),
 	}
-	if pc.Latency == nil {
-		pc.Latency = c.latency
-	}
-	c.peers = NewPeers(ring.Peers(), pc)
-	for _, ep := range ring.Peers() {
-		c.clients[ep] = client.New(ep, hc).WithEndpointStats(c.attempts, c.failures)
-	}
-	c.mux = http.NewServeMux()
+	c.peers = newPeers(ring.Peers(), cfg.ProbeInterval, c.st, x)
 	c.mux.HandleFunc("POST /v1/query", c.handleQuery)
 	c.mux.HandleFunc("GET /v1/cluster", c.handleStatus)
 	c.mux.Handle("/", cfg.Local)
 	cfg.Local.SetMetricsExtra(func(e *obs.Exposition) {
-		e.HistogramVec(c.latency, "Latency of coordinator-to-peer exchanges.")
-		e.CounterVec(c.attempts, "Client attempts per peer endpoint.")
-		e.CounterVec(c.failures, "Failed client attempts per peer endpoint.")
+		e.HistogramVec(x.latency, "Latency of coordinator-to-peer exchanges.")
+		e.CounterVec(x.attempts, "Exchanges with each peer endpoint.")
+		e.CounterVec(x.failures, "Failed exchanges with each peer endpoint.")
 	})
 	return c, nil
 }
@@ -159,7 +142,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	for _, ds := range list {
 		names = append(names, ds.Name)
 	}
-	writeJSON(w, http.StatusOK, Status{
+	server.WriteJSON(w, http.StatusOK, Status{
 		Role:         "coordinator",
 		VirtualNodes: c.ring.VirtualNodes(),
 		Peers:        c.peers.States(),
@@ -174,7 +157,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBytes+1))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: server.ErrorPayload{
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: server.ErrorPayload{
 			Code: "bad_request", Message: "reading request body: " + err.Error(),
 		}})
 		return
@@ -244,10 +227,11 @@ func (c *Coordinator) scatterable(req *server.Request, wantTrace bool) ([]*core.
 	return trees, true
 }
 
-// legResult is one scatter leg's outcome.
+// legResult is one scatter leg's outcome. rep is set only for a clean leg:
+// a 200 whose report decoded and is not degraded.
 type legResult struct {
 	endpoint string
-	qr       *client.QueryResult
+	rep      *report.Report
 	err      error
 }
 
@@ -258,10 +242,10 @@ type legResult struct {
 // encode. Each leg is a single-tree enumerate request carrying the original
 // engine, parallelism, and budget (budgets are enforced per leg — the
 // documented semantic difference, docs/CLUSTER.md). If ANY leg fails to
-// come back clean — transport error, non-200 status, or a degraded report —
-// the whole request is replayed through the local server, which serves the
-// byte-identical single-node response including the full guard fallback
-// ladder.
+// come back clean — transport error, oversize body, non-200 status, or a
+// degraded report — the whole request is replayed through the local
+// server, which serves the byte-identical single-node response including
+// the full guard fallback ladder.
 func (c *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *server.Request, trees []*core.PatternTree, body []byte) {
 	ctx := r.Context()
 	healthy := c.peers.Healthy()
@@ -281,17 +265,7 @@ func (c *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serve
 		wg.Add(1)
 		go func(i int, ep string, legReq server.Request) {
 			defer wg.Done()
-			start := time.Now()
-			qr, err := c.clients[ep].Query(ctx, legReq)
-			outcome := "ok"
-			switch {
-			case err != nil:
-				outcome = "error"
-			case qr.Status != http.StatusOK:
-				outcome = "degraded"
-			}
-			c.latency.With(ep, "scatter", outcome).Observe(time.Since(start))
-			legs[i] = legResult{endpoint: ep, qr: qr, err: err}
+			legs[i] = c.scatterLeg(ctx, ep, legReq)
 		}(i, ep, legReq)
 	}
 	wg.Wait()
@@ -299,7 +273,7 @@ func (c *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serve
 	set := cq.NewMappingSet()
 	clean := true
 	for _, leg := range legs {
-		if leg.err != nil {
+		if leg.err != nil && !errors.Is(leg.err, errMemberBodyTooLarge) {
 			c.peers.MarkFailure(leg.endpoint, leg.err)
 			clean = false
 			continue
@@ -307,11 +281,11 @@ func (c *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serve
 		// Any HTTP answer means the node is alive — health tracks nodes,
 		// not query outcomes (a 504 deadline is a healthy node saying no).
 		c.peers.MarkSuccess(leg.endpoint)
-		if leg.qr.Status != http.StatusOK || leg.qr.Report == nil || leg.qr.Report.Degraded != nil {
+		if leg.rep == nil {
 			clean = false
 			continue
 		}
-		for _, h := range leg.qr.Report.Answers {
+		for _, h := range leg.rep.Answers {
 			set.Add(h)
 		}
 	}
@@ -335,22 +309,39 @@ func (c *Coordinator) scatter(w http.ResponseWriter, r *http.Request, req *serve
 	rep.SetAnswers(answers)
 	var buf bytes.Buffer
 	if err := report.Encode(&buf, rep); err != nil {
-		writeJSON(w, http.StatusInternalServerError, server.ErrorResponse{Error: server.ErrorPayload{
+		server.WriteJSON(w, http.StatusInternalServerError, server.ErrorResponse{Error: server.ErrorPayload{
 			Code: "error", Message: err.Error(),
 		}})
 		return
 	}
-	w.Header().Set("X-Request-Id", requestID(r))
+	w.Header().Set("X-Request-Id", server.RequestID(r))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())
+}
+
+// scatterLeg posts one leg to ep and decodes a 200 report.
+func (c *Coordinator) scatterLeg(ctx context.Context, ep string, legReq server.Request) legResult {
+	payload, err := json.Marshal(legReq)
+	if err != nil {
+		return legResult{endpoint: ep, err: err}
+	}
+	res, err := c.x.do(ctx, ep, kindScatter, http.MethodPost, "/v1/query", payload, "")
+	if err != nil || res.status != http.StatusOK {
+		return legResult{endpoint: ep, err: err}
+	}
+	var rep report.Report
+	if json.Unmarshal(res.body, &rep) != nil || rep.Degraded != nil {
+		return legResult{endpoint: ep}
+	}
+	return legResult{endpoint: ep, rep: &rep}
 }
 
 // proxy forwards the request body verbatim to the dataset's ring owner,
 // walking the deterministic failover order (Owners) past unhealthy or
 // unreachable peers. A 503 advances without a health mark (draining is
 // voluntary); a transport error marks the peer failed. When every owner is
-// exhausted the request is served locally.
+// exhausted, or an owner's body is oversize, the request is served locally.
 func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, dataset string, body []byte) {
 	ctx := r.Context()
 	owners := c.ring.Owners(dataset, len(c.ring.Peers()))
@@ -358,10 +349,13 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, dataset stri
 		if !c.peers.IsHealthy(ep) {
 			continue
 		}
-		start := time.Now()
-		resp, err := c.forward(ctx, ep, r, body)
+		// The body, query string (?trace=1 travels) and X-Request-Id go
+		// verbatim.
+		resp, err := c.x.do(ctx, ep, kindProxy, http.MethodPost, r.URL.RequestURI(), body, r.Header.Get("X-Request-Id"))
+		if errors.Is(err, errMemberBodyTooLarge) {
+			break // the owner answered; the next one would send the same body
+		}
 		if err != nil {
-			c.latency.With(ep, "proxy", "error").Observe(time.Since(start))
 			c.peers.MarkFailure(ep, err)
 			c.st.Inc(obs.CtrClusterFailovers)
 			if ctx.Err() != nil {
@@ -370,11 +364,9 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, dataset stri
 			continue
 		}
 		if resp.status == http.StatusServiceUnavailable {
-			c.latency.With(ep, "proxy", "unavailable").Observe(time.Since(start))
 			c.st.Inc(obs.CtrClusterFailovers)
 			continue
 		}
-		c.latency.With(ep, "proxy", "ok").Observe(time.Since(start))
 		c.peers.MarkSuccess(ep)
 		c.st.Inc(obs.CtrClusterRouteProxied)
 		for _, h := range []string{"Content-Type", "X-Request-Id", "Retry-After"} {
@@ -389,40 +381,6 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, dataset stri
 	c.replayLocal(w, r, body)
 }
 
-// proxyResp is one fully-read upstream response.
-type proxyResp struct {
-	status int
-	header http.Header
-	body   []byte
-}
-
-// forward performs one proxy exchange with a member, preserving the
-// request's path, query string (?trace=1 travels), and X-Request-Id.
-func (c *Coordinator) forward(ctx context.Context, ep string, r *http.Request, body []byte) (*proxyResp, error) {
-	url := ep + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if id := r.Header.Get("X-Request-Id"); id != "" {
-		hreq.Header.Set("X-Request-Id", id)
-	}
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return &proxyResp{status: resp.StatusCode, header: resp.Header, body: b}, nil
-}
-
 // replayLocal serves the original request through the local server,
 // re-materializing the consumed body. Every response off this path is the
 // exact single-node response — error taxonomy, guard ladder, cache, and
@@ -433,34 +391,4 @@ func (c *Coordinator) replayLocal(w http.ResponseWriter, r *http.Request, body [
 	r2.Body = io.NopCloser(bytes.NewReader(body))
 	r2.ContentLength = int64(len(body))
 	c.local.ServeHTTP(w, r2)
-}
-
-// requestID mirrors the local server's correlation-ID rule: echo the
-// client's X-Request-Id, else mint a random one. IDs never reach response
-// bodies, so the randomness does not affect the byte-parity contract.
-func requestID(r *http.Request) string {
-	if id := strings.TrimSpace(r.Header.Get("X-Request-Id")); id != "" {
-		if len(id) > 128 {
-			id = id[:128]
-		}
-		return id
-	}
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "unknown"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// writeJSON writes v with the report encoder's framing (two-space indent
-// plus trailing newline), matching every body the server produces.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, `{"error":{"code":"error","message":"response encoding failed"}}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(append(data, '\n'))
 }

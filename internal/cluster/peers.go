@@ -10,39 +10,12 @@ import (
 	"wdpt/internal/obs"
 )
 
-// Peer health defaults.
-const (
-	// DefaultProbeInterval is the background health-probe period.
-	DefaultProbeInterval = 2 * time.Second
-	// DefaultProbeTimeout bounds one health probe exchange.
-	DefaultProbeTimeout = 2 * time.Second
-	// DefaultFailThreshold is the number of consecutive failed exchanges
-	// that flips a peer unhealthy. 1 fails fast: a coordinator that just
-	// watched a query die should not route the next one the same way.
-	DefaultFailThreshold = 1
-)
+// DefaultProbeInterval is the background health-probe period when
+// CoordinatorConfig.ProbeInterval is zero.
+const DefaultProbeInterval = 2 * time.Second
 
-// PeerConfig configures a peer table.
-type PeerConfig struct {
-	// ProbeInterval is the background probe period (DefaultProbeInterval
-	// when zero).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe exchange (DefaultProbeTimeout when
-	// zero).
-	ProbeTimeout time.Duration
-	// FailThreshold is the consecutive-failure count that flips a peer
-	// unhealthy (DefaultFailThreshold when zero).
-	FailThreshold int
-	// Stats receives the cluster.* counters (nil disables).
-	Stats *obs.Stats
-	// Latency receives per-peer exchange latencies, labeled
-	// peer/kind/outcome (nil disables).
-	Latency *obs.HistVec
-	// Probe overrides the health-probe exchange (tests). The default GETs
-	// <endpoint>/healthz with a Timeout-bearing client and treats any
-	// non-2xx status or transport error as failure.
-	Probe func(ctx context.Context, endpoint string) error
-}
+// probeTimeout bounds one health probe exchange.
+const probeTimeout = 2 * time.Second
 
 // PeerState is one peer's point-in-time health, as reported by
 // GET /v1/cluster.
@@ -70,8 +43,9 @@ type peerEntry struct {
 // every read (Healthy, States) is deterministic.
 type Peers struct {
 	endpoints []string // sorted, deduped
-	cfg       PeerConfig
-	hc        *http.Client
+	interval  time.Duration
+	st        *obs.Stats
+	x         *exchanger
 
 	mu    sync.Mutex
 	state map[string]*peerEntry
@@ -80,24 +54,20 @@ type Peers struct {
 	wg   sync.WaitGroup
 }
 
-// NewPeers builds a peer table over the given endpoints. Peers start
+// newPeers builds a peer table over the given endpoints that probes every
+// interval through x and counts cluster.* events into st. Peers start
 // healthy — optimistic routing lets a cluster serve before the first probe
 // round, and a bad peer is demoted by its first failed exchange.
-func NewPeers(endpoints []string, cfg PeerConfig) *Peers {
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = DefaultProbeTimeout
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = DefaultFailThreshold
+func newPeers(endpoints []string, interval time.Duration, st *obs.Stats, x *exchanger) *Peers {
+	if interval <= 0 {
+		interval = DefaultProbeInterval
 	}
 	r := NewRing(endpoints, 1) // reuse the sort/dedup normalization
 	p := &Peers{
 		endpoints: r.Peers(),
-		cfg:       cfg,
-		hc:        &http.Client{Timeout: cfg.ProbeTimeout},
+		interval:  interval,
+		st:        st,
+		x:         x,
 		state:     make(map[string]*peerEntry),
 		stop:      make(chan struct{}),
 	}
@@ -105,11 +75,6 @@ func NewPeers(endpoints []string, cfg PeerConfig) *Peers {
 		p.state[ep] = &peerEntry{healthy: true}
 	}
 	return p
-}
-
-// Endpoints returns the sorted, deduped endpoint list (copy).
-func (p *Peers) Endpoints() []string {
-	return append([]string(nil), p.endpoints...)
 }
 
 // Healthy returns the currently-healthy endpoints in sorted order.
@@ -164,14 +129,15 @@ func (p *Peers) MarkSuccess(endpoint string) {
 	e.lastErr = ""
 	if !e.healthy {
 		e.healthy = true
-		p.cfg.Stats.Inc(obs.CtrClusterHealthTransitions)
+		p.st.Inc(obs.CtrClusterHealthTransitions)
 	}
 }
 
-// MarkFailure records a failed exchange with the endpoint. The peer flips
-// unhealthy once its consecutive-failure streak reaches the threshold.
+// MarkFailure records a failed exchange with the endpoint, which flips the
+// peer unhealthy: a coordinator that just watched an exchange fail should
+// not route the next request the same way.
 func (p *Peers) MarkFailure(endpoint string, err error) {
-	p.cfg.Stats.Inc(obs.CtrClusterPeerFailures)
+	p.st.Inc(obs.CtrClusterPeerFailures)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e := p.state[endpoint]
@@ -182,9 +148,9 @@ func (p *Peers) MarkFailure(endpoint string, err error) {
 	if err != nil {
 		e.lastErr = err.Error()
 	}
-	if e.healthy && e.consecFails >= p.cfg.FailThreshold {
+	if e.healthy {
 		e.healthy = false
-		p.cfg.Stats.Inc(obs.CtrClusterHealthTransitions)
+		p.st.Inc(obs.CtrClusterHealthTransitions)
 	}
 }
 
@@ -194,7 +160,7 @@ func (p *Peers) Start(ctx context.Context) {
 	//lint:ignore R11 joined by protocol across functions: Close closes p.stop and Waits on p.wg, and the loop's only blocking points select on p.stop/ctx — the prober cannot outlive Close
 	go func() {
 		defer p.wg.Done()
-		ticker := time.NewTicker(p.cfg.ProbeInterval)
+		ticker := time.NewTicker(p.interval)
 		defer ticker.Stop()
 		for {
 			select {
@@ -216,19 +182,11 @@ func (p *Peers) Close() {
 	p.wg.Wait()
 }
 
-// ProbeAll probes every peer once, in sorted order, updating health state
-// and recording per-peer probe latencies.
+// ProbeAll probes every peer once, in sorted order, updating health state.
 func (p *Peers) ProbeAll(ctx context.Context) {
 	for _, ep := range p.endpoints {
-		p.cfg.Stats.Inc(obs.CtrClusterHealthProbes)
-		start := time.Now()
-		err := p.probeOne(ctx, ep)
-		outcome := "ok"
-		if err != nil {
-			outcome = "error"
-		}
-		p.cfg.Latency.With(ep, "probe", outcome).Observe(time.Since(start))
-		if err != nil {
+		p.st.Inc(obs.CtrClusterHealthProbes)
+		if err := p.probeOne(ctx, ep); err != nil {
 			p.MarkFailure(ep, err)
 		} else {
 			p.MarkSuccess(ep)
@@ -236,24 +194,17 @@ func (p *Peers) ProbeAll(ctx context.Context) {
 	}
 }
 
-// probeOne runs one health probe against the endpoint.
+// probeOne GETs <endpoint>/healthz; a transport error or non-2xx status is
+// a failure.
 func (p *Peers) probeOne(ctx context.Context, endpoint string) error {
-	if p.cfg.Probe != nil {
-		return p.cfg.Probe(ctx, endpoint)
-	}
-	ctx, cancel := context.WithTimeout(ctx, p.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, endpoint+"/healthz", nil)
+	res, err := p.x.do(ctx, endpoint, kindProbe, http.MethodGet, "/healthz", nil, "")
 	if err != nil {
 		return err
 	}
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return fmt.Errorf("cluster: %s/healthz: HTTP %d", endpoint, resp.StatusCode)
+	if res.status < 200 || res.status > 299 {
+		return fmt.Errorf("cluster: %s/healthz: HTTP %d", endpoint, res.status)
 	}
 	return nil
 }

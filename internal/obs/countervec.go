@@ -17,12 +17,12 @@ type CVec int
 // The registered counter families. Every name listed here is documented in
 // docs/OBSERVABILITY.md (enforced by wdptlint rule R14).
 const (
-	// CVecClientEndpointAttempts counts HTTP attempts issued by the wdptd
-	// client, labeled by target endpoint — the per-peer view of
-	// client.attempts that failover decisions read.
+	// CVecClientEndpointAttempts counts the coordinator's exchanges with
+	// each member (proxy forwards, scatter legs and health probes),
+	// labeled by target endpoint.
 	CVecClientEndpointAttempts CVec = iota
-	// CVecClientEndpointFailures counts attempts that ended in a transport
-	// error or a retryable/5xx status, labeled by target endpoint.
+	// CVecClientEndpointFailures counts exchanges that ended in a transport
+	// error, a 429 or a 5xx status, labeled by target endpoint.
 	CVecClientEndpointFailures
 
 	numCVecs // sentinel; keep last

@@ -157,15 +157,6 @@ const (
 	// aside (renamed to *.quarantined) after failing load validation; the
 	// dataset then falls back to reparsing its text file.
 	CtrServerSnapshotQuarantined
-	// CtrClientAttempts counts HTTP attempts issued by the wdptd client,
-	// including retries.
-	CtrClientAttempts
-	// CtrClientRetries counts client attempts that were retries of a
-	// 429/503 response.
-	CtrClientRetries
-	// CtrClientRetryGiveups counts client requests that exhausted the retry
-	// budget and returned the last throttled response.
-	CtrClientRetryGiveups
 
 	// CtrClusterRouteProxied counts /v1/query requests the coordinator
 	// proxied to the ring owner of the request's dataset.
@@ -266,9 +257,6 @@ var counterNames = [numCounters]string{
 	CtrServerSnapshotLoads:       "server.snapshot_loads",
 	CtrServerSnapshotWrites:      "server.snapshot_writes",
 	CtrServerSnapshotQuarantined: "server.snapshot_quarantined",
-	CtrClientAttempts:            "client.attempts",
-	CtrClientRetries:             "client.retries",
-	CtrClientRetryGiveups:        "client.retry_giveups",
 
 	CtrClusterRouteProxied:      "cluster.route_proxied",
 	CtrClusterRouteLocal:        "cluster.route_local",

@@ -15,27 +15,15 @@ import (
 	"strings"
 	"time"
 
-	"wdpt/internal/obs"
 	"wdpt/internal/report"
 	"wdpt/internal/server"
 )
 
-// Client talks to one wdptd base URL. Retrying of throttled responses is
-// off by default; derive a retrying copy with WithRetry.
+// Client talks to one wdptd base URL. Every call is a single exchange; a
+// throttled response is returned to the caller, never retried.
 type Client struct {
-	base   string
-	hc     *http.Client
-	policy RetryPolicy
-	st     *obs.Stats
-	// attempts and failures split the attempt counters per endpoint
-	// (labeled by base URL), so a fleet's metrics never conflate peers.
-	// Nil is the disabled state; derive with WithEndpointStats.
-	attempts *obs.CounterVec
-	failures *obs.CounterVec
-	// sleep and jitter are the backoff's injectable seams: tests replace
-	// them to pin the retry schedule without waiting or randomness.
-	sleep  func(ctx context.Context, d time.Duration) error
-	jitter func() float64
+	base string
+	hc   *http.Client
 }
 
 // DefaultTimeout bounds one HTTP exchange when New is given a nil
@@ -52,13 +40,7 @@ func New(base string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = &http.Client{Timeout: DefaultTimeout}
 	}
-	return &Client{
-		base:   strings.TrimRight(base, "/"),
-		hc:     hc,
-		st:     obs.NewStats(),
-		sleep:  defaultSleep,
-		jitter: defaultJitter,
-	}
+	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
 // Base returns the client's base URL.
@@ -83,32 +65,12 @@ type QueryResult struct {
 
 // Query posts req to /v1/query. A non-2xx status is not an error — the
 // taxonomy is part of the API — so err is non-nil only for transport or
-// decoding failures. Under a retry policy (WithRetry), 429 and 503
-// responses are retried with jittered exponential backoff honoring
-// Retry-After; when the budget runs out, the last throttled result is
-// returned as data, like any other non-2xx.
+// decoding failures.
 func (c *Client) Query(ctx context.Context, req server.Request) (*QueryResult, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding request: %w", err)
 	}
-	var qr *QueryResult
-	err = c.withRetry(ctx, func() (int, string, error) {
-		var aerr error
-		qr, aerr = c.queryOnce(ctx, payload)
-		if aerr != nil {
-			return 0, "", aerr
-		}
-		return qr.Status, qr.RetryAfter, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return qr, nil
-}
-
-// queryOnce performs a single /v1/query exchange.
-func (c *Client) queryOnce(ctx context.Context, payload []byte) (*QueryResult, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/query", bytes.NewReader(payload))
 	if err != nil {
 		return nil, fmt.Errorf("client: building request: %w", err)
@@ -201,38 +163,30 @@ func (c *Client) Snapshot(ctx context.Context) (*server.SnapshotResult, error) {
 
 // getJSON performs a bodyless exchange and decodes a 200 response into out;
 // any other status is surfaced as an error carrying the typed payload when
-// one was served. Under a retry policy, throttled statuses are retried
-// like Query's.
+// one was served.
 func (c *Client) getJSON(ctx context.Context, method, path string, out any) error {
-	return c.withRetry(ctx, func() (int, string, error) {
-		return c.getJSONOnce(ctx, method, path, out)
-	})
-}
-
-func (c *Client) getJSONOnce(ctx context.Context, method, path string, out any) (int, string, error) {
 	hreq, err := http.NewRequestWithContext(ctx, method, c.base+path, nil)
 	if err != nil {
-		return 0, "", fmt.Errorf("client: building request: %w", err)
+		return fmt.Errorf("client: building request: %w", err)
 	}
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
-		return 0, "", fmt.Errorf("client: %s %s: %w", method, path, err)
+		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	status, retryAfter := resp.StatusCode, resp.Header.Get("Retry-After")
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return status, retryAfter, fmt.Errorf("client: reading response: %w", err)
+		return fmt.Errorf("client: reading response: %w", err)
 	}
-	if status != http.StatusOK {
+	if resp.StatusCode != http.StatusOK {
 		var er server.ErrorResponse
 		if jerr := json.Unmarshal(body, &er); jerr == nil && er.Error.Code != "" {
-			return status, retryAfter, fmt.Errorf("client: %s %s: %d %s: %s", method, path, status, er.Error.Code, er.Error.Message)
+			return fmt.Errorf("client: %s %s: %d %s: %s", method, path, resp.StatusCode, er.Error.Code, er.Error.Message)
 		}
-		return status, retryAfter, fmt.Errorf("client: %s %s: unexpected status %d", method, path, status)
+		return fmt.Errorf("client: %s %s: unexpected status %d", method, path, resp.StatusCode)
 	}
 	if err := json.Unmarshal(body, out); err != nil {
-		return status, retryAfter, fmt.Errorf("client: decoding %s: %w", path, err)
+		return fmt.Errorf("client: decoding %s: %w", path, err)
 	}
-	return status, retryAfter, nil
+	return nil
 }

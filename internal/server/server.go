@@ -420,10 +420,10 @@ func modeFromName(name string) (core.Mode, bool) {
 	return 0, false
 }
 
-// requestID returns the request's correlation ID: the client's X-Request-Id
+// RequestID returns the request's correlation ID: the client's X-Request-Id
 // header when present, otherwise a fresh random 16-hex-digit ID. The ID is
 // echoed on the response and stamped on every query-log line.
-func requestID(r *http.Request) string {
+func RequestID(r *http.Request) string {
 	if id := strings.TrimSpace(r.Header.Get("X-Request-Id")); id != "" {
 		if len(id) > 128 {
 			id = id[:128]
@@ -447,7 +447,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Done()
 
 	start := time.Now()
-	reqID := requestID(r)
+	reqID := RequestID(r)
 	w.Header().Set("X-Request-Id", reqID)
 	wantTrace := r.URL.Query().Get("trace") == "1"
 
@@ -755,7 +755,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for _, ds := range list {
 		names = append(names, ds.Name)
 	}
-	writeJSON(w, http.StatusOK, Health{
+	WriteJSON(w, http.StatusOK, Health{
 		Status:   status,
 		Version:  s.reg.Version(),
 		Datasets: names,
@@ -766,7 +766,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleDatasets is GET /v1/datasets.
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, DatasetList{Version: s.reg.Version(), Datasets: s.reg.List()})
+	WriteJSON(w, http.StatusOK, DatasetList{Version: s.reg.Version(), Datasets: s.reg.List()})
 }
 
 // handleReload is POST /admin/reload: re-parse every dataset file and swap
@@ -779,7 +779,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.st.Inc(obs.CtrServerReloads)
-	writeJSON(w, http.StatusOK, ReloadResult{Version: version})
+	WriteJSON(w, http.StatusOK, ReloadResult{Version: version})
 }
 
 // handleSnapshot is POST /admin/snapshot: durably persist every current
@@ -799,7 +799,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, ErrorPayload{Code: "snapshot_failed", Message: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, SnapshotResult{Version: version, Files: files})
+	WriteJSON(w, http.StatusOK, SnapshotResult{Version: version, Files: files})
 }
 
 // writeEvalError serves an evaluation error: status from the shared report
@@ -823,13 +823,13 @@ func (s *Server) writeEvalError(w http.ResponseWriter, err error) string {
 
 // writeError writes an ErrorResponse with the report encoder's formatting.
 func writeError(w http.ResponseWriter, status int, p ErrorPayload) {
-	writeJSON(w, status, ErrorResponse{Error: p})
+	WriteJSON(w, status, ErrorResponse{Error: p})
 }
 
-// writeJSON writes v as a two-space-indented JSON document plus newline —
+// WriteJSON writes v as a two-space-indented JSON document plus newline —
 // the same framing as report.Encode, so every body the server produces
 // renders identically.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		http.Error(w, `{"error":{"code":"error","message":"response encoding failed"}}`, http.StatusInternalServerError)

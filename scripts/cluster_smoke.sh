@@ -6,7 +6,9 @@
 #   1. /v1/cluster reports the coordinator role, every peer healthy, and a
 #      full dataset -> owner ring assignment.
 #   2. Byte-parity: a scatter-eligible UNION query and a proxied OPT query
-#      answer byte-identically at the coordinator and at a member.
+#      answer byte-identically at the coordinator and at a member, and the
+#      coordinator's /metrics counts at least those three member exchanges
+#      (two scatter legs, one proxy) in wdptd_client_endpoint_attempts.
 #   3. Failover: with one member killed, the coordinator still answers both
 #      queries with the exact same bytes (failover walk + local replay),
 #      and /v1/cluster flips the dead peer unhealthy.
@@ -130,6 +132,17 @@ parity() {
 echo "== byte-parity (union scatter + proxied OPT vs a member)"
 parity union "$union_req"
 parity opt "$opt_req"
+
+# Every member exchange (scatter leg, proxy forward, health probe) goes
+# through one counted path, so the two union legs plus the proxied OPT query
+# must show up as >= 3 attempts summed over endpoints.
+attempts=$(curl -sf "$coord/metrics" |
+  awk '/^wdptd_client_endpoint_attempts_total\{/ { sum += $NF } END { print sum + 0 }')
+if (( attempts < 3 )); then
+  echo "cluster smoke: wdptd_client_endpoint_attempts_total sums to $attempts, want >= 3" >&2
+  exit 1
+fi
+echo "member exchanges counted: $attempts"
 
 echo "== failover (kill m3, parity must hold, /v1/cluster must flip it)"
 kill "${pids[2]}"
