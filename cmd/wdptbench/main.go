@@ -304,7 +304,7 @@ func snapshotBench(dir string, quick bool, reps int, stdout io.Writer) error {
 	var loaded *db.Database
 	for i := 0; i < reps; i++ {
 		start := time.Now()
-		loaded, err = snapshot.Read(path, db.DefaultBackend())
+		loaded, err = snapshot.Read(path)
 		if err != nil {
 			return err
 		}

@@ -32,8 +32,8 @@ func TestSelfcheck(t *testing.T) {
 	if !strings.Contains(stdout.String(), "selfcheck ok (2 dataset(s)") || !strings.Contains(stdout.String(), "metrics endpoint ok)") {
 		t.Fatalf("stdout = %q, want a selfcheck ok summary naming the one metrics endpoint", stdout.String())
 	}
-	if !strings.Contains(stdout.String(), "backend round-trip ok (2 dataset(s)") {
-		t.Fatalf("stdout = %q, want a backend round-trip ok line", stdout.String())
+	if !strings.Contains(stdout.String(), "snapshot round-trip ok (2 dataset(s)") {
+		t.Fatalf("stdout = %q, want a snapshot round-trip ok line", stdout.String())
 	}
 	if !strings.Contains(stdout.String(), "4 probe queries, 2 cache hit(s)") {
 		t.Fatalf("stdout = %q, want each dataset's re-sent probe served from the cache", stdout.String())

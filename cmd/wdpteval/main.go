@@ -69,7 +69,6 @@ import (
 	"wdpt"
 	"wdpt/internal/core"
 	"wdpt/internal/cqeval"
-	"wdpt/internal/db"
 	"wdpt/internal/db/snapshot"
 	"wdpt/internal/obs"
 	"wdpt/internal/report"
@@ -363,7 +362,7 @@ func loadDatabaseSource(o options) (*wdpt.Database, error) {
 	case o.snapshot != "" && o.dbFile != "":
 		return nil, fmt.Errorf("-db and -snapshot are mutually exclusive")
 	case o.snapshot != "":
-		d, err := snapshot.Read(o.snapshot, db.DefaultBackend())
+		d, err := snapshot.Read(o.snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("loading snapshot: %w", err)
 		}

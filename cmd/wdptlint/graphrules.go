@@ -79,9 +79,8 @@ func (g *callGraph) cancellableSink(fn *types.Func) string {
 		g.fnMatches(fn, "internal/guard", "Meter", "Checkpoint"),
 		g.fnMatches(fn, "internal/guard", "Meter", "TryAnswer"):
 		return "guard.(*Meter)." + fn.Name()
-	case g.fnMatches(fn, "internal/db", "Relation", "Matching"),
-		g.fnMatches(fn, "internal/db", "Relation", "MatchingIDs"):
-		return "db.(*Relation)." + fn.Name()
+	case g.fnMatches(fn, "internal/db", "Relation", "MatchingIDs"):
+		return "db.(*Relation).MatchingIDs"
 	case g.fnMatches(fn, "net/http", "Client", "Do"),
 		g.fnMatches(fn, "net/http", "", "Get"),
 		g.fnMatches(fn, "net/http", "", "Post"),

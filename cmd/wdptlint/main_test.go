@@ -84,6 +84,82 @@ func diffKeys(t *testing.T, want, got map[string]int) {
 	}
 }
 
+// The full fixture module is linted once per test binary, through the CLI
+// entry point run with every rule and -json. The text path runs -rules R2
+// over subsetPkgs, packages that also hold other rules' violations; those
+// stay silent. The tests below share the two runs.
+
+// cliRun is one captured invocation of run inside the fixture module.
+type cliRun struct {
+	once           sync.Once
+	code           int
+	stdout, stderr string
+}
+
+var (
+	jsonRun    cliRun // run -json ./...
+	subsetRun  cliRun // run -rules R2 subsetPkgs...
+	subsetPkgs = []string{"internal/r2", "internal/r3", "internal/r4", "internal/cqeval"}
+)
+
+// lintSubset runs -rules R2 over subsetPkgs and returns the R2 markers
+// those packages declare.
+func lintSubset(t *testing.T) (*cliRun, map[string]int) {
+	t.Helper()
+	args := []string{"-rules", "R2"}
+	for _, pkg := range subsetPkgs {
+		args = append(args, "./"+pkg+"/...")
+	}
+	want := make(map[string]int)
+	for k, n := range readMarkers(t) {
+		for _, pkg := range subsetPkgs {
+			if strings.HasPrefix(k, pkg+"/") && strings.HasSuffix(k, ":R2") {
+				want[k] = n
+			}
+		}
+	}
+	return subsetRun.do(t, args...), want
+}
+
+// do runs args in the fixture module the first time and returns the
+// captured result every time.
+func (c *cliRun) do(t *testing.T, args ...string) *cliRun {
+	t.Helper()
+	c.once.Do(func() {
+		back, err := os.Getwd()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chdir(fixtureDir); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := os.Chdir(back); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		var stdout, stderr bytes.Buffer
+		c.code = run(args, &stdout, &stderr)
+		c.stdout, c.stderr = stdout.String(), stderr.String()
+	})
+	return c
+}
+
+// lintFixture returns every rule's findings over the fixture module, in
+// report order, as printed by run -json.
+func lintFixture(t *testing.T) []Finding {
+	t.Helper()
+	r := jsonRun.do(t, "-json", "./...")
+	if r.code != 1 {
+		t.Fatalf("run(-json ./...) = %d, want 1 (stderr: %s)", r.code, r.stderr)
+	}
+	var findings []Finding
+	if err := json.Unmarshal([]byte(r.stdout), &findings); err != nil {
+		t.Fatalf("-json output is not a findings array: %v\n%s", err, r.stdout)
+	}
+	return findings
+}
+
 // TestFixtureFindings runs every rule over the fixture module and checks the
 // findings against the // want markers: each rule fires where expected, the
 // exempt idioms stay silent, and every suppression case is honored.
@@ -91,48 +167,23 @@ func TestFixtureFindings(t *testing.T) {
 	diffKeys(t, readMarkers(t), findingKeys(lintFixture(t)))
 }
 
-// fixture caches one all-rules lint of the fixture module: the tests that
-// only read the full finding set share it instead of re-linting.
-var fixture struct {
-	once     sync.Once
-	findings []Finding
-	err      error
-}
-
-func lintFixture(t *testing.T) []Finding {
-	t.Helper()
-	fixture.once.Do(func() {
-		enabled, err := parseRules("")
-		if err != nil {
-			fixture.err = err
-			return
-		}
-		fixture.findings, fixture.err = Lint(fixtureDir, []string{"./..."}, enabled)
-	})
-	if fixture.err != nil {
-		t.Fatal(fixture.err)
-	}
-	return fixture.findings
-}
-
-// TestRuleSubset checks that -rules style filtering runs only the selected
-// rules.
+// TestRuleSubset checks that -rules filtering runs only the selected rules:
+// the text report of run -rules R2 holds exactly the R2 markers.
 func TestRuleSubset(t *testing.T) {
-	enabled, err := parseRules("R2")
-	if err != nil {
-		t.Fatal(err)
+	r, want := lintSubset(t)
+	if len(want) == 0 {
+		t.Fatal("subset packages declare no R2 markers")
 	}
-	findings, err := Lint(fixtureDir, []string{"./..."}, enabled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[string]int)
-	for k, n := range readMarkers(t) {
-		if strings.HasSuffix(k, ":R2") {
-			want[k] = n
+	got := make(map[string]int)
+	for _, line := range strings.Split(strings.TrimSpace(r.stdout), "\n") {
+		loc, rest, ok := strings.Cut(line, ": [")
+		rule, _, ok2 := strings.Cut(rest, "] ")
+		if !ok || !ok2 {
+			t.Fatalf("malformed finding line %q", line)
 		}
+		got[loc+":"+rule]++
 	}
-	diffKeys(t, want, findingKeys(findings))
+	diffKeys(t, want, got)
 }
 
 // TestSinglePackagePattern checks non-recursive package patterns.
@@ -195,36 +246,29 @@ func TestFindingsSorted(t *testing.T) {
 // "file:line: [rule] message" line per finding, a clean tree means exit 0,
 // and bad flags mean exit 2.
 func TestRunExitCodes(t *testing.T) {
-	t.Chdir(fixtureDir)
-	var stdout, stderr bytes.Buffer
-
-	if code := run([]string{"./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("run(./...) = %d, want 1 (stderr: %s)", code, stderr.String())
+	r, markers := lintSubset(t)
+	if r.code != 1 {
+		t.Fatalf("run(-rules R2 ...) = %d, want 1 (stderr: %s)", r.code, r.stderr)
 	}
 	// The stderr timing line is the gate's evidence that the parallel loader
 	// ran (CI greps for it).
-	if !strings.Contains(stderr.String(), "loaded ") || !strings.Contains(stderr.String(), "parallelism ") {
-		t.Errorf("stderr missing the loader timing line: %s", stderr.String())
+	if !strings.Contains(r.stderr, "loaded ") || !strings.Contains(r.stderr, "parallelism ") {
+		t.Errorf("stderr missing the loader timing line: %s", r.stderr)
 	}
-	if !strings.Contains(stderr.String(), "finding(s)") {
-		t.Errorf("stderr missing the findings summary line: %s", stderr.String())
+	if !strings.Contains(r.stderr, "finding(s)") {
+		t.Errorf("stderr missing the findings summary line: %s", r.stderr)
 	}
-	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(r.stdout), "\n")
 	want := 0
-	for _, n := range readMarkersFrom(t, ".") {
+	for _, n := range markers {
 		want += n
 	}
 	if len(lines) != want {
-		t.Fatalf("run printed %d findings, want %d:\n%s", len(lines), want, stdout.String())
-	}
-	for _, line := range lines {
-		if !strings.Contains(line, ": [R") {
-			t.Errorf("malformed finding line %q", line)
-		}
+		t.Fatalf("run printed %d findings, want %d:\n%s", len(lines), want, r.stdout)
 	}
 
-	stdout.Reset()
-	stderr.Reset()
+	t.Chdir(fixtureDir)
+	var stdout, stderr bytes.Buffer
 	if code := run([]string{"./cmd/..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("run(./cmd/...) = %d, want 0 (stdout: %s)", code, stdout.String())
 	}
@@ -237,35 +281,6 @@ func TestRunExitCodes(t *testing.T) {
 			t.Fatalf("run(%v) = %d, want 2", args, code)
 		}
 	}
-}
-
-// readMarkersFrom is readMarkers with an explicit root, for tests that chdir.
-func readMarkersFrom(t *testing.T, dir string) map[string]int {
-	t.Helper()
-	want := make(map[string]int)
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			_, marker, ok := strings.Cut(line, "// want ")
-			if !ok {
-				continue
-			}
-			for _, rule := range strings.Fields(marker) {
-				want[fmt.Sprintf("%s:%d:%s", path, i+1, rule)]++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("reading markers: %v", err)
-	}
-	return want
 }
 
 // TestListRules checks -list: one line per implemented rule, in order.
@@ -288,16 +303,11 @@ func TestListRules(t *testing.T) {
 // TestJSONFindings checks -json: stdout is a JSON array holding exactly the
 // marker findings, machine-readable for CI annotation.
 func TestJSONFindings(t *testing.T) {
-	t.Chdir(fixtureDir)
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-json", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("run(-json ./...) = %d, want 1 (stderr: %s)", code, stderr.String())
+	findings := lintFixture(t)
+	if len(findings) == 0 {
+		t.Fatal("-json run reported no findings")
 	}
-	var findings []Finding
-	if err := json.Unmarshal(stdout.Bytes(), &findings); err != nil {
-		t.Fatalf("-json output is not a findings array: %v\n%s", err, stdout.String())
-	}
-	diffKeys(t, readMarkersFrom(t, "."), findingKeys(findings))
+	diffKeys(t, readMarkers(t), findingKeys(findings))
 }
 
 // TestSelfHost lints the linter's own package with every rule enabled:

@@ -1,5 +1,5 @@
 // Package db is the fixture stand-in for the storage layer: R13 matches
-// []db.Tuple collections, and R10 matches (*Relation).Matching as a
+// []db.Tuple collections, and R10 matches (*Relation).MatchingIDs as a
 // cancellable sink. The package itself is R10-exempt substrate.
 package db
 
@@ -9,15 +9,10 @@ type Tuple []string
 // Relation is a fixture relation.
 type Relation struct{ rows []Tuple }
 
-// Matching is the index-scan sink for R10.
-func (r *Relation) Matching(t Tuple) []Tuple {
-	if len(t) == 0 {
+// MatchingIDs is the index-scan sink for R10.
+func (r *Relation) MatchingIDs(pos int, id uint32) []int {
+	if pos < 0 || int(id) >= len(r.rows) {
 		return nil
 	}
-	return r.rows
+	return []int{int(id)}
 }
-
-// Tuples is the deprecated string accessor R15 forbids in the kernels.
-//
-// Deprecated: fixture stand-in for the legacy string materializer.
-func (r *Relation) Tuples() []Tuple { return r.rows }

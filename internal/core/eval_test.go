@@ -207,7 +207,7 @@ func randomMapping(t *testing.T, rng *rand.Rand, p *core.PatternTree, d *db.Data
 			return h
 		}
 	}
-	adom := d.ActiveDomain()
+	adom := d.Dict().Terms() // sorted: gen databases are sealed
 	h := cq.Mapping{}
 	for _, x := range free {
 		if rng.Intn(2) == 0 && len(adom) > 0 {

@@ -1,8 +1,6 @@
 package db
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // BulkRelation describes one relation's rows in dictionary-encoded
 // column-major form for NewFromColumns: Cols[pos][i] is row i's term ID at
@@ -23,14 +21,13 @@ type BulkRelation struct {
 // errors — bulk input comes from a snapshot, where any of these means
 // corruption rather than a benign re-insert. On error the returned
 // database is nil; no partially loaded state escapes.
-func NewFromColumns(b Backend, terms []string, rels []BulkRelation) (*Database, error) {
+func NewFromColumns(terms []string, rels []BulkRelation) (*Database, error) {
 	for i := 1; i < len(terms); i++ {
 		if terms[i-1] >= terms[i] {
 			return nil, fmt.Errorf("db: bulk terms not strictly sorted at index %d (%q then %q)", i, terms[i-1], terms[i])
 		}
 	}
-	d := NewWithBackend(b)
-	d.dict = dictFromSorted(terms)
+	d := &Database{rels: make(map[string]*Relation), dict: dictFromSorted(terms)}
 	for _, br := range rels {
 		if br.Name == "" {
 			return nil, fmt.Errorf("db: bulk relation with empty name")
@@ -55,21 +52,9 @@ func NewFromColumns(b Backend, terms []string, rels []BulkRelation) (*Database, 
 				}
 			}
 		}
-		r := newRelation(br.Name, arity, d.dict, b)
-		if cs, ok := r.store.(*colStore); ok {
-			if err := cs.bulkLoad(br.Cols, br.Rows); err != nil {
-				return nil, fmt.Errorf("db: bulk relation %q: %w", br.Name, err)
-			}
-		} else {
-			row := make([]uint32, arity)
-			for i := 0; i < br.Rows; i++ {
-				for pos := 0; pos < arity; pos++ {
-					row[pos] = br.Cols[pos][i]
-				}
-				if !r.store.Insert(row) {
-					return nil, fmt.Errorf("db: bulk relation %q: duplicate row at offset %d", br.Name, i)
-				}
-			}
+		r := newRelation(br.Name, arity, d.dict)
+		if err := r.store.bulkLoad(br.Cols, br.Rows); err != nil {
+			return nil, fmt.Errorf("db: bulk relation %q: %w", br.Name, err)
 		}
 		d.rels[br.Name] = r
 	}

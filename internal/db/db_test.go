@@ -43,24 +43,31 @@ func TestZeroArityRelationPanics(t *testing.T) {
 	NewRelation("R", 0)
 }
 
+// matching probes r by the string constant c, resolved through the
+// relation's dictionary (an unknown constant resolves to NoID).
+func matching(r *Relation, pos int, c string) []int {
+	id, _ := r.Dict().ID(c)
+	return r.MatchingIDs(pos, id)
+}
+
 func TestMatchingIndex(t *testing.T) {
 	r := NewRelation("E", 2)
 	r.Insert(Tuple{"a", "b"})
 	r.Insert(Tuple{"a", "c"})
 	r.Insert(Tuple{"b", "c"})
-	if got := len(r.Matching(0, "a")); got != 2 {
-		t.Fatalf("Matching(0,a) = %d rows, want 2", got)
+	if got := len(matching(r, 0, "a")); got != 2 {
+		t.Fatalf("matching(0,a) = %d rows, want 2", got)
 	}
-	if got := len(r.Matching(1, "c")); got != 2 {
-		t.Fatalf("Matching(1,c) = %d rows, want 2", got)
+	if got := len(matching(r, 1, "c")); got != 2 {
+		t.Fatalf("matching(1,c) = %d rows, want 2", got)
 	}
-	if got := len(r.Matching(0, "zzz")); got != 0 {
-		t.Fatalf("Matching(0,zzz) = %d rows, want 0", got)
+	if got := len(matching(r, 0, "zzz")); got != 0 {
+		t.Fatalf("matching(0,zzz) = %d rows, want 0", got)
 	}
 	// Index must be rebuilt after inserts.
 	r.Insert(Tuple{"a", "d"})
-	if got := len(r.Matching(0, "a")); got != 3 {
-		t.Fatalf("after insert Matching(0,a) = %d rows, want 3", got)
+	if got := len(matching(r, 0, "a")); got != 3 {
+		t.Fatalf("after insert matching(0,a) = %d rows, want 3", got)
 	}
 }
 
@@ -81,23 +88,13 @@ func TestDatabaseBasics(t *testing.T) {
 	if d.Contains("X", "a") {
 		t.Fatal("unknown relation should be empty")
 	}
-	adom := d.ActiveDomain()
-	if len(adom) != 3 || adom[0] != "a" || adom[1] != "b" || adom[2] != "c" {
-		t.Fatalf("ActiveDomain = %v, want [a b c]", adom)
+	d.Seal()
+	if terms := d.Dict().Terms(); len(terms) != 3 || terms[0] != "a" || terms[1] != "b" || terms[2] != "c" {
+		t.Fatalf("sealed dictionary = %v, want [a b c]", terms)
 	}
 	rels := d.Relations()
 	if len(rels) != 2 || rels[0].Name() != "E" || rels[1].Name() != "V" {
 		t.Fatalf("Relations order wrong: %v", rels)
-	}
-}
-
-func TestActiveDomainInvalidation(t *testing.T) {
-	d := New()
-	d.Insert("E", "a", "b")
-	_ = d.ActiveDomain()
-	d.Insert("E", "c", "d")
-	if got := len(d.ActiveDomain()); got != 4 {
-		t.Fatalf("ActiveDomain after insert = %d constants, want 4", got)
 	}
 }
 
@@ -173,12 +170,12 @@ func TestIndexMatchesScan(t *testing.T) {
 		for pos := 0; pos < 3; pos++ {
 			for _, c := range consts {
 				want := 0
-				for _, tp := range r.Tuples() {
-					if tp[pos] == c {
+				for i := 0; i < r.Len(); i++ {
+					if r.Dict().Term(r.At(i, pos)) == c {
 						want++
 					}
 				}
-				if got := len(r.Matching(pos, c)); got != want {
+				if got := len(matching(r, pos, c)); got != want {
 					return false
 				}
 			}
@@ -190,11 +187,11 @@ func TestIndexMatchesScan(t *testing.T) {
 	}
 }
 
-// TestConcurrentReaders is the -race regression test for the lazy caches:
+// TestConcurrentReaders is the -race regression test for the lazy index:
 // before the atomic-pointer publication, concurrent readers raced on
-// building Relation.index and Database.adom (Insert set them nil; every
-// reader rebuilt in place). Under `go test -race` this test fails on the
-// old representation and passes on the copy-on-read one.
+// building it (Insert set it nil; every reader rebuilt in place). Under
+// `go test -race` this test fails on the old representation and passes on
+// the copy-on-read one.
 func TestConcurrentReaders(t *testing.T) {
 	d := New()
 	for i := 0; i < 200; i++ {
@@ -209,14 +206,14 @@ func TestConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				v := tupleConst((g*13 + i) % 200)
-				if len(r.Matching(0, v)) == 0 {
+				if len(matching(r, 0, v)) == 0 {
 					t.Errorf("Matching(0, %s) empty", v)
 				}
 				if !d.Contains("L", v) {
 					t.Errorf("Contains(L, %s) false", v)
 				}
-				if len(d.ActiveDomain()) != 200 {
-					t.Errorf("ActiveDomain size changed")
+				if d.Dict().Len() != 200 {
+					t.Errorf("dictionary size changed")
 				}
 			}
 		}(g)
@@ -225,11 +222,11 @@ func TestConcurrentReaders(t *testing.T) {
 
 	// Insert still invalidates: new tuples are visible to the next reader.
 	d.Insert("E", "fresh", "fresh")
-	if len(r.Matching(0, "fresh")) != 1 {
+	if len(matching(r, 0, "fresh")) != 1 {
 		t.Fatal("index not invalidated by Insert")
 	}
-	if got := len(d.ActiveDomain()); got != 201 {
-		t.Fatalf("ActiveDomain = %d constants, want 201", got)
+	if got := d.Dict().Len(); got != 201 {
+		t.Fatalf("dictionary holds %d constants, want 201", got)
 	}
 }
 

@@ -90,7 +90,7 @@ func TestChaosCrashRestartEverySite(t *testing.T) {
 				if !errors.Is(err, guard.ErrInjected) {
 					t.Fatalf("Write failed with %v, not matchable with ErrInjected", err)
 				}
-				got, err := snapshot.Read(path, db.BackendColumnar)
+				got, err := snapshot.Read(path)
 				if err != nil {
 					t.Fatalf("restart load after crash at %s hit %d: %v", site, n, err)
 				}
@@ -136,12 +136,12 @@ func TestChaosReadFault(t *testing.T) {
 	}
 	in := guard.NewInjector(3).FailNth(guard.SiteSnapshotRead, 1)
 	restore := guard.Activate(in)
-	_, err := snapshot.Read(path, db.BackendColumnar)
+	_, err := snapshot.Read(path)
 	restore()
 	if !errors.Is(err, guard.ErrInjected) {
 		t.Fatalf("Read under injected fault: %v, want ErrInjected", err)
 	}
-	if _, err := snapshot.Read(path, db.BackendColumnar); err != nil {
+	if _, err := snapshot.Read(path); err != nil {
 		t.Fatalf("Read after restore: %v", err)
 	}
 }
@@ -169,7 +169,7 @@ func TestChaosTornWriteSweep(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 	for n := 0; n < len(data); n++ {
-		d, err := snapshot.Decode(data[:n], db.BackendColumnar)
+		d, err := snapshot.Decode(data[:n], db.DefaultBackend())
 		if err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded successfully", n, len(data))
 		}
@@ -193,7 +193,7 @@ func TestChaosBitRotSweep(t *testing.T) {
 	for i := 0; i < len(data); i++ {
 		copy(mut, data)
 		mut[i] ^= 0x01
-		d, err := snapshot.Decode(mut, db.BackendColumnar)
+		d, err := snapshot.Decode(mut, db.DefaultBackend())
 		if err == nil {
 			t.Fatalf("bit flip at offset %d decoded successfully", i)
 		}

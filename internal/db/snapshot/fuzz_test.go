@@ -20,7 +20,7 @@ func seedInputs(t testing.TB) map[string][]byte {
 		{name: "edge", arity: 2, rows: 2, ids: []uint32{0, 1, 1, 2}},
 		{name: "label", arity: 1, rows: 1, ids: []uint32{2}},
 	})
-	if _, err := snapshot.Decode(valid, db.BackendColumnar); err != nil {
+	if _, err := snapshot.Decode(valid, db.DefaultBackend()); err != nil {
 		t.Fatalf("seed snapshot does not decode: %v", err)
 	}
 	flip := func(off int) []byte {
@@ -57,7 +57,7 @@ func FuzzSnapshotLoader(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := snapshot.Decode(data, db.BackendColumnar)
+		d, err := snapshot.Decode(data, db.DefaultBackend())
 		if err != nil {
 			if d != nil {
 				t.Fatalf("Decode returned a database alongside error %v", err)
@@ -71,7 +71,7 @@ func FuzzSnapshotLoader(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted input re-encodes with error: %v", err)
 		}
-		d2, err := snapshot.Decode(out, db.BackendColumnar)
+		d2, err := snapshot.Decode(out, db.DefaultBackend())
 		if err != nil {
 			t.Fatalf("re-encoded accepted input fails to decode: %v", err)
 		}

@@ -17,9 +17,9 @@ import (
 // makeDB builds a small sealed database with two relations and enough
 // distinct constants that canonical ID assignment actually reorders
 // something (constants are inserted out of sorted order).
-func makeDB(t *testing.T, b db.Backend) *db.Database {
+func makeDB(t *testing.T) *db.Database {
 	t.Helper()
-	d := db.NewWithBackend(b)
+	d := db.New()
 	d.Insert("edge", "zeta", "alpha")
 	d.Insert("edge", "mike", "zeta")
 	d.Insert("edge", "alpha", "mike")
@@ -29,38 +29,33 @@ func makeDB(t *testing.T, b db.Backend) *db.Database {
 	return d
 }
 
-func TestRoundTripBothBackends(t *testing.T) {
-	src := makeDB(t, db.BackendColumnar)
+func TestRoundTrip(t *testing.T) {
+	src := makeDB(t)
 	data, err := snapshot.Encode(src)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	for _, b := range []db.Backend{db.BackendColumnar, db.BackendMemory} {
-		got, err := snapshot.Decode(data, b)
-		if err != nil {
-			t.Fatalf("Decode on %v: %v", b, err)
-		}
-		if got.Backend() != b {
-			t.Errorf("backend = %v, want %v", got.Backend(), b)
-		}
-		if got.String() != src.String() {
-			t.Errorf("decoded database on %v differs:\n got:\n%s\nwant:\n%s", b, got.String(), src.String())
-		}
-		if !got.Dict().Sorted() {
-			t.Errorf("decoded dictionary on %v is not canonical", b)
-		}
-		if !got.Contains("edge", "zeta", "alpha") || got.Contains("edge", "alpha", "zeta") {
-			t.Errorf("membership wrong after decode on %v", b)
-		}
-		// A second encode of the decoded database must be byte-identical:
-		// the format is canonical for a sealed database.
-		data2, err := snapshot.Encode(got)
-		if err != nil {
-			t.Fatalf("re-Encode on %v: %v", b, err)
-		}
-		if string(data2) != string(data) {
-			t.Errorf("re-encode on %v is not byte-identical", b)
-		}
+	got, err := snapshot.Decode(data, db.DefaultBackend())
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if got.String() != src.String() {
+		t.Errorf("decoded database differs:\n got:\n%s\nwant:\n%s", got.String(), src.String())
+	}
+	if !got.Dict().Sorted() {
+		t.Errorf("decoded dictionary is not canonical")
+	}
+	if !got.Contains("edge", "zeta", "alpha") || got.Contains("edge", "alpha", "zeta") {
+		t.Errorf("membership wrong after decode")
+	}
+	// A second encode of the decoded database must be byte-identical: the
+	// format is canonical for a sealed database.
+	data2, err := snapshot.Encode(got)
+	if err != nil {
+		t.Fatalf("re-Encode: %v", err)
+	}
+	if string(data2) != string(data) {
+		t.Errorf("re-encode is not byte-identical")
 	}
 }
 
@@ -84,7 +79,7 @@ func TestEmptyDatabaseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	got, err := snapshot.Decode(data, db.BackendColumnar)
+	got, err := snapshot.Decode(data, db.DefaultBackend())
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -96,11 +91,11 @@ func TestEmptyDatabaseRoundTrip(t *testing.T) {
 func TestWriteReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "data.snap")
-	src := makeDB(t, db.BackendColumnar)
+	src := makeDB(t)
 	if err := snapshot.Write(path, src); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	got, err := snapshot.Read(path, db.BackendColumnar)
+	got, err := snapshot.Read(path)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -125,7 +120,7 @@ func TestWriteReadFile(t *testing.T) {
 }
 
 func TestReadMissingFile(t *testing.T) {
-	_, err := snapshot.Read(filepath.Join(t.TempDir(), "absent.snap"), db.BackendColumnar)
+	_, err := snapshot.Read(filepath.Join(t.TempDir(), "absent.snap"))
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("Read of missing file: %v, want fs.ErrNotExist", err)
 	}
@@ -174,7 +169,7 @@ func rawSnapshot(version uint32, terms []string, rels []rawRel) []byte {
 
 func TestErrorTaxonomy(t *testing.T) {
 	valid := rawSnapshot(1, []string{"a", "b"}, []rawRel{{name: "r", arity: 2, rows: 1, ids: []uint32{0, 1}}})
-	if _, err := snapshot.Decode(valid, db.BackendColumnar); err != nil {
+	if _, err := snapshot.Decode(valid, db.DefaultBackend()); err != nil {
 		t.Fatalf("rawSnapshot builder produces undecodable bytes: %v", err)
 	}
 	flipped := append([]byte(nil), valid...)
@@ -204,7 +199,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := snapshot.Decode(tc.data, db.BackendColumnar)
+			d, err := snapshot.Decode(tc.data, db.DefaultBackend())
 			if d != nil {
 				t.Fatalf("Decode returned a database alongside the expected failure")
 			}
@@ -228,7 +223,7 @@ func TestCountBombsRejected(t *testing.T) {
 	sum := crc32.ChecksumIEEE(buf)
 	buf = append(buf, "WSNAPEND"...)
 	buf = be(buf, sum)
-	if _, err := snapshot.Decode(buf, db.BackendColumnar); !errors.Is(err, snapshot.ErrTruncated) {
+	if _, err := snapshot.Decode(buf, db.DefaultBackend()); !errors.Is(err, snapshot.ErrTruncated) {
 		t.Errorf("term-count bomb: %v, want ErrTruncated", err)
 	}
 
@@ -242,7 +237,7 @@ func TestCountBombsRejected(t *testing.T) {
 	sum = crc32.ChecksumIEEE(buf)
 	buf = append(buf, "WSNAPEND"...)
 	buf = be(buf, sum)
-	if _, err := snapshot.Decode(buf, db.BackendColumnar); !errors.Is(err, snapshot.ErrTruncated) {
+	if _, err := snapshot.Decode(buf, db.DefaultBackend()); !errors.Is(err, snapshot.ErrTruncated) {
 		t.Errorf("rel-count bomb: %v, want ErrTruncated", err)
 	}
 
@@ -264,7 +259,7 @@ func TestCountBombsRejected(t *testing.T) {
 	sum = crc32.ChecksumIEEE(buf)
 	buf = append(buf, "WSNAPEND"...)
 	buf = be(buf, sum)
-	if _, err := snapshot.Decode(buf, db.BackendColumnar); !errors.Is(err, snapshot.ErrTruncated) {
+	if _, err := snapshot.Decode(buf, db.DefaultBackend()); !errors.Is(err, snapshot.ErrTruncated) {
 		t.Errorf("row-count bomb: %v, want ErrTruncated", err)
 	}
 }
@@ -278,7 +273,7 @@ func TestTrailingBytesRejected(t *testing.T) {
 	sum := crc32.ChecksumIEEE(body)
 	body = append(body, "WSNAPEND"...)
 	body = binary.BigEndian.AppendUint32(body, sum)
-	if _, err := snapshot.Decode(body, db.BackendColumnar); !errors.Is(err, snapshot.ErrFormat) && !errors.Is(err, snapshot.ErrTruncated) {
+	if _, err := snapshot.Decode(body, db.DefaultBackend()); !errors.Is(err, snapshot.ErrFormat) && !errors.Is(err, snapshot.ErrTruncated) {
 		t.Fatalf("trailing bytes: %v, want ErrFormat or ErrTruncated", err)
 	}
 }
@@ -286,12 +281,12 @@ func TestTrailingBytesRejected(t *testing.T) {
 func TestParityWithTextParse(t *testing.T) {
 	// A database round-tripped through the snapshot must render exactly
 	// the text it parsed from (modulo line ordering, which String sorts).
-	src := makeDB(t, db.BackendColumnar)
+	src := makeDB(t)
 	data, err := snapshot.Encode(src)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	got, err := snapshot.Decode(data, db.BackendColumnar)
+	got, err := snapshot.Decode(data, db.DefaultBackend())
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"wdpt/internal/cq"
+	"wdpt/internal/db"
 )
 
 func TestMusicFixturesMatchPaper(t *testing.T) {
@@ -145,7 +146,7 @@ func TestLayeredDatabase(t *testing.T) {
 		t.Fatal("first vertex missing")
 	}
 	// Edges only go forward: no edge into layer 0.
-	for _, tp := range d.Relation("E").Tuples() {
+	for _, tp := range tuples(d.Relation("E")) {
 		if tp[1][:2] == "L0" {
 			t.Fatalf("backward edge %v", tp)
 		}
@@ -158,7 +159,7 @@ func TestLayeredDatabase(t *testing.T) {
 
 func TestBipartiteDatabaseAcyclic(t *testing.T) {
 	d := BipartiteDatabase(5, 3, 2)
-	for _, tp := range d.Relation("E").Tuples() {
+	for _, tp := range tuples(d.Relation("E")) {
 		if tp[0][0] != 'l' || tp[1][0] != 'r' {
 			t.Fatalf("non-bipartite edge %v", tp)
 		}
@@ -240,4 +241,15 @@ func TestSeedPlumbing(t *testing.T) {
 	if gotTree.String() != wantTree || gotDB.String() != wantDB {
 		t.Fatal("generators share RNG state")
 	}
+}
+
+// tuples translates a relation's rows back to strings.
+func tuples(r *db.Relation) []db.Tuple {
+	out := make([]db.Tuple, r.Len())
+	for i := range out {
+		for _, id := range r.Scan(i) {
+			out[i] = append(out[i], r.Dict().Term(id))
+		}
+	}
+	return out
 }

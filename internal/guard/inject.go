@@ -16,7 +16,7 @@ import (
 
 // The registered fault-injection sites.
 const (
-	// SiteDBMatching fires in Relation.Matching, the index probe under every
+	// SiteDBMatching fires in Relation.MatchingIDs, the index probe under every
 	// backtracking homomorphism step.
 	SiteDBMatching = "db.matching"
 	// SiteParTask fires before each task executed through a par fan-out

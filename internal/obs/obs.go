@@ -191,8 +191,7 @@ const (
 	// active domain; such constants provably match nothing.
 	CtrDictMisses
 	// CtrIndexProbes counts MatchingIDs index probes issued by the
-	// homomorphism solver (binary searches on the columnar backend, hash
-	// probes on the legacy one).
+	// homomorphism solver (each a run-directory lookup: two array loads).
 	CtrIndexProbes
 	// CtrIndexProbeRows counts the total offsets returned by those probes.
 	CtrIndexProbeRows

@@ -66,9 +66,6 @@ func TestRegistryStorageStats(t *testing.T) {
 	if ds.DictTerms != 4 {
 		t.Fatalf("DictTerms = %d, want 4", ds.DictTerms)
 	}
-	if ds.Backend != ds.DB.Backend().String() {
-		t.Fatalf("Backend = %q, want %q", ds.Backend, ds.DB.Backend().String())
-	}
 	if ds.LoadNS <= 0 {
 		t.Fatalf("LoadNS = %d, want > 0", ds.LoadNS)
 	}

@@ -266,15 +266,16 @@ func formatTerm(t cq.Term) string {
 // trips exactly: ParseDatabase(FormatDatabase(d)) equals d.
 func FormatDatabase(d *db.Database) string {
 	var b strings.Builder
+	dict := d.Dict()
 	for _, r := range d.Relations() {
-		for _, tp := range r.Tuples() {
+		for i := 0; i < r.Len(); i++ {
 			b.WriteString(r.Name())
 			b.WriteByte('(')
-			for i, c := range tp {
-				if i > 0 {
+			for pos, id := range r.Scan(i) {
+				if pos > 0 {
 					b.WriteString(", ")
 				}
-				b.WriteString(formatTerm(cq.C(c)))
+				b.WriteString(formatTerm(cq.C(dict.Term(id))))
 			}
 			b.WriteString(").\n")
 		}

@@ -14,7 +14,7 @@
 # a cluster smoke (scripts/cluster_smoke.sh: 3 members + 1 coordinator,
 # byte-parity with and without a killed member, a wdptstress -quick run
 # whose STRESS_<date>-smoke.json artifact benchdiff must accept),
-# and bounded parser + backend-equivalence + snapshot-loader + query-request
+# and bounded parser + storage-model + snapshot-loader + query-request
 # fuzz smokes.
 # CI (.github/workflows/ci.yml) runs exactly this script.
 #
@@ -132,8 +132,8 @@ if [[ "${WDPT_SKIP_FUZZ:-0}" != "1" ]]; then
     echo "== fuzz smoke: ${target} (${fuzztime})"
     go test -run="^${target}\$" -fuzz="^${target}\$" -fuzztime="${fuzztime}" ./internal/sparql
   done
-  echo "== fuzz smoke: FuzzBackendEquivalence (${fuzztime})"
-  go test -run='^FuzzBackendEquivalence$' -fuzz='^FuzzBackendEquivalence$' -fuzztime="${fuzztime}" .
+  echo "== fuzz smoke: FuzzStoreModel (${fuzztime})"
+  go test -run='^FuzzStoreModel$' -fuzz='^FuzzStoreModel$' -fuzztime="${fuzztime}" ./internal/db
   echo "== fuzz smoke: FuzzSnapshotLoader (${fuzztime})"
   go test -run='^FuzzSnapshotLoader$' -fuzz='^FuzzSnapshotLoader$' -fuzztime="${fuzztime}" ./internal/db/snapshot
   echo "== fuzz smoke: FuzzQueryRequest (${fuzztime})"
