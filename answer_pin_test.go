@@ -1,0 +1,158 @@
+package wdpt_test
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"testing"
+
+	"wdpt/internal/core"
+	"wdpt/internal/cq"
+	"wdpt/internal/cqeval"
+	"wdpt/internal/gen"
+	"wdpt/internal/obs"
+	"wdpt/internal/report"
+	"wdpt/internal/sparql"
+)
+
+// Answer pins: SHA-256 digests of the report.Encode body of the path and
+// union requests the benchmark's enum_deep and cluster_union workloads
+// send, computed with the evaluator as it was before Solve applied
+// Lemma 1's pruning and before SortSolutions keyed each answer once. Any
+// change to how trees are evaluated or answers are ordered must leave
+// every body byte-identical.
+
+// pathFreeSets are the free-variable sets of the pinned path requests:
+// the four the enum_deep workload draws from, then every variable of the
+// path (nothing prunes).
+var pathFreeSets = [][]int{{0}, {1}, {0, 1}, {0, 2}, nil}
+
+// pathPins maps "d<depth>/<mode>/<free>" to the body digest. The all-free
+// sets are pinned in enumerate mode only: nothing prunes there, no answer
+// is subsumed by another, and MappingSet.Maximal's all-pairs filter takes
+// 5 s at depth 4 and 27 s at depth 5 on a 2-vCPU box, for a body that
+// differs from the enumerate one in its mode field alone.
+var pathPins = map[string]string{
+	"d4/enumerate/y0":                "ee9c059f4ef7b2ddc5ef5e9480d4e754c87d755d25347e4d1477865a8238512f",
+	"d4/maximal/y0":                  "bb9c2158b06290b364aab92bdcef5041a0c7d6313c127950a56f1a3a9f6920a0",
+	"d4/enumerate/y1":                "9c9447446629b2aa497297a077620f4df04ed353a1aaa2b5f579b70312a6dfae",
+	"d4/maximal/y1":                  "d72f659cba8a14606ff3d41673a9fb0adb87892d00ca3dd8af47b1e21ab835b4",
+	"d4/enumerate/y0,y1":             "7aa92b83feb920ad9f72170810af02ca336275b00b7292a23077df7166572988",
+	"d4/maximal/y0,y1":               "bffdd46c5d2ab6d3fd5f4aa945430a400f395e184f1e5c8faff46c95259bcc1e",
+	"d4/enumerate/y0,y2":             "8c3549bbe51bafc89514c3de753ddf7b44d7b9ee9db87c24947feab8f4bdd93f",
+	"d4/maximal/y0,y2":               "24e1aece37b2f63917983d7f467e69e716551886c1fd210ea329ddb082e28be4",
+	"d4/enumerate/y0,y1,y2,y3,y4":    "8e0e54ef6de2db4f02c438a7ec6eb51bf67471bbeb36b4e037f455b70b4380c0",
+	"d5/enumerate/y0":                "ee9c059f4ef7b2ddc5ef5e9480d4e754c87d755d25347e4d1477865a8238512f",
+	"d5/maximal/y0":                  "bb9c2158b06290b364aab92bdcef5041a0c7d6313c127950a56f1a3a9f6920a0",
+	"d5/enumerate/y1":                "9c9447446629b2aa497297a077620f4df04ed353a1aaa2b5f579b70312a6dfae",
+	"d5/maximal/y1":                  "d72f659cba8a14606ff3d41673a9fb0adb87892d00ca3dd8af47b1e21ab835b4",
+	"d5/enumerate/y0,y1":             "7aa92b83feb920ad9f72170810af02ca336275b00b7292a23077df7166572988",
+	"d5/maximal/y0,y1":               "bffdd46c5d2ab6d3fd5f4aa945430a400f395e184f1e5c8faff46c95259bcc1e",
+	"d5/enumerate/y0,y2":             "8c3549bbe51bafc89514c3de753ddf7b44d7b9ee9db87c24947feab8f4bdd93f",
+	"d5/maximal/y0,y2":               "24e1aece37b2f63917983d7f467e69e716551886c1fd210ea329ddb082e28be4",
+	"d5/enumerate/y0,y1,y2,y3,y4,y5": "6fc664668dd12ba0a0f87c8f2be2535af22c6176991c3854db286be418bd1066",
+}
+
+// encodeDigest encodes answers the way the server and wdpteval -json do and
+// returns the SHA-256 of the body.
+func encodeDigest(t *testing.T, mode core.Mode, engine string, answers []cq.Mapping) string {
+	t.Helper()
+	rep := report.Report{Mode: mode.String(), Engine: engine, Parallelism: 1}
+	rep.SetAnswers(answers)
+	var buf bytes.Buffer
+	if err := report.Encode(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// pathFree names the free variables of a pinned path of the given depth.
+func pathFree(depth int, idx []int) []string {
+	if idx == nil {
+		for i := 0; i <= depth; i++ {
+			idx = append(idx, i)
+		}
+	}
+	free := make([]string, len(idx))
+	for i, v := range idx {
+		free[i] = fmt.Sprintf("y%d", v)
+	}
+	return free
+}
+
+func TestPathAnswerPins(t *testing.T) {
+	d := gen.LayeredDatabase(6, 32, 3, 1)
+	for _, depth := range []int{4, 5} {
+		for _, idx := range pathFreeSets {
+			free := pathFree(depth, idx)
+			p := gen.PathWDPT(depth, free...)
+			for _, mode := range []core.Mode{core.ModeEnumerate, core.ModeMaximal} {
+				name := fmt.Sprintf("d%d/%s/%s", depth, mode, strings.Join(free, ","))
+				want, pinned := pathPins[name]
+				if !pinned {
+					continue
+				}
+				t.Run(name, func(t *testing.T) {
+					// The server's engines: auto for enumerate, the
+					// backtracking solver for maximal.
+					opts := core.SolveOptions{Mode: mode}
+					engine := "naive"
+					if mode == core.ModeEnumerate {
+						opts.Engine, engine = cqeval.Auto(), "auto"
+					}
+					res, err := p.Solve(context.Background(), d, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					got := encodeDigest(t, mode, engine, res.Answers)
+					if got != want {
+						t.Errorf("%s: body digest %s (%d answers), want %s", name, got, len(res.Answers), want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// unionPinQuery is the cluster_union workload's two-tree union over
+// MusicDatabaseLarge(500, 6, 1): about 3 000 answers.
+const unionPinQuery = "SELECT ?x ?y ?z WHERE (recorded_by(?x, ?y) AND published(?x, after_2010)) OPT rating(?x, ?z) " +
+	"UNION SELECT ?x ?y ?zp WHERE (recorded_by(?x, ?y) AND published(?x, before_2010)) OPT formed_in(?y, ?zp)"
+
+const unionPin = "6d1354e9885519db150f9b71e6f2edb887948d2ad9b3a70a7e14659a948104f1"
+
+func TestUnionAnswerPin(t *testing.T) {
+	d := gen.MusicDatabaseLarge(500, 6, 1)
+	u, err := sparql.ParseUnionQuery(unionPinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 8} {
+		res, err := u.Solve(context.Background(), d, core.SolveOptions{Mode: core.ModeEnumerate, Engine: cqeval.Auto(), Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encodeDigest(t, core.ModeEnumerate, "auto", res.Answers); got != unionPin {
+			t.Errorf("P=%d: body digest %s (%d answers), want %s", par, got, len(res.Answers), unionPin)
+		}
+	}
+}
+
+// TestAllFreePathExtensionUnits pins the expansion work of the all-free
+// depth-5 path: every node introduces a free variable, so no branch is
+// pruned and the count of extension units tested must not move.
+func TestAllFreePathExtensionUnits(t *testing.T) {
+	const want = 8542
+	p := gen.PathWDPT(5, pathFree(5, nil)...)
+	st := obs.NewStats()
+	if _, err := p.Solve(context.Background(), gen.LayeredDatabase(6, 32, 3, 1), core.SolveOptions{Mode: core.ModeEnumerate, Stats: st}); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Get(obs.CtrExtensionUnits); got != want {
+		t.Errorf("core.extension_units_tested = %d, want %d", got, want)
+	}
+}

@@ -39,7 +39,7 @@ func runE10(cfg Config) *Table {
 	p := gen.DirectedCycleTree(4)
 	var ap = p
 	computeTime := Measure(1, func() {
-		a, err := approx.Approximate(cfg.Context(), p, approx.WB(1), approx.Options{})
+		a, err := approx.Approximate(cfg.Context(), p, approx.WB(1), approx.Options{Subsume: subsume.Options{Stats: cfg.Stats}})
 		if err != nil {
 			t.Notes = append(t.Notes, "ERROR: "+err.Error())
 			return
@@ -113,7 +113,7 @@ func runE11(cfg Config) *Table {
 			return
 		}
 		approxMembers = len(qs)
-		if ok, err := uwdpt.Subsumes(cfg.Context(), uwdpt.AsUnionOfWDPTs(qs), u, subsume.Options{}); !t.noteError(err) && !ok {
+		if ok, err := uwdpt.Subsumes(cfg.Context(), uwdpt.AsUnionOfWDPTs(qs), u, subsume.Options{Stats: cfg.Stats}); !t.noteError(err) && !ok {
 			t.Notes = append(t.Notes, "ERROR: approximation not subsumed by the union")
 		}
 	})

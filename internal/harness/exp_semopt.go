@@ -48,7 +48,7 @@ func runE6(cfg Config) *Table {
 		var member bool
 		var err error
 		dur := Measure(1, func() {
-			_, member, err = approx.MemberWB(cfg.Context(), p, approx.WB(1), approx.Options{Parallelism: cfg.Parallelism})
+			_, member, err = approx.MemberWB(cfg.Context(), p, approx.WB(1), approx.Options{Parallelism: cfg.Parallelism, Subsume: subsume.Options{Stats: cfg.Stats}})
 		})
 		t.noteError(err)
 		wantMember := m%2 == 0
@@ -78,13 +78,13 @@ func runE7(cfg Config) *Table {
 		p := gen.TriangleWithPath(l)
 		var size int
 		dur := Measure(1, func() {
-			ap, err := approx.Approximate(cfg.Context(), p, approx.WB(1), approx.Options{Parallelism: cfg.Parallelism})
+			ap, err := approx.Approximate(cfg.Context(), p, approx.WB(1), approx.Options{Parallelism: cfg.Parallelism, Subsume: subsume.Options{Stats: cfg.Stats}})
 			if err != nil {
 				t.Notes = append(t.Notes, "ERROR: "+err.Error())
 				return
 			}
 			size = ap.Size()
-			if ok, err := subsume.Subsumes(cfg.Context(), ap, p, subsume.Options{}); !t.noteError(err) && !ok {
+			if ok, err := subsume.Subsumes(cfg.Context(), ap, p, subsume.Options{Stats: cfg.Stats}); !t.noteError(err) && !ok {
 				t.Notes = append(t.Notes, "ERROR: approximation not subsumed by p")
 			}
 		})
@@ -122,7 +122,7 @@ func runE8(cfg Config) *Table {
 		// suite re-checks it; here it documents the family).
 		p1 := gen.Figure2P1(1, k)
 		p2 := gen.Figure2P2(1, k)
-		ok, err := subsume.Subsumes(cfg.Context(), p2, p1, subsume.Options{})
+		ok, err := subsume.Subsumes(cfg.Context(), p2, p1, subsume.Options{Stats: cfg.Stats})
 		switch {
 		case t.noteError(err):
 		case !ok:

@@ -35,11 +35,11 @@ func runE5(cfg Config) *Table {
 		var holds bool
 		var err error
 		fast := Measure(1, func() {
-			holds, err = subsume.Subsumes(ctx, p, p, subsume.Options{})
+			holds, err = subsume.Subsumes(ctx, p, p, subsume.Options{Stats: cfg.Stats})
 		})
 		t.noteError(err)
 		slow := Measure(1, func() {
-			_, err = subsume.Subsumes(ctx, p, p, subsume.Options{InnerEnumerate: true})
+			_, err = subsume.Subsumes(ctx, p, p, subsume.Options{InnerEnumerate: true, Stats: cfg.Stats})
 		})
 		t.noteError(err)
 		t.AddRow(w, p.Size(), holds, fast, slow)
@@ -52,7 +52,7 @@ func runE5(cfg Config) *Table {
 	p1 := gen.MusicWDPT("x", "y", "z", "zp")
 	var err error
 	eq := cfg.Measure(func() {
-		_, err = subsume.Equivalent(ctx, p1, p1, subsume.Options{})
+		_, err = subsume.Equivalent(ctx, p1, p1, subsume.Options{Stats: cfg.Stats})
 	})
 	t.noteError(err)
 	t.AddRow("music≡s", p1.Size(), true, eq, "-")
