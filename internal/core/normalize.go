@@ -64,6 +64,19 @@ func (p *PatternTree) PruneNonProjecting() *PatternTree {
 	return MustNew(rootSpec, p.free)
 }
 
+// lemma1 returns the pruned form of p (PruneNonProjecting), computing it
+// once per tree. The pruned form of a pruned tree is that tree itself.
+func (p *PatternTree) lemma1() *PatternTree {
+	p.pruneOnce.Do(func() {
+		q := p.PruneNonProjecting()
+		if q != p {
+			q.pruneOnce.Do(func() { q.pruned = q })
+		}
+		p.pruned = q
+	})
+	return p.pruned
+}
+
 // ExplainNodes returns the engine's plan for every node of the tree in
 // preorder, labeled "node <id>" — the structured form behind
 // wdpteval -explain. Each node's atoms form one conjunctive query, which is

@@ -158,6 +158,11 @@ type Result struct {
 // guard.ErrInjected, guard.ErrPanic). Solve never panics: any panic below
 // this boundary is recovered into an error. A nil ctx is treated as
 // context.Background().
+//
+// Every mode evaluates the tree's Lemma 1 form: a branch that introduces
+// no free variable changes neither p(D) nor p_m(D), hence no decision
+// problem either, so such branches are dropped once per tree
+// (PruneNonProjecting) and never expanded.
 func (p *PatternTree) Solve(ctx context.Context, d *db.Database, opts SolveOptions) (res Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -173,6 +178,7 @@ func (p *PatternTree) Solve(ctx context.Context, d *db.Database, opts SolveOptio
 			res, err = Result{}, guard.AsError(r, st)
 		}
 	}()
+	p = p.lemma1()
 	if opts.Meter != nil {
 		// An external meter means an outer caller owns budget and ladder.
 		return p.solveAttempt(ctx, d, opts.Mode, opts, st, opts.Meter)

@@ -63,6 +63,11 @@ type PatternTree struct {
 	// without caching).
 	subtrees     sync.Map // subtreeKey → *subtreeInfo
 	subtreeCount atomic.Int64
+	// pruned is the Lemma 1 form Solve evaluates (PruneNonProjecting),
+	// computed once on first use; a tree with nothing to prune is its own
+	// pruned form.
+	pruneOnce sync.Once
+	pruned    *PatternTree
 }
 
 // maxSubtreeCache bounds the number of memoized subtree entries per tree.
