@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -188,12 +189,57 @@ func CompareMappings(a, b Mapping) int {
 // CompareMappings and returns it. Applying it at every output boundary makes
 // solution enumeration byte-stable across runs regardless of map iteration
 // order anywhere upstream.
+//
+// Each answer gets its sort key once: its sorted domain interleaved with
+// its values, [v₁, h(v₁), v₂, h(v₂), …], on which slices.Compare is exactly
+// CompareMappings. Already-sorted input costs one linear pass after the
+// keys are built; otherwise the sort is stable.
 func SortSolutions(sols []Mapping) []Mapping {
-	sort.SliceStable(sols, func(i, j int) bool {
-		return CompareMappings(sols[i], sols[j]) < 0
-	})
+	if len(sols) < 2 {
+		return sols
+	}
+	size := 0
+	for _, h := range sols {
+		size += 2 * len(h)
+	}
+	flat := make([]string, size)
+	keyed := make([]keyedMapping, len(sols))
+	off := 0
+	for i, h := range sols {
+		key := flat[off : off+2*len(h)]
+		off += len(key)
+		names := key[:len(h)]
+		j := 0
+		for v := range h {
+			names[j] = v
+			j++
+		}
+		slices.Sort(names)
+		// Spread the names to the even slots from the back, so no name is
+		// overwritten before it moves.
+		for j := len(names) - 1; j >= 0; j-- {
+			key[2*j] = names[j]
+			key[2*j+1] = h[key[2*j]]
+		}
+		keyed[i] = keyedMapping{key: key, h: h}
+	}
+	if slices.IsSortedFunc(keyed, compareKeyed) {
+		return sols
+	}
+	slices.SortStableFunc(keyed, compareKeyed)
+	for i, k := range keyed {
+		sols[i] = k.h
+	}
 	return sols
 }
+
+// keyedMapping is an answer with its SortSolutions key.
+type keyedMapping struct {
+	key []string
+	h   Mapping
+}
+
+func compareKeyed(a, b keyedMapping) int { return slices.Compare(a.key, b.key) }
 
 // MappingSet is a set of partial mappings with canonical-key deduplication.
 type MappingSet struct {
