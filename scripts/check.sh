@@ -15,7 +15,7 @@
 # byte-parity with and without a killed member, a wdptstress -quick run
 # whose STRESS_<date>-smoke.json artifact benchdiff must accept),
 # and bounded parser + storage-model + snapshot-loader + query-request +
-# Lemma 1 pruning fuzz smokes.
+# Lemma 1 pruning + subsumption-reference fuzz smokes.
 # CI (.github/workflows/ci.yml) runs exactly this script.
 #
 #   ./scripts/check.sh
@@ -138,9 +138,11 @@ if [[ "${WDPT_SKIP_FUZZ:-0}" != "1" ]]; then
   go test -run='^FuzzSnapshotLoader$' -fuzz='^FuzzSnapshotLoader$' -fuzztime="${fuzztime}" ./internal/db/snapshot
   echo "== fuzz smoke: FuzzQueryRequest (${fuzztime})"
   go test -run='^FuzzQueryRequest$' -fuzz='^FuzzQueryRequest$' -fuzztime="${fuzztime}" ./internal/server
-  lemma1_fuzztime="${FUZZTIME:-20s}"
-  echo "== fuzz smoke: FuzzSolveUnpruned (${lemma1_fuzztime})"
-  go test -run='^FuzzSolveUnpruned$' -fuzz='^FuzzSolveUnpruned$' -fuzztime="${lemma1_fuzztime}" ./internal/core
+  ref_fuzztime="${FUZZTIME:-20s}"
+  echo "== fuzz smoke: FuzzSolveUnpruned (${ref_fuzztime})"
+  go test -run='^FuzzSolveUnpruned$' -fuzz='^FuzzSolveUnpruned$' -fuzztime="${ref_fuzztime}" ./internal/core
+  echo "== fuzz smoke: FuzzSubsumesReference (${ref_fuzztime})"
+  go test -run='^FuzzSubsumesReference$' -fuzz='^FuzzSubsumesReference$' -fuzztime="${ref_fuzztime}" ./internal/subsume
 else
   echo "== fuzz smoke skipped (WDPT_SKIP_FUZZ=1)"
 fi
