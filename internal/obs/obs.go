@@ -85,11 +85,11 @@ const (
 	CtrInterfaceMemoHits
 	// CtrInterfaceMemoMisses counts interface-mapping subproblems solved.
 	CtrInterfaceMemoMisses
-	// CtrQuotientDBs counts candidate quotient databases enumerated by the
-	// subsumption small-model search.
+	// CtrQuotientDBs counts the frozen canonical databases the subsumption
+	// test builds, one per rooted subtree of the left-hand tree.
 	CtrQuotientDBs
 	// CtrInnerChecks counts inner PARTIAL-EVAL (or enumeration) subsumption
-	// checks.
+	// checks, one per canonical database.
 	CtrInnerChecks
 	// CtrApproxCandidates counts approximation candidates generated.
 	CtrApproxCandidates

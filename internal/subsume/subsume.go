@@ -3,16 +3,16 @@
 // equivalence ≡s, and equivalence under the maximal-mappings semantics ≡max
 // (equal to ≡s by Proposition 5).
 //
-// The decision procedure follows the small-model property underlying the
-// Π₂ᴾ upper bound: p1 ⊑ p2 can be refuted iff it can be refuted on a
-// database that is a homomorphic image of the frozen canonical database of
-// some rooted subtree of p1 — i.e. a quotient of its variables, with blocks
-// optionally collapsed onto the constants mentioned by either tree. For each
-// such candidate database D and answer h ∈ p1(D), the check "some answer of
-// p2 over D subsumes h" is exactly PARTIAL-EVAL(p2, D, h), which is where
-// the asymmetry of Theorem 11 comes from: when p2 is globally tractable the
-// inner check runs in polynomial time and overall membership drops from
-// Π₂ᴾ to coNP.
+// The decision procedure is Theorem 11's coNP argument made literal. For a
+// rooted subtree T of p1, let D_T be its frozen canonical database (every
+// variable v becomes a fresh constant •v) and h_T the frozen free variables
+// of T. Then p1 ⊑ p2 iff, for every T, some answer of p2 over D_T extends
+// h_T (docs/THEORY.md §4). The outer loop is the guess of T; the inner
+// check is exactly PARTIAL-EVAL(p2, D_T, h_T), which is where the asymmetry
+// of Theorem 11 comes from: when p2 is globally tractable the inner check
+// runs in polynomial time and overall membership drops from Π₂ᴾ to coNP.
+// The same loop decides a tree against a union of trees (Theorem 16), with
+// ⋃-PARTIAL-EVAL as the inner check.
 //
 // Every evaluation inside the search is a Solve call under the caller's
 // context, so a deadline or cancellation stops the search with an error.
@@ -20,7 +20,8 @@ package subsume
 
 import (
 	"context"
-	"fmt"
+	"errors"
+	"strings"
 
 	"wdpt/internal/core"
 	"wdpt/internal/cq"
@@ -40,7 +41,7 @@ type Options struct {
 	// p2(D) — the ablation baseline corresponding to the generic Π₂ᴾ
 	// procedure.
 	InnerEnumerate bool
-	// Stats receives work counters (quotient databases enumerated, inner
+	// Stats receives work counters (canonical databases built, inner
 	// checks performed). When nil but Engine carries a sink attached with
 	// cqeval.WithStats, that sink is used.
 	Stats *obs.Stats
@@ -74,32 +75,50 @@ func Subsumes(ctx context.Context, p1, p2 *core.PatternTree, opts Options) (bool
 // with a nil error means p1 ⊑ p2 holds. A deadline or cancellation of ctx
 // surfaces as a *guard.TripError.
 func CounterExample(ctx context.Context, p1, p2 *core.PatternTree, opts Options) (d *db.Database, h cq.Mapping, found bool, err error) {
+	return Refute(ctx, p1, tree{p2}, opts)
+}
+
+// Target is the right-hand side of a subsumption test: a pattern tree, or a
+// union of pattern trees (Theorem 16). Trees lists the trees whose
+// constants the frozen constants must avoid.
+type Target interface {
+	Solve(ctx context.Context, d *db.Database, opts core.SolveOptions) (core.Result, error)
+	Trees() []*core.PatternTree
+}
+
+// tree is a single pattern tree as a Target.
+type tree struct{ *core.PatternTree }
+
+func (t tree) Trees() []*core.PatternTree { return []*core.PatternTree{t.PatternTree} }
+
+// Refute is CounterExample against any Target. For each rooted subtree T of
+// p1 it builds the frozen canonical database D_T and runs one inner check:
+// does some answer of p2 over D_T extend h_T, the frozen free variables of
+// T? p1 ⊑ p2 holds iff every check succeeds (docs/THEORY.md §4). On the
+// first failure it returns D_T and the first answer of p1 over D_T that
+// extends h_T.
+func Refute(ctx context.Context, p1 *core.PatternTree, p2 Target, opts Options) (d *db.Database, h cq.Mapping, found bool, err error) {
 	eng := opts.engine()
 	st := opts.stats()
-	consts := collectConstants(p1, p2)
+	prefix := freshPrefix(append([]*core.PatternTree{p1}, p2.Trees()...))
 	p1.EnumerateSubtrees(func(s core.Subtree) bool {
-		QuotientDatabases(p1.SubtreeAtoms(s), consts, st, func(qd *db.Database) bool {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
-			var res core.Result
-			if res, err = p1.Solve(ctx, qd, core.SolveOptions{Mode: core.ModeEnumerate, Stats: st}); err != nil {
-				return false
-			}
-			for _, a := range res.Answers {
-				st.Inc(obs.CtrInnerChecks)
-				var subsumed bool
-				if subsumed, err = subsumedIn(ctx, p2, qd, a, opts.InnerEnumerate, eng, st); err != nil {
-					return false
-				}
-				if !subsumed {
-					d, h, found = qd, a, true
-					return false
-				}
-			}
-			return true
-		})
-		return !found && err == nil
+		if err = ctx.Err(); err != nil {
+			return false
+		}
+		st.Inc(obs.CtrQuotientDBs)
+		st.Inc(obs.CtrInnerChecks)
+		dT, hT := canonical(p1, s, prefix)
+		var subsumed bool
+		if subsumed, err = subsumedIn(ctx, p2, dT, hT, opts.InnerEnumerate, eng, st); err != nil || subsumed {
+			return err == nil
+		}
+		d = dT
+		var ok bool
+		if h, ok, err = extension(ctx, tree{p1}, dT, hT, st); err == nil && !ok {
+			err = errNoExtension
+		}
+		found = err == nil
+		return false
 	})
 	if err != nil {
 		return nil, nil, false, tripOf(err)
@@ -107,24 +126,81 @@ func CounterExample(ctx context.Context, p1, p2 *core.PatternTree, opts Options)
 	return d, h, found, nil
 }
 
+// freshPrefix returns one '•' more than the longest run of '•' that begins
+// a constant of the trees, so prefix+v is a constant no tree mentions for
+// every variable v.
+func freshPrefix(trees []*core.PatternTree) string {
+	run := ""
+	for _, p := range trees {
+		for _, a := range p.AllAtoms() {
+			for _, t := range a.Args {
+				if t.IsVar() {
+					continue
+				}
+				c := t.Value()
+				if lead := c[:len(c)-len(strings.TrimLeft(c, "•"))]; len(lead) > len(run) {
+					run = lead
+				}
+			}
+		}
+	}
+	return run + "•"
+}
+
+// canonical returns the frozen canonical database D_T of subtree s, in
+// which every variable v is the constant prefix+v and constants stay as
+// they are, and h_T, the frozen free variables of s.
+func canonical(p *core.PatternTree, s core.Subtree, prefix string) (*db.Database, cq.Mapping) {
+	freeze := make(cq.Mapping)
+	for _, v := range p.SubtreeVars(s) {
+		freeze[v] = prefix + v
+	}
+	d := db.New()
+	for _, a := range p.SubtreeAtoms(s) {
+		ground := freeze.ApplyAtom(a)
+		vals := make([]string, len(ground.Args))
+		for j, t := range ground.Args {
+			vals[j] = t.Value()
+		}
+		d.Insert(a.Rel, vals...)
+	}
+	hT := make(cq.Mapping)
+	for _, x := range p.SubtreeFreeVars(s) {
+		hT[x] = freeze[x]
+	}
+	return d, hT
+}
+
+// errNoExtension reports a canonical database on which p1 has no answer
+// extending h_T. The identity on T extends to a maximal homomorphism, so
+// this is an evaluator fault, never a verdict.
+var errNoExtension = errors.New("subsume: no answer of p1 over its canonical database extends the frozen free variables")
+
+// extension returns the first answer of p over d that extends h; ok is
+// false when there is none.
+func extension(ctx context.Context, p Target, d *db.Database, h cq.Mapping, st *obs.Stats) (g cq.Mapping, ok bool, err error) {
+	res, err := p.Solve(ctx, d, core.SolveOptions{Mode: core.ModeEnumerate, Stats: st})
+	if err != nil {
+		return nil, false, err
+	}
+	for _, g := range res.Answers {
+		if h.SubsumedBy(g) {
+			return g, true, nil
+		}
+	}
+	return nil, false, nil
+}
+
 // subsumedIn reports whether some answer of p over d subsumes h: by
 // PARTIAL-EVAL (Theorem 11's inner check) or, with enumerate, by scanning
 // p(D) — the generic Π₂ᴾ ablation.
-func subsumedIn(ctx context.Context, p *core.PatternTree, d *db.Database, h cq.Mapping, enumerate bool, eng cqeval.Engine, st *obs.Stats) (bool, error) {
+func subsumedIn(ctx context.Context, p Target, d *db.Database, h cq.Mapping, enumerate bool, eng cqeval.Engine, st *obs.Stats) (bool, error) {
 	if !enumerate {
 		res, err := p.Solve(ctx, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng})
 		return res.Holds, err
 	}
-	res, err := p.Solve(ctx, d, core.SolveOptions{Mode: core.ModeEnumerate, Stats: st})
-	if err != nil {
-		return false, err
-	}
-	for _, g := range res.Answers {
-		if h.SubsumedBy(g) {
-			return true, nil
-		}
-	}
-	return false, nil
+	_, ok, err := extension(ctx, p, d, h, st)
+	return ok, err
 }
 
 // tripOf reports a bare context error the way a tripped meter does, so a
@@ -150,81 +226,4 @@ func Equivalent(ctx context.Context, p1, p2 *core.PatternTree, opts Options) (bo
 // it is decided here; tests cross-validate the proposition semantically.
 func MaxEquivalent(ctx context.Context, p1, p2 *core.PatternTree, opts Options) (bool, error) {
 	return Equivalent(ctx, p1, p2, opts)
-}
-
-// collectConstants gathers the constants mentioned by both trees.
-func collectConstants(trees ...*core.PatternTree) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range trees {
-		for _, a := range p.AllAtoms() {
-			for _, t := range a.Args {
-				if !t.IsVar() && !seen[t.Value()] {
-					seen[t.Value()] = true
-					out = append(out, t.Value())
-				}
-			}
-		}
-	}
-	return out
-}
-
-// QuotientDatabases enumerates the homomorphic images of the frozen atoms:
-// for every partition of the variables and every assignment of blocks to
-// fresh constants or to constants from consts, the ground image database is
-// passed to visit, and counted on st. visit returning false stops the
-// enumeration. This is the small-model space on which subsumption of
-// (unions of) WDPTs can be refuted.
-func QuotientDatabases(atoms []cq.Atom, consts []string, st *obs.Stats, visit func(*db.Database) bool) {
-	vars := cq.AtomsVars(atoms)
-	assign := make(cq.Mapping, len(vars))
-	// reps tracks current block representatives among variables.
-	var reps []string
-	stopped := false
-	var rec func(i int)
-	rec = func(i int) {
-		if stopped {
-			return
-		}
-		if i == len(vars) {
-			st.Inc(obs.CtrQuotientDBs)
-			d := db.New()
-			for _, a := range atoms {
-				ground := assign.ApplyAtom(a)
-				vals := make([]string, len(ground.Args))
-				for j, t := range ground.Args {
-					vals[j] = t.Value()
-				}
-				d.Insert(a.Rel, vals...)
-			}
-			if !visit(d) {
-				stopped = true
-			}
-			return
-		}
-		v := vars[i]
-		// Join an existing variable block.
-		for _, r := range reps {
-			assign[v] = assign[r]
-			rec(i + 1)
-			if stopped {
-				return
-			}
-		}
-		// Collapse onto a known constant.
-		for _, c := range consts {
-			assign[v] = c
-			rec(i + 1)
-			if stopped {
-				return
-			}
-		}
-		// Start a fresh block with its own fresh constant.
-		assign[v] = fmt.Sprintf("•%s", v)
-		reps = append(reps, v)
-		rec(i + 1)
-		reps = reps[:len(reps)-1]
-		delete(assign, v)
-	}
-	rec(0)
 }

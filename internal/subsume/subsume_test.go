@@ -11,6 +11,7 @@ import (
 	"wdpt/internal/db"
 	"wdpt/internal/gen"
 	"wdpt/internal/guard"
+	"wdpt/internal/obs"
 )
 
 func TestSubsumptionReflexive(t *testing.T) {
@@ -358,5 +359,62 @@ func TestSubsumesStopsAtDeadline(t *testing.T) {
 	ok, err := Subsumes(ctx, p, p, Options{InnerEnumerate: true})
 	if ok || !errors.Is(err, guard.ErrDeadline) {
 		t.Fatalf("Subsumes = %v, %v; want false and a guard.ErrDeadline trip", ok, err)
+	}
+}
+
+// TestFrozenConstantsAvoidTreeConstants: a variable is never frozen to a
+// constant either tree mentions. R(?x) ⋢ R(?x) ∧ R("•x") — over {R(a)} the
+// left tree answers {x ↦ a} and the right one has no answer — and
+// R(?x) ∧ S("•x") ⋢ R(?x) ∧ S(?x), over {R(a), S("•x")}.
+func TestFrozenConstantsAvoidTreeConstants(t *testing.T) {
+	r := func(tm cq.Term) cq.Atom { return cq.NewAtom("R", tm) }
+	s := func(tm cq.Term) cq.Atom { return cq.NewAtom("S", tm) }
+	x, bullet := cq.V("x"), cq.C("•x")
+	node := func(atoms ...cq.Atom) *core.PatternTree {
+		return core.MustNew(core.NodeSpec{Atoms: atoms}, []string{"x"})
+	}
+	cases := []struct{ p1, p2 *core.PatternTree }{
+		{node(r(x)), node(r(x), r(bullet))},
+		{node(r(x), s(bullet)), node(r(x), s(x))},
+	}
+	for i, c := range cases {
+		d, h, found, err := CounterExample(context.Background(), c.p1, c.p2, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !found {
+			t.Fatalf("case %d: p1 ⊑ p2 reported, want a refutation\np1:\n%s\np2:\n%s", i, c.p1, c.p2)
+		}
+		for _, g := range solve(t, c.p2, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
+			if h.SubsumedBy(g) {
+				t.Fatalf("case %d: witness %v subsumed by %v over\n%s", i, h, g, d)
+			}
+		}
+	}
+}
+
+// TestStarSubsumptionCounts: p ⊑ p on the width-w star does one frozen
+// canonical database and one inner check per rooted subtree, 2^w of each —
+// the coNP guess of Theorem 11. The enumeration inner check, exponential in
+// w itself, is pinned on E5's widths only.
+func TestStarSubsumptionCounts(t *testing.T) {
+	for w := 2; w <= 6; w++ {
+		p := gen.StarWDPT(w)
+		for _, enumerate := range []bool{false, true} {
+			if enumerate && w > 4 {
+				continue
+			}
+			st := obs.NewStats()
+			if !subsumes(t, p, p, Options{InnerEnumerate: enumerate, Stats: st}) {
+				t.Fatalf("width %d: p ⊑ p must hold", w)
+			}
+			want := int64(1) << w
+			if got := st.Get(obs.CtrQuotientDBs); got != want {
+				t.Errorf("width %d, InnerEnumerate=%v: %s = %d, want %d", w, enumerate, obs.CtrQuotientDBs, got, want)
+			}
+			if got := st.Get(obs.CtrInnerChecks); got != want {
+				t.Errorf("width %d, InnerEnumerate=%v: %s = %d, want %d", w, enumerate, obs.CtrInnerChecks, got, want)
+			}
+		}
 	}
 }

@@ -283,46 +283,14 @@ func (u *Union) CQTranslation(maxCQs int, st *obs.Stats) []*cq.CQ {
 }
 
 // Subsumes decides φ ⊑ φ': over every database, every answer of φ is
-// subsumed by an answer of φ'. The small-model space is the same as for
-// single trees, applied to each member of the left-hand union; every
-// evaluation on it is a Solve call under ctx, and the first error stops the
-// search.
+// subsumed by an answer of φ'. That holds iff every member of φ is
+// subsumed by φ', which subsume.Refute decides with ⋃-PARTIAL-EVAL of φ'
+// (Theorem 16) as the inner check, or a scan of φ'(D) with
+// opts.InnerEnumerate. Counters go to opts.Stats, and the first error
+// stops the test.
 func Subsumes(ctx context.Context, u1, u2 *Union, opts subsume.Options) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	consts := unionConstants(u1, u2)
-	eng := opts.Engine
-	if eng == nil {
-		eng = cqeval.Auto()
-	}
-	holds := true
-	var err error
 	for _, p := range u1.trees {
-		p.EnumerateSubtrees(func(s core.Subtree) bool {
-			subsume.QuotientDatabases(p.SubtreeAtoms(s), consts, nil, func(d *db.Database) bool {
-				holds, err = answersSubsumed(ctx, u1, u2, d, eng)
-				return holds
-			})
-			return holds
-		})
-		if !holds {
-			break
-		}
-	}
-	return holds, err
-}
-
-// answersSubsumed reports whether every answer of u1 over d is a partial
-// answer of u2 (⋃-PARTIAL-EVAL, Theorem 16).
-func answersSubsumed(ctx context.Context, u1, u2 *Union, d *db.Database, eng cqeval.Engine) (bool, error) {
-	all, err := u1.Solve(ctx, d, core.SolveOptions{Mode: core.ModeEnumerate})
-	if err != nil {
-		return false, err
-	}
-	for _, h := range all.Answers {
-		res, err := u2.Solve(ctx, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng})
-		if err != nil || !res.Holds {
+		if _, _, found, err := subsume.Refute(ctx, p, u2, opts); found || err != nil {
 			return false, err
 		}
 	}
@@ -335,22 +303,4 @@ func Equivalent(ctx context.Context, u1, u2 *Union, opts subsume.Options) (bool,
 		return false, err
 	}
 	return Subsumes(ctx, u2, u1, opts)
-}
-
-func unionConstants(us ...*Union) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, u := range us {
-		for _, p := range u.trees {
-			for _, a := range p.AllAtoms() {
-				for _, t := range a.Args {
-					if !t.IsVar() && !seen[t.Value()] {
-						seen[t.Value()] = true
-						out = append(out, t.Value())
-					}
-				}
-			}
-		}
-	}
-	return out
 }
