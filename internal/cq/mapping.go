@@ -190,38 +190,17 @@ func CompareMappings(a, b Mapping) int {
 // solution enumeration byte-stable across runs regardless of map iteration
 // order anywhere upstream.
 //
-// Each answer gets its sort key once: its sorted domain interleaved with
-// its values, [v₁, h(v₁), v₂, h(v₂), …], on which slices.Compare is exactly
-// CompareMappings. Already-sorted input costs one linear pass after the
-// keys are built; otherwise the sort is stable.
+// Each answer gets its sort key once (Keys), on which slices.Compare is
+// exactly CompareMappings. Already-sorted input costs one linear pass after
+// the keys are built; otherwise the sort is stable.
 func SortSolutions(sols []Mapping) []Mapping {
 	if len(sols) < 2 {
 		return sols
 	}
-	size := 0
-	for _, h := range sols {
-		size += 2 * len(h)
-	}
-	flat := make([]string, size)
+	flat := make([]string, keySize(sols))
 	keyed := make([]keyedMapping, len(sols))
-	off := 0
 	for i, h := range sols {
-		key := flat[off : off+2*len(h)]
-		off += len(key)
-		names := key[:len(h)]
-		j := 0
-		for v := range h {
-			names[j] = v
-			j++
-		}
-		slices.Sort(names)
-		// Spread the names to the even slots from the back, so no name is
-		// overwritten before it moves.
-		for j := len(names) - 1; j >= 0; j-- {
-			key[2*j] = names[j]
-			key[2*j+1] = h[key[2*j]]
-		}
-		keyed[i] = keyedMapping{key: key, h: h}
+		keyed[i] = keyedMapping{key: keyInto(&flat, h), h: h}
 	}
 	if slices.IsSortedFunc(keyed, compareKeyed) {
 		return sols
@@ -233,6 +212,48 @@ func SortSolutions(sols []Mapping) []Mapping {
 	return sols
 }
 
+// Keys returns each answer's sort key: its sorted domain interleaved with
+// its values, [v₁, h(v₁), v₂, h(v₂), …]. slices.Compare on two keys is
+// CompareMappings on their answers. The keys share one backing array.
+func Keys(sols []Mapping) [][]string {
+	flat := make([]string, keySize(sols))
+	keys := make([][]string, len(sols))
+	for i, h := range sols {
+		keys[i] = keyInto(&flat, h)
+	}
+	return keys
+}
+
+// keySize is the number of strings in the keys of sols.
+func keySize(sols []Mapping) int {
+	size := 0
+	for _, h := range sols {
+		size += 2 * len(h)
+	}
+	return size
+}
+
+// keyInto writes h's key into the front of *flat, advances *flat past it
+// and returns it.
+func keyInto(flat *[]string, h Mapping) []string {
+	key := (*flat)[: 2*len(h) : 2*len(h)]
+	*flat = (*flat)[2*len(h):]
+	names := key[:len(h)]
+	j := 0
+	for v := range h {
+		names[j] = v
+		j++
+	}
+	slices.Sort(names)
+	// Spread the names to the even slots from the back, so no name is
+	// overwritten before it moves.
+	for j := len(names) - 1; j >= 0; j-- {
+		key[2*j] = names[j]
+		key[2*j+1] = h[key[2*j]]
+	}
+	return key
+}
+
 // keyedMapping is an answer with its SortSolutions key.
 type keyedMapping struct {
 	key []string
@@ -240,6 +261,96 @@ type keyedMapping struct {
 }
 
 func compareKeyed(a, b keyedMapping) int { return slices.Compare(a.key, b.key) }
+
+// KeyRef names one answer key of MergeKeys' input: lists[List][Index].
+type KeyRef struct {
+	List, Index int
+}
+
+// MergeKeys merges answer key lists, each strictly increasing in the
+// canonical order (as the answers of one Solve are), into the canonical
+// order of their union: a k-way merge that keeps the first list's copy of
+// a key several lists hold. With maximal set it then keeps only the keys
+// no other merged key properly subsumes (maximalKeys). Theorem 16 makes
+// union evaluation member-wise, so this is how member answer sets combine.
+func MergeKeys(lists [][][]string, maximal bool) []KeyRef {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]KeyRef, 0, n)
+	next := make([]int, len(lists))
+	var last []string
+	for {
+		best := -1
+		for li, l := range lists {
+			if next[li] < len(l) && (best < 0 || slices.Compare(l[next[li]], lists[best][next[best]]) < 0) {
+				best = li
+			}
+		}
+		if best < 0 {
+			break
+		}
+		key := lists[best][next[best]]
+		if len(out) == 0 || !slices.Equal(key, last) {
+			out = append(out, KeyRef{List: best, Index: next[best]})
+			last = key
+		}
+		next[best]++
+	}
+	if !maximal {
+		return out
+	}
+	merged := make([][]string, len(out))
+	for i, r := range out {
+		merged[i] = lists[r.List][r.Index]
+	}
+	kept := out[:0]
+	for _, i := range maximalKeys(merged) {
+		kept = append(kept, out[i])
+	}
+	return kept
+}
+
+// maximalKeys returns, in order, the indices of the keys whose answers no
+// other key's answer properly subsumes: the ⊏-maximal answers of p_m(D)
+// (Section 3.4). Every pair is tested.
+func maximalKeys(keys [][]string) []int {
+	var out []int
+	for i, k := range keys {
+		dominated := false
+		for j, kp := range keys {
+			if i != j && keyProperlySubsumed(k, kp) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// keyProperlySubsumed reports h ⊏ h' on the keys of h and h'. h ⊑ h' puts
+// dom(h) ⊆ dom(h'), and equal domains would make h = h', so h ⊏ h' is
+// h ⊑ h' with a shorter key: every name-value pair of a found in b.
+func keyProperlySubsumed(a, b []string) bool {
+	if len(a) >= len(b) {
+		return false
+	}
+	j := 0
+	for i := 0; i < len(a); i += 2 {
+		for j < len(b) && b[j] < a[i] {
+			j += 2
+		}
+		if j >= len(b) || b[j] != a[i] || b[j+1] != a[i+1] {
+			return false
+		}
+		j += 2
+	}
+	return true
+}
 
 // MappingSet is a set of partial mappings with canonical-key deduplication.
 type MappingSet struct {
@@ -280,23 +391,14 @@ func (s *MappingSet) All() []Mapping {
 	return SortSolutions(out)
 }
 
-// Maximal returns the mappings of the set that are not properly subsumed by
-// another member: the restriction used by the maximal-mappings semantics
-// p_m(D) of Section 3.4.
+// Maximal returns, in canonical order, the mappings of the set that are
+// not properly subsumed by another member: the restriction used by the
+// maximal-mappings semantics p_m(D) of Section 3.4.
 func (s *MappingSet) Maximal() []Mapping {
 	all := s.All()
 	var out []Mapping
-	for i, h := range all {
-		dominated := false
-		for j, hp := range all {
-			if i != j && h.ProperlySubsumedBy(hp) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, h)
-		}
+	for _, i := range maximalKeys(Keys(all)) {
+		out = append(out, all[i])
 	}
 	return out
 }

@@ -115,3 +115,79 @@ func TestSortSolutionsMatchesCompareMappings(t *testing.T) {
 		}
 	}
 }
+
+// distinctSorted returns the distinct answers of sols in canonical order,
+// as one Solve returns them.
+func distinctSorted(sols []Mapping) []Mapping {
+	set := NewMappingSet()
+	for _, h := range sols {
+		set.Add(h)
+	}
+	return set.All()
+}
+
+// TestMergeKeysMatchesMappingSet: merging the keys of several sorted
+// answer lists gives exactly the canonical order of their union, and with
+// maximal set exactly MappingSet.Maximal of the union — over lists that
+// share answers, have equal, nested and disjoint domains, and hold "\x00",
+// "=" and "?" in names and values.
+func TestMergeKeysMatchesMappingSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		lists := make([][]Mapping, rng.Intn(4))
+		union := NewMappingSet()
+		for i := range lists {
+			lists[i] = distinctSorted(randomSolutions(rng, rng.Intn(12)))
+			for _, h := range lists[i] {
+				union.Add(h)
+			}
+		}
+		keys := make([][][]string, len(lists))
+		for i, l := range lists {
+			keys[i] = Keys(l)
+		}
+		for _, maximal := range []bool{false, true} {
+			var got []Mapping
+			for _, r := range MergeKeys(keys, maximal) {
+				got = append(got, lists[r.List][r.Index])
+			}
+			want := union.All()
+			if maximal {
+				want = union.Maximal()
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d maximal=%v: merged %d answers, want %d\n%q\nwant\n%q", trial, maximal, len(got), len(want), got, want)
+			}
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("trial %d maximal=%v: answer %d is %v, want %v", trial, maximal, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMaximalKeysMatchesProperSubsumption: the key-level ⊏ filter keeps
+// exactly the answers that no other answer properly subsumes by
+// Mapping.ProperlySubsumedBy.
+func TestMaximalKeysMatchesProperSubsumption(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		sols := distinctSorted(randomSolutions(rng, 1+rng.Intn(20)))
+		var want []int
+		for i, h := range sols {
+			dominated := false
+			for j, hp := range sols {
+				if i != j && h.ProperlySubsumedBy(hp) {
+					dominated = true
+				}
+			}
+			if !dominated {
+				want = append(want, i)
+			}
+		}
+		if got := maximalKeys(Keys(sols)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: maximalKeys kept %v, want %v over %q", trial, got, want, sols)
+		}
+	}
+}

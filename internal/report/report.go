@@ -17,6 +17,9 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 
 	"wdpt/internal/core"
 	"wdpt/internal/cq"
@@ -89,10 +92,205 @@ func (r *Report) NoteDegraded(res core.Result) bool {
 // by a newline — the exact bytes of wdpteval -json and of a wdptd response
 // body.
 func Encode(w io.Writer, r Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	buf, err := Append(nil, r)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
 }
+
+// Append appends Encode's bytes for r to dst: exactly what encoding/json's
+// Encoder writes for r with two-space indentation and HTML escaping, so
+// the field order, omitempty rules and escapes are those of the struct
+// tags above. Answers are written in slice order, a nil answer as null.
+func Append(dst []byte, r Report) ([]byte, error) {
+	var names []string
+	return appendReport(dst, &r, len(r.Answers), func(dst []byte, i int) []byte {
+		dst, names = appendMapping(dst, r.Answers[i], names)
+		return dst
+	})
+}
+
+// AppendSpliced is Append with answers in place of r.Answers: each one an
+// answer already encoded by Encode, exactly as it sits inside a report's
+// "answers" array, from its first byte to its last. A caller holding such
+// bytes — the cluster coordinator merging member bodies — writes a report
+// without decoding them.
+func AppendSpliced(dst []byte, r Report, answers []string) ([]byte, error) {
+	return appendReport(dst, &r, len(answers), func(dst []byte, i int) []byte {
+		return append(dst, answers[i]...)
+	})
+}
+
+// appendReport appends the document for r with n answers, each appended by
+// answer. Nested values (plans, trace) go through encoding/json with the
+// indentation of their depth.
+func appendReport(dst []byte, r *Report, n int, answer func([]byte, int) []byte) ([]byte, error) {
+	dst = append(dst, "{\n  \"mode\": "...)
+	dst = AppendString(dst, r.Mode)
+	dst = append(dst, ",\n  \"engine\": "...)
+	dst = AppendString(dst, r.Engine)
+	if r.Parallelism != 0 {
+		dst = strconv.AppendInt(append(dst, ",\n  \"parallelism\": "...), int64(r.Parallelism), 10)
+	}
+	if r.Classification != "" {
+		dst = AppendString(append(dst, ",\n  \"classification\": "...), r.Classification)
+	}
+	if r.AnswerCount != nil {
+		dst = strconv.AppendInt(append(dst, ",\n  \"answer_count\": "...), int64(*r.AnswerCount), 10)
+	}
+	if n > 0 {
+		dst = append(dst, ",\n  \"answers\": ["...)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = answer(append(dst, "\n    "...), i)
+		}
+		dst = append(dst, "\n  ]"...)
+	}
+	if r.Result != nil {
+		dst = strconv.AppendBool(append(dst, ",\n  \"result\": "...), *r.Result)
+	}
+	if r.Degraded != nil {
+		dst = strconv.AppendBool(append(dst, ",\n  \"degraded\": "...), *r.Degraded)
+	}
+	if r.DegradedMode != "" {
+		dst = AppendString(append(dst, ",\n  \"degraded_mode\": "...), r.DegradedMode)
+	}
+	if r.OptimizerTractable != nil {
+		dst = strconv.AppendBool(append(dst, ",\n  \"optimizer_tractable\": "...), *r.OptimizerTractable)
+	}
+	var err error
+	if len(r.Plans) > 0 {
+		if dst, err = appendNested(append(dst, ",\n  \"plans\": "...), r.Plans); err != nil {
+			return nil, err
+		}
+	}
+	if len(r.Counters) > 0 {
+		dst = appendCounters(append(dst, ",\n  \"counters\": "...), r.Counters)
+	}
+	if len(r.Trace) > 0 {
+		if dst, err = appendNested(append(dst, ",\n  \"trace\": "...), r.Trace); err != nil {
+			return nil, err
+		}
+	}
+	return append(dst, "\n}\n"...), nil
+}
+
+// appendMapping appends one answer at the depth of the "answers" array:
+// its variables in sorted order. names is scratch space, returned for
+// reuse.
+func appendMapping(dst []byte, h cq.Mapping, names []string) ([]byte, []string) {
+	if h == nil {
+		return append(dst, "null"...), names
+	}
+	if len(h) == 0 {
+		return append(dst, "{}"...), names
+	}
+	names = names[:0]
+	for v := range h {
+		names = append(names, v)
+	}
+	slices.Sort(names)
+	dst = append(dst, '{')
+	for i, v := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendString(append(dst, "\n      "...), v)
+		dst = AppendString(append(dst, ": "...), h[v])
+	}
+	return append(dst, "\n    }"...), names
+}
+
+// appendCounters appends the counter object with its names in sorted order.
+func appendCounters(dst []byte, counters map[string]int64) []byte {
+	names := make([]string, 0, len(counters))
+	for name := range counters {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	dst = append(dst, '{')
+	for i, name := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendString(append(dst, "\n    "...), name)
+		dst = strconv.AppendInt(append(dst, ": "...), counters[name], 10)
+	}
+	return append(dst, "\n  }"...)
+}
+
+// appendNested appends a top-level field's nested value through
+// encoding/json, indented for depth one.
+func appendNested(dst []byte, v any) ([]byte, error) {
+	b, err := json.MarshalIndent(v, "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, b...), nil
+}
+
+// AppendString appends s as encoding/json writes a string with HTML
+// escaping: quoted, with <, > and & as \u003c, \u003e and \u0026, the
+// short escapes for quote, backslash, \b, \f, \n, \r and \t, \u00XX for
+// the other control bytes, \u2028 and \u2029 escaped, and each byte of
+// invalid UTF-8 as \ufffd.
+func AppendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if plain(b) {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// plain reports whether the ASCII byte b stands for itself in an encoded
+// string: printable (DEL included) and none of `"\<>&`.
+func plain(b byte) bool {
+	return b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+}
+
+const hex = "0123456789abcdef"
 
 // ExitCode maps an evaluation error to the documented CLI exit code: 0
 // success, 3 deadline exceeded, 4 tuple budget exceeded, 5 answer limit

@@ -672,17 +672,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !wantTrace {
 		encSpan = root.Child("encode")
 	}
-	var buf bytes.Buffer
-	if err := report.Encode(&buf, rep); err != nil {
-		encSpan.End()
+	body, err := report.Append(nil, rep)
+	encSpan.End()
+	if err != nil {
 		fail(http.StatusInternalServerError, ErrorPayload{Code: "error", Message: err.Error()})
 		return
 	}
-	encSpan.End()
 	status := report.HTTPStatus(evalErr)
-	writeBody(w, status, buf.Bytes())
+	writeBody(w, status, body)
 	if status == http.StatusOK && cacheable {
-		s.cache.put(key, buf.Bytes())
+		// The cache budgets bodies by length, so it keeps an exact-size
+		// copy rather than the encoder's buffer and its spare capacity.
+		s.cache.put(key, bytes.Clone(body))
 	}
 }
 

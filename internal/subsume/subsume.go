@@ -196,7 +196,7 @@ func extension(ctx context.Context, p Target, d *db.Database, h cq.Mapping, st *
 // p(D) — the generic Π₂ᴾ ablation.
 func subsumedIn(ctx context.Context, p Target, d *db.Database, h cq.Mapping, enumerate bool, eng cqeval.Engine, st *obs.Stats) (bool, error) {
 	if !enumerate {
-		res, err := p.Solve(ctx, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng})
+		res, err := p.Solve(ctx, d, core.SolveOptions{Mode: core.ModePartial, Mapping: h, Engine: eng, Stats: st})
 		return res.Holds, err
 	}
 	_, ok, err := extension(ctx, p, d, h, st)

@@ -393,6 +393,23 @@ func TestFrozenConstantsAvoidTreeConstants(t *testing.T) {
 	}
 }
 
+// TestPartialEvalWorkIsCounted: the PARTIAL-EVAL inner checks count their
+// evaluation work on Options.Stats, as the enumeration inner check does.
+// On p ⊑ p for the width-4 star each of the 16 checks is one
+// satisfiability test of the default engine; no answer of p1 is ever
+// enumerated, so every count outside subsume.* is the inner checks' own.
+func TestPartialEvalWorkIsCounted(t *testing.T) {
+	st := obs.NewStats()
+	p := gen.StarWDPT(4)
+	if !subsumes(t, p, p, Options{Stats: st}) {
+		t.Fatal("p ⊑ p must hold")
+	}
+	if got, want := st.Get(obs.CtrSatisfiableCalls), st.Get(obs.CtrInnerChecks); got != want || want != 16 {
+		t.Errorf("%s = %d over %d inner checks, want one per check (16); snapshot %v",
+			obs.CtrSatisfiableCalls, got, want, st.Snapshot())
+	}
+}
+
 // TestStarSubsumptionCounts: p ⊑ p on the width-w star does one frozen
 // canonical database and one inner check per rooted subtree, 2^w of each —
 // the coNP guess of Theorem 11. The enumeration inner check, exponential in

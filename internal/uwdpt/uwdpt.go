@@ -136,20 +136,21 @@ func (u *Union) solveAttempt(ctx context.Context, d *db.Database, mode core.Mode
 			out, merr := u.trees[i].Solve(ctx, d, memberOpts)
 			return memberOut{answers: out.Answers, err: merr}
 		})
-		set := cq.NewMappingSet()
-		for _, out := range outs {
+		// Member answers come back in canonical order, so the union is a
+		// merge of their keys.
+		keys := make([][][]string, len(outs))
+		for i, out := range outs {
 			if out.err != nil {
 				return core.Result{}, out.err
 			}
-			for _, h := range out.answers {
-				set.Add(h)
-			}
+			keys[i] = cq.Keys(out.answers)
 		}
-		if mode == core.ModeMaximal {
-			res = core.Result{Answers: set.Maximal()}
-		} else {
-			res = core.Result{Answers: set.All()}
+		refs := cq.MergeKeys(keys, mode == core.ModeMaximal)
+		answers := make([]cq.Mapping, len(refs))
+		for i, r := range refs {
+			answers[i] = outs[r.List].answers[r.Index]
 		}
+		res = core.Result{Answers: answers}
 		if m.Truncated() {
 			// The shared answer cap fired in some member: keep the merged
 			// partial set, marked Degraded (with the typed error when no

@@ -15,7 +15,7 @@
 # byte-parity with and without a killed member, a wdptstress -quick run
 # whose STRESS_<date>-smoke.json artifact benchdiff must accept),
 # and bounded parser + storage-model + snapshot-loader + query-request +
-# Lemma 1 pruning + subsumption-reference fuzz smokes.
+# scatter-merge + Lemma 1 pruning + subsumption-reference fuzz smokes.
 # CI (.github/workflows/ci.yml) runs exactly this script.
 #
 #   ./scripts/check.sh
@@ -138,6 +138,8 @@ if [[ "${WDPT_SKIP_FUZZ:-0}" != "1" ]]; then
   go test -run='^FuzzSnapshotLoader$' -fuzz='^FuzzSnapshotLoader$' -fuzztime="${fuzztime}" ./internal/db/snapshot
   echo "== fuzz smoke: FuzzQueryRequest (${fuzztime})"
   go test -run='^FuzzQueryRequest$' -fuzz='^FuzzQueryRequest$' -fuzztime="${fuzztime}" ./internal/server
+  echo "== fuzz smoke: FuzzScatterMerge (${fuzztime})"
+  go test -run='^FuzzScatterMerge$' -fuzz='^FuzzScatterMerge$' -fuzztime="${fuzztime}" ./internal/cluster
   ref_fuzztime="${FUZZTIME:-20s}"
   echo "== fuzz smoke: FuzzSolveUnpruned (${ref_fuzztime})"
   go test -run='^FuzzSolveUnpruned$' -fuzz='^FuzzSolveUnpruned$' -fuzztime="${ref_fuzztime}" ./internal/core
