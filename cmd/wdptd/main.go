@@ -228,9 +228,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "wdptd: %v\n", err)
 		return 1
 	}
-	// ReadHeaderTimeout bounds slow-header clients (wdptlint R9: never run
-	// an http.Server without it).
-	hs := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	hs := newHTTPServer(handler)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -286,6 +284,13 @@ func splitPeers(s string) []string {
 		}
 	}
 	return out
+}
+
+// newHTTPServer builds the listener's server. ReadHeaderTimeout bounds
+// slow-header clients: without it, a client trickling its request headers
+// holds a connection, and its admission slot, forever.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 }
 
 // shutdown drains in-flight queries under the deadline (cancelling their

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -85,5 +86,14 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"-dataset", "d=a.txt", "-dataset", "d=b.txt"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("duplicate -dataset: exit %d, want 2", code)
+	}
+}
+
+// TestHTTPServerBoundsHeaderReads pins the slow-header bound on the server
+// wdptd listens with.
+func TestHTTPServerBoundsHeaderReads(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want a positive bound", hs.ReadHeaderTimeout)
 	}
 }

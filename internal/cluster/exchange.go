@@ -20,7 +20,7 @@ const maxMemberBodyBytes = 4 << 20
 // memberTimeout bounds one member exchange when CoordinatorConfig.HTTPClient
 // is nil. It is a transport safety net, not a query budget — request
 // deadlines travel in the context — so it is generous; its job is only to
-// keep a hung member from pinning a connection forever (wdptlint R17).
+// keep a hung member from pinning a scatter leg, probe or proxy forever.
 const memberTimeout = 5 * time.Minute
 
 // Exchange kinds, the kind label of wdptd_cluster_peer_latency_seconds.

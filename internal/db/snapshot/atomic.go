@@ -29,9 +29,9 @@ func Write(path string, d *db.Database) error {
 	return writeFileAtomic(path, data)
 }
 
-// writeFileAtomic is the single sanctioned durable-write helper under
-// internal/db — wdptlint R16 flags direct os.Create/os.WriteFile/os.Rename
-// anywhere else in the subtree, because a plain write tears under crash
+// writeFileAtomic is the only durable-write helper under internal/db. Every
+// write of durable state goes through it, never a direct
+// os.Create/os.WriteFile/os.Rename, because a plain write tears under crash
 // and quietly serves half a file to the next load.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)

@@ -15,7 +15,7 @@ import (
 type CVec int
 
 // The registered counter families. Every name listed here is documented in
-// docs/OBSERVABILITY.md (enforced by wdptlint rule R14).
+// docs/OBSERVABILITY.md (enforced by TestMetricNamesDocumented).
 const (
 	// CVecClientEndpointAttempts counts the coordinator's exchanges with
 	// each member (proxy forwards, scatter legs and health probes),
@@ -28,9 +28,9 @@ const (
 	numCVecs // sentinel; keep last
 )
 
-// counterVecNames maps counter families to their stable names. wdptlint rule
-// R14 checks that every name is snake-case, unique, and documented in
-// docs/OBSERVABILITY.md.
+// counterVecNames maps counter families to their stable names.
+// TestMetricNamesDocumented checks that every name is snake-case, unique,
+// and documented in docs/OBSERVABILITY.md.
 var counterVecNames = [numCVecs]string{
 	CVecClientEndpointAttempts: "wdptd_client_endpoint_attempts",
 	CVecClientEndpointFailures: "wdptd_client_endpoint_failures",

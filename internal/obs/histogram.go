@@ -15,7 +15,7 @@ import (
 type Hist int
 
 // The registered histograms. Every name listed here is documented in
-// docs/OBSERVABILITY.md (enforced by wdptlint rule R14).
+// docs/OBSERVABILITY.md (enforced by TestMetricNamesDocumented).
 const (
 	// HistQueryDuration is the per-request wall time of /v1/query, labeled
 	// by dataset, mode, and outcome (ok / degraded / each trip type).
@@ -33,8 +33,8 @@ const (
 	numHists // sentinel; keep last
 )
 
-// histNames maps histograms to their stable names. wdptlint rule R14 checks
-// that every name is snake-case, unique, and documented in
+// histNames maps histograms to their stable names. TestMetricNamesDocumented
+// checks that every name is snake-case, unique, and documented in
 // docs/OBSERVABILITY.md.
 var histNames = [numHists]string{
 	HistQueryDuration:      "wdptd_query_duration_seconds",
@@ -56,7 +56,7 @@ func (h Hist) String() string {
 type Gauge int
 
 // The registered gauges. Every name listed here is documented in
-// docs/OBSERVABILITY.md (enforced by wdptlint rule R14).
+// docs/OBSERVABILITY.md (enforced by TestMetricNamesDocumented).
 const (
 	// GaugeInFlight is the admission weight currently held by evaluating
 	// queries.
@@ -69,7 +69,7 @@ const (
 	numGauges // sentinel; keep last
 )
 
-// gaugeNames maps gauges to their stable names (wdptlint rule R14).
+// gaugeNames maps gauges to their stable names (TestMetricNamesDocumented).
 var gaugeNames = [numGauges]string{
 	GaugeInFlight:     "wdptd_inflight_queries",
 	GaugeQueueDepth:   "wdptd_admission_queue_depth",

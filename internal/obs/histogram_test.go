@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -227,19 +229,49 @@ func TestMetricNameRegistries(t *testing.T) {
 	if Hist(99).String() != "obs_unknown_histogram_99" || Gauge(-1).String() != "obs_unknown_gauge_-1" {
 		t.Fatal("out-of-range metric ids must have fallback names")
 	}
-	seen := map[string]bool{}
-	var all []string
-	for h := Hist(0); h < numHists; h++ {
-		all = append(all, h.String())
+}
+
+// metricSegment is the shape of every dot-separated segment of a registered
+// name, so exposition mangling ("." -> "_") can never produce an invalid or
+// colliding Prometheus name.
+var metricSegment = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+
+// TestMetricNamesDocumented holds every registered name — engine counters,
+// histograms, gauges, counter families and runtime gauges — to three rules:
+// each segment is snake_case, no name is registered twice across the
+// registries, and each name has a row in the docs/OBSERVABILITY.md glossary
+// that -stats output, BENCH artifacts and /metrics scrapes are read by.
+func TestMetricNamesDocumented(t *testing.T) {
+	data, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for g := Gauge(0); g < numGauges; g++ {
-		all = append(all, g.String())
+	glossary := string(data)
+	registries := []struct {
+		name  string
+		names []string
+	}{
+		{"counterNames", counterNames[:]},
+		{"histNames", histNames[:]},
+		{"gaugeNames", gaugeNames[:]},
+		{"counterVecNames", counterVecNames[:]},
+		{"runtimeMetricNames", runtimeMetricNames},
 	}
-	all = append(all, RuntimeMetricNames()...)
-	for _, name := range all {
-		if name == "" || seen[name] {
-			t.Fatalf("metric name %q empty or duplicated", name)
+	firstSeen := make(map[string]string)
+	for _, reg := range registries {
+		for _, name := range reg.names {
+			for _, seg := range strings.Split(name, ".") {
+				if !metricSegment.MatchString(seg) {
+					t.Errorf("%s: %q: segment %q does not match %s", reg.name, name, seg, metricSegment)
+				}
+			}
+			if prev, dup := firstSeen[name]; dup {
+				t.Errorf("%s: %q is already registered in %s", reg.name, name, prev)
+			}
+			firstSeen[name] = reg.name
+			if !strings.Contains(glossary, "`"+name+"`") {
+				t.Errorf("%s: %q has no glossary entry in docs/OBSERVABILITY.md", reg.name, name)
+			}
 		}
-		seen[name] = true
 	}
 }

@@ -13,7 +13,7 @@
 // Design constraints:
 //
 //   - stdlib only, no globals writing to stdout: all sinks are injected, so
-//     library packages stay clean under wdptlint R4;
+//     library packages never write to the process's standard streams;
 //   - near-zero overhead when disabled: a nil *Stats is the disabled state,
 //     every method is safe on the nil receiver, and the fast path is a
 //     single predictable branch (verified by BenchmarkObsDisabled).
@@ -33,7 +33,7 @@ type Counter int
 
 // The registered counters. Every counter listed here is incremented by some
 // evaluation path and documented in docs/OBSERVABILITY.md (enforced by
-// wdptlint rule R6).
+// TestMetricNamesDocumented).
 const (
 	// CtrTuplesScanned counts database tuples inspected by the backtracking
 	// homomorphism solver (internal/cq).
@@ -205,8 +205,8 @@ const (
 	numCounters // sentinel; keep last
 )
 
-// counterNames maps counters to their stable names. wdptlint rule R6 checks
-// that every name listed here is documented in docs/OBSERVABILITY.md.
+// counterNames maps counters to their stable names. TestMetricNamesDocumented
+// checks that every name listed here is documented in docs/OBSERVABILITY.md.
 var counterNames = [numCounters]string{
 	CtrTuplesScanned:       "cq.tuples_scanned",
 	CtrHomomorphisms:       "cq.homomorphisms_found",

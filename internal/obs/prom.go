@@ -13,7 +13,7 @@ import (
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // runtimeMetricNames registers the Go runtime metrics sampled on scrape.
-// wdptlint rule R14 holds these to the same snake-case / uniqueness /
+// TestMetricNamesDocumented holds these to the same snake-case / uniqueness /
 // glossary discipline as the counter, histogram, and gauge registries;
 // WriteRuntimeMetrics indexes into this literal so the exposition cannot
 // drift from the registry.

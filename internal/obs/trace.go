@@ -156,6 +156,6 @@ type WriterSink struct {
 func (w *WriterSink) SpanDone(name string, depth int, d time.Duration) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	//lint:ignore R3 trace output is best-effort; a failed write must not abort evaluation
+	// trace output is best-effort; a failed write must not abort evaluation
 	fmt.Fprintf(w.W, "%*s%s %s\n", 2*depth, "", name, d)
 }

@@ -30,7 +30,7 @@ type Client struct {
 // *http.Client. It is a transport safety net, not a query budget — request
 // deadlines travel in the context, and evaluation budgets in the request
 // document — so it is generous; its job is only to keep a hung peer from
-// pinning a connection forever (wdptlint R17).
+// pinning a connection forever, which http.DefaultClient (no Timeout) would.
 const DefaultTimeout = 5 * time.Minute
 
 // New builds a client for the given base URL (e.g. "http://127.0.0.1:8080").
