@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// The whole-program rules (R10-R13) run on a type-resolved cross-package
+// R10's whole-program half runs on a type-resolved cross-package
 // call graph built over the full loaded closure — the selected packages
 // plus every module package they transitively import. The graph records
 // static call edges (direct calls and method calls resolved by go/types);
@@ -139,9 +139,9 @@ type reachInfo struct {
 // reverseEdges builds the reverse adjacency (callee -> callers) in
 // deterministic order — callers visited in (file, line) order, their edges in
 // source order — and returns the distinct call targets in first-seen order.
-// With expandIfaces, a call through an interface method also links the
-// caller to every module implementation of that method.
-func (g *callGraph) reverseEdges(expandIfaces bool) (rev map[*types.Func][]*types.Func, targets []*types.Func) {
+// A call through an interface method also links the caller to every module
+// implementation of that method.
+func (g *callGraph) reverseEdges() (rev map[*types.Func][]*types.Func, targets []*types.Func) {
 	rev = make(map[*types.Func][]*types.Func)
 	seen := make(map[*types.Func]bool)
 	addEdge := func(caller, callee *types.Func) {
@@ -154,10 +154,8 @@ func (g *callGraph) reverseEdges(expandIfaces bool) (rev map[*types.Func][]*type
 	for _, caller := range g.sortedDecls() {
 		for _, e := range g.calls[caller] {
 			addEdge(caller, e.callee)
-			if expandIfaces {
-				for _, impl := range g.impls[e.callee] {
-					addEdge(caller, impl)
-				}
+			for _, impl := range g.impls[e.callee] {
+				addEdge(caller, impl)
 			}
 		}
 	}
@@ -166,15 +164,15 @@ func (g *callGraph) reverseEdges(expandIfaces bool) (rev map[*types.Func][]*type
 
 // reachable computes, by reverse BFS over the call graph, the set of module
 // functions from which some call path leads to a sink. matchSink classifies
-// call targets; expandIfaces additionally propagates through interface
-// methods to their module implementations. A non-nil stopAt blocks
-// propagation through matching functions (the sinks themselves are never
-// blocked): the function still appears in the result, but its callers are
-// not implicated through it. The result maps each reaching function to a
-// witness step, so findings can print the call chain. Traversal order is
-// deterministic, so witness chains are stable run to run.
-func (g *callGraph) reachable(matchSink func(*types.Func) string, expandIfaces bool, stopAt func(*types.Func) bool) map[*types.Func]reachInfo {
-	rev, targets := g.reverseEdges(expandIfaces)
+// call targets, and propagation runs through interface methods to their
+// module implementations. stopAt blocks propagation through matching
+// functions (the sinks themselves are never blocked): the function still
+// appears in the result, but its callers are not implicated through it. The
+// result maps each reaching function to a witness step, so findings can
+// print the call chain. Traversal order is deterministic, so witness chains
+// are stable run to run.
+func (g *callGraph) reachable(matchSink func(*types.Func) string, stopAt func(*types.Func) bool) map[*types.Func]reachInfo {
+	rev, targets := g.reverseEdges()
 	reach := make(map[*types.Func]reachInfo)
 	sinks := make(map[*types.Func]bool)
 	var frontier []*types.Func
@@ -189,7 +187,7 @@ func (g *callGraph) reachable(matchSink func(*types.Func) string, expandIfaces b
 	for len(frontier) > 0 {
 		next := frontier[:0:0]
 		for _, fn := range frontier {
-			if stopAt != nil && !sinks[fn] && stopAt(fn) {
+			if !sinks[fn] && stopAt(fn) {
 				continue
 			}
 			info := reach[fn]

@@ -22,7 +22,7 @@ import (
 // library) is resolved through go/importer's source importer, so the tool
 // needs no compiled export data and no external dependencies.
 //
-// Loading is a three-phase pipeline sized for the whole-program rules:
+// Loading is a three-phase pipeline sized for R10's call-graph half:
 //
 //  1. parse — the selected packages and their transitive module imports are
 //     parsed concurrently (one worker per package, bounded by GOMAXPROCS);
@@ -30,8 +30,9 @@ import (
 //     packages of the same level concurrently; the shared standard-library
 //     importer is serialized behind a mutex, module dependencies are
 //     guaranteed checked by the level ordering;
-//  3. lint — per-package rules fan out again (see Lint), and the
-//     whole-program rules run once over the full type-resolved closure.
+//  3. lint — the per-file rules run over each selected package (see Lint),
+//     and R10's call-graph half runs once over the full type-resolved
+//     closure.
 type loader struct {
 	fset    *token.FileSet
 	root    string // absolute module root directory
@@ -45,8 +46,8 @@ type loader struct {
 
 	// suppress is the global //lint:ignore index: file (module-relative
 	// slash path) -> line -> rules suppressed on that line. It is built
-	// during parsing so whole-program findings are suppressible exactly
-	// like per-file ones.
+	// during parsing so call-graph findings are suppressible exactly like
+	// per-file ones.
 	suppress map[string]map[int][]string
 
 	timing LoadTiming
@@ -141,7 +142,7 @@ func (l *loader) relOf(path string) string {
 // load resolves the patterns ("./...", "./cmd/wdpteval", ...) to package
 // directories and loads each plus its transitive module dependencies,
 // returning the selected packages sorted by import path. The full checked
-// closure (for the whole-program rules) is available via closure().
+// closure (for R10's call graph) is available via closure().
 func (l *loader) load(patterns []string) ([]*lintPkg, error) {
 	selected, err := l.resolvePatterns(patterns)
 	if err != nil {
@@ -174,8 +175,8 @@ func (l *loader) load(patterns []string) ([]*lintPkg, error) {
 }
 
 // closure returns every loaded module package (the selected ones plus their
-// transitive module dependencies), sorted by import path. The whole-program
-// rules build their call graph over this set.
+// transitive module dependencies), sorted by import path. R10 builds its
+// call graph over this set.
 func (l *loader) closure() []*lintPkg {
 	paths := make([]string, 0, len(l.parsed))
 	for path := range l.parsed {

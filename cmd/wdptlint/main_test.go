@@ -85,9 +85,8 @@ func diffKeys(t *testing.T, want, got map[string]int) {
 }
 
 // The full fixture module is linted once per test binary, through the CLI
-// entry point run with every rule and -json. The text path runs -rules R2
-// over subsetPkgs, packages that also hold other rules' violations; those
-// stay silent. The tests below share the two runs.
+// entry point run with -json. The text path runs over textPkgs. The tests
+// below share the two runs.
 
 // cliRun is one captured invocation of run inside the fixture module.
 type cliRun struct {
@@ -97,28 +96,28 @@ type cliRun struct {
 }
 
 var (
-	jsonRun    cliRun // run -json ./...
-	subsetRun  cliRun // run -rules R2 subsetPkgs...
-	subsetPkgs = []string{"internal/r2", "internal/r3", "internal/r4", "internal/cqeval"}
+	jsonRun  cliRun // run -json ./...
+	textRun  cliRun // run textPkgs...
+	textPkgs = []string{"r1", "internal/r11"}
 )
 
-// lintSubset runs -rules R2 over subsetPkgs and returns the R2 markers
-// those packages declare.
-func lintSubset(t *testing.T) (*cliRun, map[string]int) {
+// lintText runs the text path over textPkgs and returns the markers those
+// packages declare.
+func lintText(t *testing.T) (*cliRun, map[string]int) {
 	t.Helper()
-	args := []string{"-rules", "R2"}
-	for _, pkg := range subsetPkgs {
-		args = append(args, "./"+pkg+"/...")
+	var args []string
+	for _, pkg := range textPkgs {
+		args = append(args, "./"+pkg)
 	}
 	want := make(map[string]int)
 	for k, n := range readMarkers(t) {
-		for _, pkg := range subsetPkgs {
-			if strings.HasPrefix(k, pkg+"/") && strings.HasSuffix(k, ":R2") {
+		for _, pkg := range textPkgs {
+			if strings.HasPrefix(k, pkg+"/") {
 				want[k] = n
 			}
 		}
 	}
-	return subsetRun.do(t, args...), want
+	return textRun.do(t, args...), want
 }
 
 // do runs args in the fixture module the first time and returns the
@@ -167,12 +166,12 @@ func TestFixtureFindings(t *testing.T) {
 	diffKeys(t, readMarkers(t), findingKeys(lintFixture(t)))
 }
 
-// TestRuleSubset checks that -rules filtering runs only the selected rules:
-// the text report of run -rules R2 holds exactly the R2 markers.
-func TestRuleSubset(t *testing.T) {
-	r, want := lintSubset(t)
+// TestTextFindings checks the text report: run over textPkgs prints one
+// "file:line: [rule] message" line per marker those packages declare.
+func TestTextFindings(t *testing.T) {
+	r, want := lintText(t)
 	if len(want) == 0 {
-		t.Fatal("subset packages declare no R2 markers")
+		t.Fatal("text packages declare no markers")
 	}
 	got := make(map[string]int)
 	for _, line := range strings.Split(strings.TrimSpace(r.stdout), "\n") {
@@ -188,41 +187,17 @@ func TestRuleSubset(t *testing.T) {
 
 // TestSinglePackagePattern checks non-recursive package patterns.
 func TestSinglePackagePattern(t *testing.T) {
-	enabled, err := parseRules("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := Lint(fixtureDir, []string{"./internal/r4"}, enabled)
+	findings, err := Lint(fixtureDir, []string{"./internal/r11"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[string]int)
 	for k, n := range readMarkers(t) {
-		if strings.HasPrefix(k, "internal/r4/") {
+		if strings.HasPrefix(k, "internal/r11/") {
 			want[k] = n
 		}
 	}
 	diffKeys(t, want, findingKeys(findings))
-}
-
-func TestParseRules(t *testing.T) {
-	all, err := parseRules("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(allRules) {
-		t.Fatalf("parseRules(\"\") enabled %d rules, want %d", len(all), len(allRules))
-	}
-	subset, err := parseRules("R1, R5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !subset["R1"] || !subset["R5"] || subset["R2"] {
-		t.Fatalf("parseRules(\"R1, R5\") = %v", subset)
-	}
-	if _, err := parseRules("R99"); err == nil {
-		t.Fatal("parseRules(\"R99\") should fail")
-	}
 }
 
 // TestFindingsSorted checks the report order: file, then line, then rule.
@@ -246,9 +221,9 @@ func TestFindingsSorted(t *testing.T) {
 // "file:line: [rule] message" line per finding, a clean tree means exit 0,
 // and bad flags mean exit 2.
 func TestRunExitCodes(t *testing.T) {
-	r, markers := lintSubset(t)
+	r, markers := lintText(t)
 	if r.code != 1 {
-		t.Fatalf("run(-rules R2 ...) = %d, want 1 (stderr: %s)", r.code, r.stderr)
+		t.Fatalf("run(%v) = %d, want 1 (stderr: %s)", textPkgs, r.code, r.stderr)
 	}
 	// The stderr timing line is the gate's evidence that the parallel loader
 	// ran (CI greps for it).
@@ -269,33 +244,16 @@ func TestRunExitCodes(t *testing.T) {
 
 	t.Chdir(fixtureDir)
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"./cmd/..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(./cmd/...) = %d, want 0 (stdout: %s)", code, stdout.String())
+	if code := run([]string{"./internal/par/..."}, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(./internal/par/...) = %d, want 0 (stdout: %s)", code, stdout.String())
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("clean run printed findings: %s", stdout.String())
 	}
 
-	for _, args := range [][]string{{"-rules", "R99"}, {"-rules", "R7"}, {"-baseline", "x"}} {
+	for _, args := range [][]string{{"-rules", "R1"}, {"-list"}, {"-baseline", "x"}} {
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Fatalf("run(%v) = %d, want 2", args, code)
-		}
-	}
-}
-
-// TestListRules checks -list: one line per implemented rule, in order.
-func TestListRules(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(-list) = %d, want 0", code)
-	}
-	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != len(allRules) {
-		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), len(allRules), stdout.String())
-	}
-	for i, r := range allRules {
-		if !strings.HasPrefix(lines[i], r.id) {
-			t.Errorf("-list line %d = %q, want prefix %q", i, lines[i], r.id)
 		}
 	}
 }
@@ -310,17 +268,13 @@ func TestJSONFindings(t *testing.T) {
 	diffKeys(t, readMarkers(t), findingKeys(findings))
 }
 
-// TestSelfHost lints the linter's own package with every rule enabled:
-// wdptlint must hold itself to the standard it enforces.
+// TestSelfHost lints the linter's own package: wdptlint must hold itself to
+// the standard it enforces.
 func TestSelfHost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-hosting lint type-checks the real module closure")
 	}
-	enabled, err := parseRules("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := Lint(".", []string{"./cmd/wdptlint"}, enabled)
+	findings, err := Lint(".", []string{"./cmd/wdptlint"})
 	if err != nil {
 		t.Fatal(err)
 	}

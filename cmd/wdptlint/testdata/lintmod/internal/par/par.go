@@ -1,5 +1,5 @@
 // Package par is the fixture stand-in for the worker-pool substrate. The
-// whole-program rules match sinks and carriers by module-relative path, so
+// R10 call-graph half matches sinks and carriers by module-relative path, so
 // this package supplies par.(*Pool).Run and par.Map at the paths R10
 // expects; the package itself is exempt from R10 and R11 (it implements the
 // cancellation machinery rather than consuming it).

@@ -53,3 +53,20 @@ func Suppressed(m map[string]int) []int {
 	}
 	return out
 }
+
+// Unreasoned shows that a directive without a reason suppresses nothing.
+func Unreasoned(m map[string]int) []int {
+	var out []int
+	for _, v := range m {
+		//lint:ignore R1
+		out = append(out, v) // want R1
+	}
+	return out
+}
+
+// Retired carries a directive for a rule wdptlint does not implement: it
+// suppresses nothing, so it is reported instead of left behind.
+func Retired() int {
+	//lint:ignore R2 panics encode documented contracts // want ignore
+	return 0
+}

@@ -91,7 +91,7 @@ func InWB(p *core.PatternTree, c cq.Class) bool {
 // visit returning false stops the enumeration.
 func Candidates(p *core.PatternTree, opts Options, visit func(*core.PatternTree) bool) {
 	if p.HasConstants() {
-		//lint:ignore R2 documented precondition: callers gate on HasConstants (Section 5.2)
+		// documented precondition: callers gate on HasConstants (Section 5.2)
 		panic("approx: approximations are only defined for constant-free pattern trees (Section 5.2)")
 	}
 	st := opts.stats()
@@ -249,7 +249,7 @@ func search(ctx context.Context, p *core.PatternTree, opts Options, check func(*
 		return err
 	}
 	if p.HasConstants() {
-		//lint:ignore R2 documented precondition: callers gate on HasConstants (Section 5.2)
+		// documented precondition: callers gate on HasConstants (Section 5.2)
 		panic("approx: approximations are only defined for constant-free pattern trees (Section 5.2)")
 	}
 	stream, quit := candidateStream(p, opts)

@@ -46,11 +46,6 @@ func (p *PatternTree) InterfaceWidth() int {
 	return width
 }
 
-// HasBoundedInterface reports p ∈ BI(c).
-func (p *PatternTree) HasBoundedInterface(c int) bool {
-	return p.InterfaceWidth() <= c
-}
-
 // GloballyIn reports whether p is globally in the class c: for every
 // subtree T' of T rooted in r, the CQ q_T' belongs to c (Section 3.3).
 // For subquery-closed classes (TW(k), HW'(k)) this reduces to the single

@@ -156,7 +156,7 @@ func New(root NodeSpec, free []string) (*PatternTree, error) {
 func MustNew(root NodeSpec, free []string) *PatternTree {
 	p, err := New(root, free)
 	if err != nil {
-		//lint:ignore R2 Must-constructor: panicking on invalid literals is its documented contract
+		// Must-constructor: panicking on invalid literals is its documented contract
 		panic(err)
 	}
 	return p

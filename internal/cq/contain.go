@@ -63,7 +63,7 @@ func Core(q *CQ) *CQ {
 	out, err := New(q.free, atoms)
 	if err != nil {
 		// Folding fixes free variables, so they always remain in the body.
-		//lint:ignore R2 unreachable invariant violation: endomorphisms fix the free variables
+		// unreachable invariant violation: endomorphisms fix the free variables
 		panic("cq: core lost a free variable: " + err.Error())
 	}
 	return out
@@ -142,7 +142,7 @@ func EvaluateOn(q *CQ, facts []Atom) []Mapping {
 		vals := make([]string, len(a.Args))
 		for i, t := range a.Args {
 			if t.IsVar() {
-				//lint:ignore R2 test-only convenience with a documented ground-atoms precondition
+				// test-only convenience with a documented ground-atoms precondition
 				panic("cq: EvaluateOn requires ground atoms")
 			}
 			vals[i] = t.Value()

@@ -40,7 +40,7 @@ func New(free []string, atoms []Atom) (*CQ, error) {
 func MustNew(free []string, atoms []Atom) *CQ {
 	q, err := New(free, atoms)
 	if err != nil {
-		//lint:ignore R2 Must-constructor: panicking on invalid literals is its documented contract
+		// Must-constructor: panicking on invalid literals is its documented contract
 		panic(err)
 	}
 	return q

@@ -84,22 +84,12 @@ func (h Mapping) Union(hp Mapping) Mapping {
 	out := h.Clone()
 	for k, v := range hp {
 		if prev, ok := out[k]; ok && prev != v {
-			//lint:ignore R2 documented contract: callers must check CompatibleWith first
+			// documented contract: callers must check CompatibleWith first
 			panic("cq: union of incompatible mappings at variable " + k)
 		}
 		out[k] = v
 	}
 	return out
-}
-
-// Apply returns h(t): the constant assigned to a variable (ok=false when
-// unbound), or the constant itself for constant terms.
-func (h Mapping) Apply(t Term) (string, bool) {
-	if !t.IsVar() {
-		return t.Value(), true
-	}
-	v, ok := h[t.Value()]
-	return v, ok
 }
 
 // ApplyAtom returns the atom with all bound variables replaced by their

@@ -100,7 +100,7 @@ func quotientImage(q *CQ, theta Mapping) *CQ {
 // understood even for CQs; Section 5.2).
 func ApproximationsInClass(q *CQ, c Class) []*CQ {
 	if q.HasConstants() {
-		//lint:ignore R2 documented precondition: callers gate on HasConstants (Section 5.2)
+		// documented precondition: callers gate on HasConstants (Section 5.2)
 		panic("cq: approximations are only defined for constant-free queries")
 	}
 	var candidates []*CQ

@@ -461,7 +461,7 @@ place:
 			}
 		}
 		// Cannot happen for a valid decomposition.
-		//lint:ignore R2 unreachable invariant violation: every atom is covered by construction
+		// unreachable invariant violation: every atom is covered by construction
 		panic("cqeval: atom not covered by any bag")
 	}
 	return assigned

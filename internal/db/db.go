@@ -65,7 +65,7 @@ func NewRelation(name string, arity int) *Relation {
 
 func newRelation(name string, arity int, dict *Dict) *Relation {
 	if arity <= 0 {
-		//lint:ignore R2 documented contract: arity misuse is a programming error, like a bad make() cap
+		// documented contract: arity misuse is a programming error, like a bad make() cap
 		panic(fmt.Sprintf("db: relation %q must have positive arity, got %d", name, arity))
 	}
 	return &Relation{name: name, dict: dict, store: newColStore(arity)}
@@ -89,7 +89,7 @@ func (r *Relation) Dict() *Dict { return r.dict }
 // which are rebuilt on demand.
 func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.Arity() {
-		//lint:ignore R2 documented contract: arity misuse is a programming error, like a bad index
+		// documented contract: arity misuse is a programming error, like a bad index
 		panic(fmt.Sprintf("db: tuple %v has arity %d, relation %q expects %d", t, len(t), r.name, r.Arity()))
 	}
 	var stack [8]uint32

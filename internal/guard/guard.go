@@ -294,7 +294,7 @@ func (m *Meter) trip(reason error) {
 	if m.counting {
 		m.st.Inc(obs.CtrGuardBudgetTrips)
 	}
-	//lint:ignore R2 budget-trip unwinding: recovered into a *TripError error at the Solve boundary (AsError)
+	// budget-trip unwinding: recovered into a *TripError error at the Solve boundary (AsError)
 	panic(m.newTrip(reason))
 }
 

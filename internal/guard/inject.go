@@ -167,7 +167,7 @@ func Fault(site string) {
 		time.Sleep(delay)
 	}
 	if fail {
-		//lint:ignore R2 injected-fault unwinding: recovered into a *TripError error at the Solve boundary (AsError)
+		// injected-fault unwinding: recovered into a *TripError error at the Solve boundary (AsError)
 		panic(&TripError{Reason: ErrInjected, Site: site})
 	}
 }

@@ -256,7 +256,7 @@ var registry = map[string]Experiment{}
 // Register adds an experiment; duplicate IDs panic (programming error).
 func Register(e Experiment) {
 	if _, dup := registry[e.ID]; dup {
-		//lint:ignore R2 init-time registration bug: failing fast at startup is the standard idiom
+		// init-time registration bug: failing fast at startup is the standard idiom
 		panic("harness: duplicate experiment id " + e.ID)
 	}
 	registry[e.ID] = e

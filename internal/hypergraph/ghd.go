@@ -90,7 +90,7 @@ func (h *Hypergraph) GeneralizedHypertreeDecomposition(k int) (*GHD, bool) {
 		cover, ok := h.coverOf(info.bag, k)
 		if !ok {
 			// The search accepted this bag, so a cover must exist.
-			//lint:ignore R2 unreachable invariant violation: acceptance implies a cover
+			// unreachable invariant violation: acceptance implies a cover
 			panic("hypergraph: accepted bag has no cover")
 		}
 		g.Covers[i] = cover

@@ -43,7 +43,7 @@ func (h *Hypergraph) AddEdge(vertices []string) {
 	for _, v := range vertices {
 		i, ok := h.index[v]
 		if !ok {
-			//lint:ignore R2 documented contract: vertices must be added before edges
+			// documented contract: vertices must be added before edges
 			panic(fmt.Sprintf("hypergraph: unknown vertex %q", v))
 		}
 		e.Add(i)

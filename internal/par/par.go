@@ -138,7 +138,7 @@ func (p *Pool) Run(n int, fn func(int)) {
 	work() // the caller participates; its token is implicit
 	wg.Wait()
 	if te := failure.Load(); te != nil {
-		//lint:ignore R2 re-raise of a captured worker panic on the caller; recovered at the Solve boundary (guard.AsError)
+		// re-raise of a captured worker panic on the caller; recovered at the Solve boundary (guard.AsError)
 		panic(te)
 	}
 }

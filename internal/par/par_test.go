@@ -165,7 +165,7 @@ func TestRunTripErrorPassesThroughUnwrapped(t *testing.T) {
 	v := recoverAny(func() {
 		p.Run(32, func(i int) {
 			if i == 3 {
-				//lint:ignore R2 test raises a budget trip inside a task on purpose
+				// test raises a budget trip inside a task on purpose
 				panic(trip)
 			}
 		})

@@ -120,7 +120,7 @@ func OptNormalForm(e Expr) Expr {
 		r := OptNormalForm(x.R)
 		return andCombine(l, r)
 	}
-	//lint:ignore R2 exhaustive type switch over the sealed Expr interface
+	// exhaustive type switch over the sealed Expr interface
 	panic(fmt.Sprintf("sparql: unknown expression %T", e))
 }
 
@@ -165,7 +165,7 @@ func buildSpec(e Expr) core.NodeSpec {
 		l.Children = append(l.Children, buildSpec(x.R))
 		return l
 	}
-	//lint:ignore R2 exhaustive type switch over the sealed Expr interface
+	// exhaustive type switch over the sealed Expr interface
 	panic(fmt.Sprintf("sparql: unknown expression %T", e))
 }
 

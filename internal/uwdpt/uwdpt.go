@@ -38,7 +38,7 @@ func New(trees ...*core.PatternTree) (*Union, error) {
 func MustNew(trees ...*core.PatternTree) *Union {
 	u, err := New(trees...)
 	if err != nil {
-		//lint:ignore R2 Must-constructor: panicking on invalid literals is its documented contract
+		// Must-constructor: panicking on invalid literals is its documented contract
 		panic(err)
 	}
 	return u

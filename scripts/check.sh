@@ -61,7 +61,7 @@ if [[ "$lint_status" -ne 0 ]]; then
   cat wdptlint-timing.log >&2
   exit "$lint_status"
 fi
-lint_budget="${WDPT_LINT_BUDGET:-120}"
+lint_budget=120
 if (( lint_elapsed > lint_budget )); then
   echo "wdptlint took ${lint_elapsed}s, over the ${lint_budget}s budget" >&2
   exit 1
