@@ -1,9 +1,5 @@
 package cq
 
-import (
-	"wdpt/internal/db"
-)
-
 // ContainedIn reports q1 ⊆ q2: for every database D, q1(D) ⊆ q2(D). By the
 // Chandra–Merlin theorem this holds iff there is a homomorphism from q2 to
 // the frozen canonical database of q1 mapping each free variable of q2 to
@@ -121,33 +117,4 @@ func unfreezeTerm(c string) Term {
 		return V(c[len("•"):])
 	}
 	return C(c)
-}
-
-// IsCore reports whether q is its own core: every endomorphism fixing the
-// free variables is surjective on atoms.
-func IsCore(q *CQ) bool {
-	atoms := DedupAtoms(q.atoms)
-	if len(atoms) != len(q.atoms) {
-		return false
-	}
-	_, changed := foldOnce(atoms, q.free)
-	return !changed
-}
-
-// EvaluateOn is a convenience wrapper evaluating q over a database given as
-// ground atoms; used by tests.
-func EvaluateOn(q *CQ, facts []Atom) []Mapping {
-	d := db.New()
-	for _, a := range facts {
-		vals := make([]string, len(a.Args))
-		for i, t := range a.Args {
-			if t.IsVar() {
-				// test-only convenience with a documented ground-atoms precondition
-				panic("cq: EvaluateOn requires ground atoms")
-			}
-			vals[i] = t.Value()
-		}
-		d.Insert(a.Rel, vals...)
-	}
-	return q.Evaluate(d)
 }

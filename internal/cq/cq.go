@@ -60,21 +60,6 @@ func (q *CQ) Atoms() []Atom { return q.atoms }
 // Vars returns all distinct variables of the body in first-occurrence order.
 func (q *CQ) Vars() []string { return AtomsVars(q.atoms) }
 
-// ExistentialVars returns the body variables that are not free.
-func (q *CQ) ExistentialVars() []string {
-	freeSet := make(map[string]bool, len(q.free))
-	for _, x := range q.free {
-		freeSet[x] = true
-	}
-	var out []string
-	for _, v := range q.Vars() {
-		if !freeSet[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Size returns the size of the query in standard relational notation: the
 // total number of argument positions across all atoms.
 func (q *CQ) Size() int {
@@ -128,12 +113,6 @@ func (q *CQ) Evaluate(d *db.Database) []Mapping {
 	return set.All()
 }
 
-// EvaluateBool reports whether the Boolean evaluation of q over D is
-// nonempty, i.e. whether some homomorphism from q to D exists.
-func (q *CQ) EvaluateBool(d *db.Database) bool {
-	return Satisfiable(q.atoms, d, nil)
-}
-
 // Contains reports whether h ∈ q(D): the membership test behind the
 // CQ-EVAL problem of Section 3.1. The mapping h must be defined exactly on
 // the free variables of q.
@@ -163,7 +142,7 @@ func (q *CQ) CanonicalDatabase() (*db.Database, Mapping) {
 func FreezeAtoms(atoms []Atom) (*db.Database, Mapping) {
 	frz := make(Mapping)
 	for _, v := range AtomsVars(atoms) {
-		frz[v] = FrozenConst(v)
+		frz[v] = frozenConst(v)
 	}
 	d := db.New()
 	for _, a := range atoms {
@@ -177,6 +156,6 @@ func FreezeAtoms(atoms []Atom) (*db.Database, Mapping) {
 	return d, frz
 }
 
-// FrozenConst returns the reserved constant that freezing assigns to the
+// frozenConst returns the reserved constant that freezing assigns to the
 // variable v.
-func FrozenConst(v string) string { return "•" + v }
+func frozenConst(v string) string { return "•" + v }

@@ -67,9 +67,6 @@ func TestNewValidation(t *testing.T) {
 	if err != nil || len(q.Free()) != 1 {
 		t.Fatalf("valid query rejected: %v", err)
 	}
-	if got := q.ExistentialVars(); len(got) != 1 || got[0] != "y" {
-		t.Fatalf("ExistentialVars = %v", got)
-	}
 }
 
 func TestMappingSubsumption(t *testing.T) {
@@ -79,14 +76,11 @@ func TestMappingSubsumption(t *testing.T) {
 	if !h1.SubsumedBy(h2) || h2.SubsumedBy(h1) {
 		t.Fatal("subsumption wrong")
 	}
-	if !h1.ProperlySubsumedBy(h2) || h1.ProperlySubsumedBy(h1) {
+	if !properlySubsumed(h1, h2) || properlySubsumed(h1, h1) {
 		t.Fatal("proper subsumption wrong")
 	}
 	if h1.SubsumedBy(h3) || h3.SubsumedBy(h1) {
 		t.Fatal("incompatible mappings subsume")
-	}
-	if !h1.CompatibleWith(h2) || h1.CompatibleWith(h3) {
-		t.Fatal("compatibility wrong")
 	}
 	u := h1.Union(Mapping{"y": "b"})
 	if !u.Equal(h2) {
@@ -121,7 +115,7 @@ func TestHomomorphismsPath(t *testing.T) {
 	// E(x,y), E(y,z) over a 3-edge path: homs = {(0,1,2), (1,2,3)}.
 	atoms := []Atom{NewAtom("E", V("x"), V("y")), NewAtom("E", V("y"), V("z"))}
 	d := pathDB(3)
-	if got := CountHomomorphisms(atoms, d, nil); got != 2 {
+	if got := countHomomorphisms(atoms, d, nil); got != 2 {
 		t.Fatalf("count = %d, want 2", got)
 	}
 	if !Satisfiable(atoms, d, Mapping{"x": "0"}) {
@@ -130,9 +124,13 @@ func TestHomomorphismsPath(t *testing.T) {
 	if Satisfiable(atoms, d, Mapping{"x": "2"}) {
 		t.Fatal("x=2 should not extend (no edge from 3)")
 	}
-	h, ok := ExtendToHom(atoms, d, Mapping{"y": "2"})
-	if !ok || h["x"] != "1" || h["z"] != "3" {
-		t.Fatalf("ExtendToHom = %v, %v", h, ok)
+	var homs []Mapping
+	Homomorphisms(atoms, d, Mapping{"y": "2"}, func(h Mapping) bool {
+		homs = append(homs, h.Clone())
+		return true
+	})
+	if len(homs) != 1 || homs[0]["x"] != "1" || homs[0]["z"] != "3" {
+		t.Fatalf("homomorphisms extending y=2: %v", homs)
 	}
 }
 
@@ -141,11 +139,11 @@ func TestHomomorphismsConstantsAndRepeats(t *testing.T) {
 	d.Insert("R", "a", "a")
 	d.Insert("R", "a", "b")
 	// R(x, x) matches only (a, a).
-	if got := CountHomomorphisms([]Atom{NewAtom("R", V("x"), V("x"))}, d, nil); got != 1 {
+	if got := countHomomorphisms([]Atom{NewAtom("R", V("x"), V("x"))}, d, nil); got != 1 {
 		t.Fatalf("repeated var count = %d, want 1", got)
 	}
 	// R(a, y) matches both tuples.
-	if got := CountHomomorphisms([]Atom{NewAtom("R", C("a"), V("y"))}, d, nil); got != 2 {
+	if got := countHomomorphisms([]Atom{NewAtom("R", C("a"), V("y"))}, d, nil); got != 2 {
 		t.Fatalf("constant count = %d, want 2", got)
 	}
 	// R(b, y) matches nothing.
@@ -156,7 +154,7 @@ func TestHomomorphismsConstantsAndRepeats(t *testing.T) {
 
 func TestHomomorphismsEmptyAtoms(t *testing.T) {
 	d := pathDB(2)
-	if got := CountHomomorphisms(nil, d, nil); got != 1 {
+	if got := countHomomorphisms(nil, d, nil); got != 1 {
 		t.Fatalf("empty atom set should have exactly the empty hom, got %d", got)
 	}
 }
@@ -193,23 +191,20 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
-func TestEvaluateBool(t *testing.T) {
-	q := Boolean([]Atom{NewAtom("E", V("x"), V("x"))})
-	if q.EvaluateBool(pathDB(4)) {
-		t.Fatal("no self-loop expected")
-	}
-	d := pathDB(4)
-	d.Insert("E", "7", "7")
-	if !q.EvaluateBool(d) {
-		t.Fatal("self-loop should satisfy")
-	}
-}
-
 func TestProjections(t *testing.T) {
-	atoms := []Atom{NewAtom("E", V("x"), V("y"))}
-	got := Projections(atoms, pathDB(3), nil, []string{"x"})
-	if len(got) != 3 {
-		t.Fatalf("projections = %v, want 3", got)
+	atoms := []Atom{NewAtom("E", V("x"), V("y")), NewAtom("E", V("y"), V("z"))}
+	d := pathDB(3)
+	d.Seal()
+	got := ProjectionIDs(atoms, d, nil, nil, nil, []string{"x", "w"})
+	var rows []string
+	for i := 0; i < len(got); i += 2 {
+		if got[i+1] != db.NoID {
+			t.Fatalf("unbound projection variable got ID %d", got[i+1])
+		}
+		rows = append(rows, d.Dict().Term(got[i]))
+	}
+	if fmt.Sprint(rows) != "[0 1]" {
+		t.Fatalf("projections to x = %v, want [0 1]", rows)
 	}
 }
 
@@ -298,10 +293,10 @@ func TestCore(t *testing.T) {
 	if !Equivalent(q, core) {
 		t.Fatal("core must be equivalent")
 	}
-	if !IsCore(core) {
+	if !isCore(core) {
 		t.Fatal("core of core")
 	}
-	if IsCore(q) {
+	if isCore(q) {
 		t.Fatal("foldable query reported as core")
 	}
 }
@@ -336,7 +331,7 @@ func TestCoreEvenVsOddCycle(t *testing.T) {
 		t.Fatalf("even symmetric cycle core too big: %v", core)
 	}
 	odd := Boolean(symCycle(3))
-	if !IsCore(odd) {
+	if !isCore(odd) {
 		t.Fatal("odd symmetric cycle should be a core")
 	}
 	directed := Boolean([]Atom{
@@ -345,7 +340,7 @@ func TestCoreEvenVsOddCycle(t *testing.T) {
 		NewAtom("E", V("c"), V("d")),
 		NewAtom("E", V("d"), V("a")),
 	})
-	if !IsCore(directed) {
+	if !isCore(directed) {
 		t.Fatal("directed 4-cycle should be a core")
 	}
 }
@@ -471,8 +466,8 @@ func TestApproximationsTriangle(t *testing.T) {
 		if !TW(1).Contains(ap) {
 			t.Fatalf("approximation %v not in TW(1)", ap)
 		}
-		if !IsApproximationInClass(ap, tri, TW(1)) {
-			t.Fatalf("IsApproximationInClass rejects computed approximation %v", ap)
+		if !isApproximationInClass(ap, tri, TW(1)) {
+			t.Fatalf("isApproximationInClass rejects computed approximation %v", ap)
 		}
 	}
 	// The self-loop query must be among (or equivalent to one of) them.
@@ -522,9 +517,9 @@ func TestHomToAtoms(t *testing.T) {
 
 func TestEvaluateOnHelper(t *testing.T) {
 	q := MustNew([]string{"x"}, []Atom{NewAtom("E", V("x"), V("y"))})
-	got := EvaluateOn(q, []Atom{NewAtom("E", C("a"), C("b"))})
+	got := evaluateOn(q, []Atom{NewAtom("E", C("a"), C("b"))})
 	if len(got) != 1 || got[0]["x"] != "a" {
-		t.Fatalf("EvaluateOn = %v", got)
+		t.Fatalf("evaluateOn = %v", got)
 	}
 }
 
@@ -542,7 +537,7 @@ func TestCoreEquivalenceProperty(t *testing.T) {
 		}
 		q := Boolean(atoms)
 		core := Core(q)
-		return Equivalent(q, core) && IsCore(core)
+		return Equivalent(q, core) && isCore(core)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -616,13 +611,13 @@ func TestComponentDecomposition(t *testing.T) {
 	d.Insert("B", "y")
 	d.Insert("B", "z")
 	atoms := []Atom{NewAtom("A", V("u")), NewAtom("B", V("v"))}
-	if got := CountHomomorphisms(atoms, d, nil); got != 6 {
+	if got := countHomomorphisms(atoms, d, nil); got != 6 {
 		t.Fatalf("cross product count = %d, want 2*3", got)
 	}
 	// Adding an unsatisfiable third component kills everything without
 	// enumerating the cross product.
 	atoms = append(atoms, NewAtom("C", V("w")))
-	if got := CountHomomorphisms(atoms, d, nil); got != 0 {
+	if got := countHomomorphisms(atoms, d, nil); got != 0 {
 		t.Fatalf("count = %d, want 0", got)
 	}
 	// Fixed variables disconnect components: with u and v fixed, both

@@ -100,13 +100,13 @@ func ProjectionIDs(atoms []Atom, d *db.Database, fixed Mapping, st *obs.Stats, g
 		}
 		return true
 	})
-	return SortIDRows(data, w)
+	return sortIDRows(data, w)
 }
 
-// SortIDRows sorts a flat row-major ID relation of the given width in
+// sortIDRows sorts a flat row-major ID relation of the given width in
 // row-lexicographic order and returns it. Width 0 (or an empty relation)
 // is returned unchanged.
-func SortIDRows(data []uint32, w int) []uint32 {
+func sortIDRows(data []uint32, w int) []uint32 {
 	if w <= 0 || len(data) <= w {
 		return data
 	}
@@ -445,34 +445,6 @@ func SatisfiableObs(atoms []Atom, d *db.Database, fixed Mapping, st *obs.Stats, 
 	return found
 }
 
-// ExtendToHom returns the first homomorphism from atoms to D consistent with
-// fixed, or ok=false if none exists.
-func ExtendToHom(atoms []Atom, d *db.Database, fixed Mapping) (Mapping, bool) {
-	var out Mapping
-	Homomorphisms(atoms, d, fixed, func(h Mapping) bool {
-		out = h.Clone()
-		return false
-	})
-	return out, out != nil
-}
-
-// Projections enumerates the distinct restrictions to proj of the
-// homomorphisms from atoms to D consistent with fixed.
-func Projections(atoms []Atom, d *db.Database, fixed Mapping, proj []string) []Mapping {
-	return ProjectionsObs(atoms, d, fixed, nil, nil, proj)
-}
-
-// ProjectionsObs is Projections with work counts recorded on st and scan
-// work charged to gm (both may be nil).
-func ProjectionsObs(atoms []Atom, d *db.Database, fixed Mapping, st *obs.Stats, gm *guard.Meter, proj []string) []Mapping {
-	set := NewMappingSet()
-	HomomorphismsObs(atoms, d, fixed, st, gm, func(h Mapping) bool {
-		set.Add(h.Restrict(proj))
-		return true
-	})
-	return set.All()
-}
-
 // argRef is one compiled atom argument: either a variable slot (slot ≥ 0)
 // or a constant term ID (slot < 0; id may be db.NoID for constants outside
 // the active domain, which match nothing).
@@ -669,15 +641,4 @@ func (s *homSolver) groundRow(i int) (bool, []uint32) {
 		row[p] = v
 	}
 	return true, row
-}
-
-// CountHomomorphisms returns the number of homomorphisms from atoms to D
-// consistent with fixed. Intended for tests and diagnostics.
-func CountHomomorphisms(atoms []Atom, d *db.Database, fixed Mapping) int {
-	n := 0
-	Homomorphisms(atoms, d, fixed, func(Mapping) bool {
-		n++
-		return true
-	})
-	return n
 }

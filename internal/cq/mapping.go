@@ -53,29 +53,9 @@ func (h Mapping) SubsumedBy(hp Mapping) bool {
 	return true
 }
 
-// ProperlySubsumedBy reports h ⊏ h': h ⊑ h' and not h' ⊑ h.
-func (h Mapping) ProperlySubsumedBy(hp Mapping) bool {
-	return h.SubsumedBy(hp) && !hp.SubsumedBy(h)
-}
-
 // Equal reports whether h and h' are the same partial mapping.
 func (h Mapping) Equal(hp Mapping) bool {
 	return len(h) == len(hp) && h.SubsumedBy(hp)
-}
-
-// CompatibleWith reports whether h and h' agree wherever both are defined,
-// i.e. whether h ∪ h' is a partial mapping.
-func (h Mapping) CompatibleWith(hp Mapping) bool {
-	small, big := h, hp
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	for k, v := range small {
-		if vb, ok := big[k]; ok && vb != v {
-			return false
-		}
-	}
-	return true
 }
 
 // Union returns h ∪ h'. It panics if the mappings disagree on a shared
@@ -84,7 +64,7 @@ func (h Mapping) Union(hp Mapping) Mapping {
 	out := h.Clone()
 	for k, v := range hp {
 		if prev, ok := out[k]; ok && prev != v {
-			// documented contract: callers must check CompatibleWith first
+			// documented contract: callers must check compatibility first
 			panic("cq: union of incompatible mappings at variable " + k)
 		}
 		out[k] = v

@@ -169,7 +169,7 @@ func TestMergeKeysMatchesMappingSet(t *testing.T) {
 
 // TestMaximalKeysMatchesProperSubsumption: the key-level ⊏ filter keeps
 // exactly the answers that no other answer properly subsumes by
-// Mapping.ProperlySubsumedBy.
+// properlySubsumed.
 func TestMaximalKeysMatchesProperSubsumption(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 500; trial++ {
@@ -178,7 +178,7 @@ func TestMaximalKeysMatchesProperSubsumption(t *testing.T) {
 		for i, h := range sols {
 			dominated := false
 			for j, hp := range sols {
-				if i != j && h.ProperlySubsumedBy(hp) {
+				if i != j && properlySubsumed(h, hp) {
 					dominated = true
 				}
 			}

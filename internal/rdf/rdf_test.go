@@ -127,7 +127,7 @@ func TestEncodePreservesAnswersProperty(t *testing.T) {
 
 func maximalIn(h cq.Mapping, all []cq.Mapping) bool {
 	for _, g := range all {
-		if h.ProperlySubsumedBy(g) {
+		if h.SubsumedBy(g) && !g.SubsumedBy(h) {
 			return false
 		}
 	}

@@ -45,7 +45,3 @@ func (o *OptimizedUnion) Solve(ctx context.Context, d *db.Database, opts core.So
 	}
 	return o.original.Solve(ctx, d, opts)
 }
-
-// Originals returns the trees of the original union; exposed so callers can
-// fall back to exact evaluation when needed.
-func (o *OptimizedUnion) Originals() []*core.PatternTree { return o.original.Trees() }
