@@ -70,7 +70,7 @@ type (
 	Classification = core.Classification
 	// SubsumeOptions configures the subsumption decision procedures.
 	SubsumeOptions = subsume.Options
-	// ApproxOptions bounds the approximation candidate search.
+	// ApproxOptions configures the approximation candidate search.
 	ApproxOptions = approx.Options
 	// SolveOptions configures a PatternTree.Solve or Union.Solve call: the
 	// problem mode, candidate mapping, engine, stats sink, parallelism,
