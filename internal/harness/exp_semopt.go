@@ -70,7 +70,7 @@ func runE7(cfg Config) *Table {
 		Paper:   "Theorem 14: approximations exist and are computable",
 		Columns: []string{"path len", "|p|", "|approx|", "t(approximate)"},
 	}
-	lens := []int{0, 1, 2}
+	lens := []int{0, 1, 2, 3, 4}
 	if cfg.Quick {
 		lens = []int{0, 1}
 	}
