@@ -101,19 +101,23 @@ func TestPathAnswerPins(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					// The server's engines: auto for enumerate, the
-					// backtracking solver for maximal.
-					opts := core.SolveOptions{Mode: mode}
-					engine := "naive"
-					if mode == core.ModeEnumerate {
-						opts.Engine, engine = cqeval.Auto(), "auto"
-					}
-					res, err := p.Solve(context.Background(), d, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					got := encodeDigest(t, mode, engine, res.Answers)
-					if got != want {
-						t.Errorf("%s: body digest %s (%d answers), want %s", name, got, len(res.Answers), want)
+					// backtracking solver for maximal. At P=8 each root
+					// candidate expands on its own worker and the
+					// per-candidate sets merge.
+					for _, par := range []int{1, 8} {
+						opts := core.SolveOptions{Mode: mode, Parallelism: par}
+						engine := "naive"
+						if mode == core.ModeEnumerate {
+							opts.Engine, engine = cqeval.Auto(), "auto"
+						}
+						res, err := p.Solve(context.Background(), d, opts)
+						if err != nil {
+							t.Fatalf("%s P=%d: %v", name, par, err)
+						}
+						got := encodeDigest(t, mode, engine, res.Answers)
+						if got != want {
+							t.Errorf("%s P=%d: body digest %s (%d answers), want %s", name, par, got, len(res.Answers), want)
+						}
 					}
 				})
 			}
@@ -157,5 +161,38 @@ func TestAllFreePathExtensionUnits(t *testing.T) {
 	}
 	if got := st.Get(obs.CtrExtensionUnits); got != want {
 		t.Errorf("core.extension_units_tested = %d, want %d", got, want)
+	}
+}
+
+// TestStarExtensionUnits pins the expansion work and the answer body of a
+// branching tree at P ∈ {1, 8}. StarWDPT(3) has three OPT children under
+// its root, and on LayeredDatabase(3, 4, 2, 1) every vertex of the first
+// two layers matches all three, so one (subtree, mapping) state is reached
+// along several orders of the same children: the visited map is what
+// keeps each such state from being expanded twice.
+func TestStarExtensionUnits(t *testing.T) {
+	const (
+		wantUnits = 198
+		wantBody  = "a5a4fcf156908b7104b7fa6a4f77546c3a7a37874302b2d6260760513fdf0b4d"
+	)
+	p := gen.StarWDPT(3)
+	d := gen.LayeredDatabase(3, 4, 2, 1)
+	for _, par := range []int{1, 8} {
+		for _, engine := range []string{"naive", "auto"} {
+			opts := core.SolveOptions{Mode: core.ModeEnumerate, Stats: obs.NewStats(), Parallelism: par}
+			if engine == "auto" {
+				opts.Engine = cqeval.Auto()
+			}
+			res, err := p.Solve(context.Background(), d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := opts.Stats.Get(obs.CtrExtensionUnits); got != wantUnits {
+				t.Errorf("P=%d %s: core.extension_units_tested = %d, want %d", par, engine, got, wantUnits)
+			}
+			if got := encodeDigest(t, core.ModeEnumerate, "pin", res.Answers); got != wantBody {
+				t.Errorf("P=%d %s: body digest %s (%d answers), want %s", par, engine, got, len(res.Answers), wantBody)
+			}
+		}
 	}
 }

@@ -117,3 +117,31 @@ func TestPlanEngineDigest(t *testing.T) {
 		t.Fatalf("plan-engine digest = %s, want %s", got, planEngineDigest)
 	}
 }
+
+// TestProjectCanonicalOrder: every engine returns Project's rows strictly
+// increasing in the CompareMappings order, on every digest instance. The
+// answer pins cannot see this, since the report encoder sorts again, but
+// the union decision short-circuit and the answer-cap truncation take the
+// rows in the order Project gives them.
+func TestProjectCanonicalOrder(t *testing.T) {
+	for _, name := range []string{"auto", "naive", "yannakakis", "decomposition", "hypertree"} {
+		eng, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi := 0
+		for i := 0; i < digestCases; i++ {
+			atoms, d, fixed, proj := digestInstance(i)
+			rows := eng.Project(atoms, d, fixed, proj)
+			if len(rows) > 1 {
+				multi++
+			}
+			for j := 1; j < len(rows); j++ {
+				if cq.CompareMappings(rows[j-1], rows[j]) >= 0 {
+					t.Fatalf("%s #%d: row %d %v does not sort after row %d %v", name, i, j, rows[j], j-1, rows[j-1])
+				}
+			}
+		}
+		t.Logf("%s: %d of %d instances return more than one row", name, multi, digestCases)
+	}
+}
