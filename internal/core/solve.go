@@ -302,13 +302,13 @@ func (p *PatternTree) enumerateSolve(ctx context.Context, d *db.Database, eng cq
 			if m.Truncated() {
 				break
 			}
-			p.expandSolve(d, eng, st, visited, answers, p.RootSubtree(), h, m)
+			p.expandSolve(d, eng, st, visited, answers, p.RootSubtree(), h, m, false)
 		}
 		return answers, nil
 	}
 	sets := par.Map(pool, len(roots), func(i int) *cq.MappingSet {
 		answers := cq.NewMappingSet()
-		p.expandSolve(d, eng, st, make(map[string]bool), answers, p.RootSubtree(), roots[i], m)
+		p.expandSolve(d, eng, st, make(map[string]bool), answers, p.RootSubtree(), roots[i], m, false)
 		return answers
 	})
 	if err := ctx.Err(); err != nil {
@@ -316,9 +316,7 @@ func (p *PatternTree) enumerateSolve(ctx context.Context, d *db.Database, eng cq
 	}
 	merged := cq.NewMappingSet()
 	for _, set := range sets {
-		for _, h := range set.All() {
-			merged.Add(h)
-		}
+		merged.Merge(set)
 	}
 	return merged, nil
 }
@@ -329,18 +327,32 @@ func (p *PatternTree) enumerateSolve(ctx context.Context, d *db.Database, eng cq
 // backtracking solver; otherwise to the engine. The meter checkpoints each
 // expansion, charges enumerated extension homomorphisms, and gates answer
 // collection on the answer budget.
-func (p *PatternTree) expandSolve(d *db.Database, eng cqeval.Engine, st *obs.Stats, visited map[string]bool, answers *cq.MappingSet, s Subtree, h cq.Mapping, m *guard.Meter) {
+//
+// forked reports that some state on the way from the root candidate to
+// (s, h) had two or more extension units. Only such a state can be reached
+// twice, so only such a state is looked up in visited: two paths to one
+// (s, h) start at the same root candidate (every mapping on a path extends
+// it), and where they part they either take different units, which needs a
+// state with at least two, or the same unit with different extensions,
+// which bind some variable of the unit differently in every later mapping
+// and so never meet again.
+func (p *PatternTree) expandSolve(d *db.Database, eng cqeval.Engine, st *obs.Stats, visited map[string]bool, answers *cq.MappingSet, s Subtree, h cq.Mapping, m *guard.Meter, forked bool) {
 	m.Checkpoint()
 	if m.Truncated() {
 		return
 	}
-	key := s.Key() + "|" + h.Key()
-	if visited[key] {
-		return
+	if forked {
+		var buf [128]byte
+		key := h.AppendKey(p.appendSubtreeKey(buf[:0], s))
+		if visited[string(key)] {
+			return
+		}
+		visited[string(key)] = true
 	}
-	visited[key] = true
+	units := p.extensionUnits(s)
+	forked = forked || len(units) >= 2
 	extendable := false
-	for _, u := range p.extensionUnits(s) {
+	for _, u := range units {
 		st.Inc(obs.CtrExtensionUnits)
 		var exts []cq.Mapping
 		if eng == nil {
@@ -361,18 +373,13 @@ func (p *PatternTree) expandSolve(d *db.Database, eng cqeval.Engine, st *obs.Sta
 			next[n.id] = true
 		}
 		for _, g := range exts {
-			p.expandSolve(d, eng, st, visited, answers, next, h.Union(g), m)
+			p.expandSolve(d, eng, st, visited, answers, next, h.Union(g), m, forked)
 		}
 	}
 	if !extendable {
-		row := h.Restrict(p.free)
-		if m.Active() {
-			// Consume answer budget only for rows new to this candidate's
-			// set; refusals mark the enumeration truncated.
-			if !answers.Contains(row) && !m.TryAnswer() {
-				return
-			}
-		}
-		answers.Add(row)
+		// Consume answer budget only for rows new to this candidate's set;
+		// refusals mark the enumeration truncated. Without a meter
+		// TryAnswer always admits.
+		answers.AddIf(h.Restrict(p.free), m.TryAnswer)
 	}
 }

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -89,15 +90,31 @@ type subtreeInfo struct {
 // sorted-id string rendering.
 func (p *PatternTree) subtreeKey(s Subtree) any {
 	if len(p.nodes) <= 64 {
-		var m uint64
-		for id, in := range s {
-			if in {
-				m |= 1 << uint(id)
-			}
-		}
-		return m
+		return subtreeMask(s)
 	}
 	return s.Key()
+}
+
+// appendSubtreeKey appends subtreeKey(s) to dst as bytes: the mask's eight
+// bytes, or the id rendering and a '|'. Within one tree every key has the
+// same form, so the bytes that follow stay unambiguous.
+func (p *PatternTree) appendSubtreeKey(dst []byte, s Subtree) []byte {
+	if len(p.nodes) <= 64 {
+		return binary.LittleEndian.AppendUint64(dst, subtreeMask(s))
+	}
+	return append(append(dst, s.Key()...), '|')
+}
+
+// subtreeMask returns the node-id set of a subtree of at most 64 nodes as
+// a bitmask.
+func subtreeMask(s Subtree) uint64 {
+	var m uint64
+	for id, in := range s {
+		if in {
+			m |= 1 << uint(id)
+		}
+	}
+	return m
 }
 
 // subtreeInfoOf returns the memoized derived structure of s, computing and

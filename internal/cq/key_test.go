@@ -1,7 +1,9 @@
 package cq
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -90,5 +92,52 @@ func TestKeyInjectivityProperty(t *testing.T) {
 			t.Fatalf("atoms %q and %q share the key %q", prev, a, a.Key())
 		}
 		atoms[a.Key()] = a
+	}
+}
+
+// TestMappingKeyFormat pins the key bytes, on a small mapping and on one
+// with more names and bytes than Key's stack buffers hold, and checks that
+// AppendKey appends the same bytes after a prefix.
+func TestMappingKeyFormat(t *testing.T) {
+	if got, want := (Mapping{"y": "b", "x": "a\x00"}).Key(), "1:x2:a\x001:y1:b"; got != want {
+		t.Fatalf("Key = %q, want %q", got, want)
+	}
+	h := Mapping{}
+	var want strings.Builder
+	for i := 0; i < 12; i++ {
+		name, value := fmt.Sprintf("v%02d", i), strings.Repeat("c", 20+i)
+		h[name] = value
+		fmt.Fprintf(&want, "%d:%s%d:%s", len(name), name, len(value), value)
+	}
+	if got := h.Key(); got != want.String() {
+		t.Fatalf("Key = %q, want %q", got, want.String())
+	}
+	if got := string(h.AppendKey([]byte("pre|"))); got != "pre|"+want.String() {
+		t.Fatalf("AppendKey = %q, want the prefix then the key", got)
+	}
+}
+
+// TestMappingSetAddIfAndMerge: AddIf asks admit only about new mappings
+// and inserts only what it admits, and Merge adds exactly the other set's
+// mappings the set lacks.
+func TestMappingSetAddIfAndMerge(t *testing.T) {
+	s := NewMappingSet()
+	asked := 0
+	admit := func(ok bool) func() bool { return func() bool { asked++; return ok } }
+	if !s.AddIf(Mapping{"x": "a"}, admit(true)) || asked != 1 {
+		t.Fatalf("AddIf of a new admitted mapping: asked %d times, want 1 and an insert", asked)
+	}
+	if s.AddIf(Mapping{"x": "a"}, admit(true)) || asked != 1 {
+		t.Fatalf("AddIf of a held mapping asked admit (%d) or inserted", asked)
+	}
+	if s.AddIf(Mapping{"x": "b"}, admit(false)) || s.Len() != 1 {
+		t.Fatalf("AddIf inserted a refused mapping: %d held", s.Len())
+	}
+	o := NewMappingSet()
+	o.Add(Mapping{"x": "a"})
+	o.Add(Mapping{"x": "c", "y": "d"})
+	s.Merge(o)
+	if got := fmt.Sprint(s.All()); got != "[{x -> a} {x -> c, y -> d}]" {
+		t.Fatalf("after Merge the set holds %s", got)
 	}
 }

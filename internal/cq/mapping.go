@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strconv"
@@ -93,27 +94,30 @@ func (h Mapping) ApplyAtom(a Atom) Atom {
 // bytes. The length prefixes keep the key injective whatever bytes a name
 // or a value holds.
 func (h Mapping) Key() string {
-	dom := h.Domain()
-	// Pre-size (an upper bound while every component is under 100 bytes)
-	// so a typical key is one allocation.
-	size := 0
-	for _, k := range dom {
-		size += len(k) + len(h[k]) + 6
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for _, k := range dom {
-		writeLenPrefixed(&b, k)
-		writeLenPrefixed(&b, h[k])
-	}
-	return b.String()
+	var buf [128]byte
+	return string(h.AppendKey(buf[:0]))
 }
 
-// writeLenPrefixed appends s to b as length ':' bytes.
-func writeLenPrefixed(b *strings.Builder, s string) {
-	b.WriteString(strconv.Itoa(len(s)))
-	b.WriteByte(':')
-	b.WriteString(s)
+// AppendKey appends h's Key to dst and returns the extended slice.
+func (h Mapping) AppendKey(dst []byte) []byte {
+	var names [8]string
+	dom := names[:0]
+	for k := range h {
+		dom = append(dom, k)
+	}
+	slices.Sort(dom)
+	for _, k := range dom {
+		dst = appendLenPrefixed(dst, k)
+		dst = appendLenPrefixed(dst, h[k])
+	}
+	return dst
+}
+
+// appendLenPrefixed appends s to dst as length ':' bytes.
+func appendLenPrefixed(dst []byte, s string) []byte {
+	dst = strconv.AppendInt(dst, int64(len(s)), 10)
+	dst = append(dst, ':')
+	return append(dst, s...)
 }
 
 // String renders the mapping as "{x -> a, y -> b}" with sorted variables.
@@ -162,7 +166,8 @@ func CompareMappings(a, b Mapping) int {
 //
 // Each answer gets its sort key once (Keys), on which slices.Compare is
 // exactly CompareMappings. Already-sorted input costs one linear pass after
-// the keys are built; otherwise the sort is stable.
+// the keys are built; otherwise equal answers keep their input order, the
+// input index breaking their ties.
 func SortSolutions(sols []Mapping) []Mapping {
 	if len(sols) < 2 {
 		return sols
@@ -170,12 +175,17 @@ func SortSolutions(sols []Mapping) []Mapping {
 	flat := make([]string, keySize(sols))
 	keyed := make([]keyedMapping, len(sols))
 	for i, h := range sols {
-		keyed[i] = keyedMapping{key: keyInto(&flat, h), h: h}
+		keyed[i] = keyedMapping{key: keyInto(&flat, h), h: h, i: i}
 	}
 	if slices.IsSortedFunc(keyed, compareKeyed) {
 		return sols
 	}
-	slices.SortStableFunc(keyed, compareKeyed)
+	slices.SortFunc(keyed, func(a, b keyedMapping) int {
+		if c := compareKeyed(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
 	for i, k := range keyed {
 		sols[i] = k.h
 	}
@@ -224,10 +234,11 @@ func keyInto(flat *[]string, h Mapping) []string {
 	return key
 }
 
-// keyedMapping is an answer with its SortSolutions key.
+// keyedMapping is an answer with its SortSolutions key and input index.
 type keyedMapping struct {
 	key []string
 	h   Mapping
+	i   int
 }
 
 func compareKeyed(a, b keyedMapping) int { return slices.Compare(a.key, b.key) }
@@ -323,6 +334,8 @@ func keyProperlySubsumed(a, b []string) bool {
 }
 
 // MappingSet is a set of partial mappings with canonical-key deduplication.
+// It owns the mappings it holds: Add and AddIf keep their argument rather
+// than a copy, so a caller must not modify a mapping after adding it.
 type MappingSet struct {
 	byKey map[string]Mapping
 }
@@ -332,19 +345,42 @@ func NewMappingSet() *MappingSet {
 	return &MappingSet{byKey: make(map[string]Mapping)}
 }
 
-// Add inserts h, reporting whether it was new.
+// Add inserts h, reporting whether it was new. The set takes ownership of
+// h: the caller passes a mapping it will not modify again.
 func (s *MappingSet) Add(h Mapping) bool {
-	k := h.Key()
-	if _, ok := s.byKey[k]; ok {
+	return s.AddIf(h, nil)
+}
+
+// AddIf inserts h, taking ownership of it as Add does, if h is new and admit
+// (when non-nil) allows it; admit is called only for a new h. It reports
+// whether h was inserted. h's key is built once.
+func (s *MappingSet) AddIf(h Mapping, admit func() bool) bool {
+	var buf [128]byte
+	k := h.AppendKey(buf[:0])
+	if _, ok := s.byKey[string(k)]; ok {
 		return false
 	}
-	s.byKey[k] = h.Clone()
+	if admit != nil && !admit() {
+		return false
+	}
+	s.byKey[string(k)] = h
 	return true
+}
+
+// Merge moves every mapping of o that s lacks into s, reusing o's keys; o
+// must not be used afterwards.
+func (s *MappingSet) Merge(o *MappingSet) {
+	for k, h := range o.byKey {
+		if _, ok := s.byKey[k]; !ok {
+			s.byKey[k] = h
+		}
+	}
 }
 
 // Contains reports whether the set holds exactly h.
 func (s *MappingSet) Contains(h Mapping) bool {
-	_, ok := s.byKey[h.Key()]
+	var buf [128]byte
+	_, ok := s.byKey[string(h.AppendKey(buf[:0]))]
 	return ok
 }
 

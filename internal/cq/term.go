@@ -92,23 +92,17 @@ func (a Atom) Equal(b Atom) bool {
 // and the name or value, every string as length ':' bytes. The length
 // prefixes keep the key injective whatever bytes a constant holds.
 func (a Atom) Key() string {
-	// Pre-sized as in Mapping.Key: one allocation for a typical atom.
-	size := len(a.Rel) + 3
-	for _, t := range a.Args {
-		size += len(t.val) + 4
-	}
-	var b strings.Builder
-	b.Grow(size)
-	writeLenPrefixed(&b, a.Rel)
+	var buf [128]byte
+	b := appendLenPrefixed(buf[:0], a.Rel)
 	for _, t := range a.Args {
 		if t.isVar {
-			b.WriteByte('?')
+			b = append(b, '?')
 		} else {
-			b.WriteByte('=')
+			b = append(b, '=')
 		}
-		writeLenPrefixed(&b, t.val)
+		b = appendLenPrefixed(b, t.val)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the atom as "R(?x, c)".

@@ -702,9 +702,12 @@ func (p *plan) projectAnswers(proj []string, fixed cq.Mapping) []cq.Mapping {
 		}
 	}
 	// Translate the ID rows back to strings: this is the only place the
-	// projecting pipeline touches the dictionary.
-	out := cq.NewMappingSet()
-	for i := 0; i < result.n; i++ {
+	// projecting pipeline touches the dictionary. project leaves the rows
+	// distinct, and the fixed bindings in extra are of variables the
+	// instantiated atoms no longer mention, so the decoded answers are
+	// distinct too and need only the sort.
+	out := make([]cq.Mapping, result.n)
+	for i := range out {
 		row := result.row(i)
 		merged := make(cq.Mapping, len(result.vars)+len(extra))
 		for k, v := range result.vars {
@@ -715,9 +718,9 @@ func (p *plan) projectAnswers(proj []string, fixed cq.Mapping) []cq.Mapping {
 		for k, c := range extra {
 			merged[k] = c
 		}
-		out.Add(merged)
+		out[i] = merged
 	}
-	return out.All()
+	return cq.SortSolutions(out)
 }
 
 // topDownReduce semijoins every node with its (already reduced) parent. At
