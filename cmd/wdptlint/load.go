@@ -71,12 +71,13 @@ func (t LoadTiming) String() string {
 
 // lintPkg is one parsed, type-checked package of the module.
 type lintPkg struct {
-	path    string // import path ("wdpt/internal/cq")
-	rel     string // slash path relative to the module root ("." for the root)
-	files   []*ast.File
-	imports []string // module-internal imports (import paths)
-	pkg     *types.Package
-	info    *types.Info
+	path         string // import path ("wdpt/internal/cq")
+	rel          string // slash path relative to the module root ("." for the root)
+	files        []*ast.File
+	testFindings []Finding // the dead directives of the package's test files
+	imports      []string  // module-internal imports (import paths)
+	pkg          *types.Package
+	info         *types.Info
 }
 
 func newLoader(dir string) (*loader, error) {
@@ -324,7 +325,8 @@ func (l *loader) parseAll(roots []string) error {
 }
 
 // parsePackage parses one module package (non-test files only), records its
-// module-internal imports, and indexes its //lint:ignore directives.
+// module-internal imports, and indexes its //lint:ignore directives. Its
+// test files are only scanned for directives, each of which is dead.
 func (l *loader) parsePackage(path string) (*lintPkg, error) {
 	rel := l.relOf(path)
 	if rel == "" {
@@ -335,14 +337,19 @@ func (l *loader) parsePackage(path string) (*lintPkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	var names []string
+	var names, testNames []string
 	for _, e := range entries {
 		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		switch {
+		case e.IsDir() || !strings.HasSuffix(name, ".go"):
+		case strings.HasSuffix(name, "_test.go"):
+			testNames = append(testNames, name)
+		default:
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
+	sort.Strings(testNames)
 	if len(names) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
@@ -355,6 +362,13 @@ func (l *loader) parsePackage(path string) (*lintPkg, error) {
 		files = append(files, f)
 	}
 	p := &lintPkg{path: path, rel: rel, files: files}
+	for _, name := range testNames {
+		found, err := l.testFileDirectives(filepath.Join(dir, name))
+		if err != nil {
+			return nil, err
+		}
+		p.testFindings = append(p.testFindings, found...)
+	}
 	for _, f := range files {
 		for _, imp := range f.Imports {
 			ipath, err := strconv.Unquote(imp.Path.Value)

@@ -19,7 +19,7 @@ func isInternalPkg(rel string) bool {
 // findings (suppressions are applied centrally by Lint, so whole-program
 // findings get the same treatment).
 func lintPackage(l *loader, p *lintPkg) []Finding {
-	var out []Finding
+	out := append([]Finding(nil), p.testFindings...)
 	for _, f := range p.files {
 		out = append(out, lintDirectives(l, f)...)
 		out = append(out, lintMapOrder(l, p, f)...)

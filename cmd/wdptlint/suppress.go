@@ -2,6 +2,9 @@ package main
 
 import (
 	"go/ast"
+	"go/scanner"
+	"go/token"
+	"os"
 	"path/filepath"
 	"strings"
 )
@@ -14,7 +17,8 @@ import (
 // The directive names one rule or a comma-separated list of rules and must
 // give a non-empty reason; a directive without a reason suppresses nothing.
 // A directive naming a rule outside knownRules is reported (rule "ignore"),
-// so retiring a rule cannot leave dead directives behind without a trace.
+// so retiring a rule cannot leave dead directives behind without a trace;
+// so is every directive in a _test.go file, where no rule runs.
 //
 // Directives are indexed globally at parse time (loader.suppress), so R10's
 // call-graph findings — produced far from any single file walk — honor them
@@ -76,6 +80,29 @@ func lintDirectives(l *loader, f *ast.File) []Finding {
 		}
 	}
 	return out
+}
+
+// testFileDirectives reports every lint:ignore directive in the test file
+// at path. No rule runs on test files, so such a directive suppresses
+// nothing. The file is scanned for its comments only, not parsed.
+func (l *loader) testFileDirectives(path string) ([]Finding, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var s scanner.Scanner
+	s.Init(l.fset.AddFile(path, -1, len(src)), src, nil, scanner.ScanComments)
+	var out []Finding
+	for {
+		pos, tok, lit := s.Scan()
+		if tok == token.EOF {
+			return out, nil
+		}
+		if rules, _ := parseDirective(lit); tok == token.COMMENT && len(rules) > 0 {
+			out = append(out, l.finding(pos, "ignore",
+				"lint:ignore in a test file, where wdptlint runs no rule: the directive suppresses nothing"))
+		}
+	}
 }
 
 // suppressed reports whether a finding for rule at file:line is covered by
