@@ -196,3 +196,36 @@ func TestStarExtensionUnits(t *testing.T) {
 		}
 	}
 }
+
+// TestBandExtensionUnits pins the expansion work and the answer body of the
+// point_mix band tree at P ∈ {1, 8}. Its published ∧ rating unit has two
+// atoms, so this is the pin on a multi-atom extension unit.
+func TestBandExtensionUnits(t *testing.T) {
+	const (
+		wantUnits = 19
+		wantBody  = "6c28d4fea73614069b82544bb9db05e5ea6dc00419af21d4f70f38ecfec5fa6a"
+	)
+	p, err := sparql.ParseQuery(bandPinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := gen.MusicDatabaseLarge(500, 6, 1)
+	for _, par := range []int{1, 8} {
+		for _, engine := range []string{"naive", "auto"} {
+			opts := core.SolveOptions{Mode: core.ModeEnumerate, Stats: obs.NewStats(), Parallelism: par}
+			if engine == "auto" {
+				opts.Engine = cqeval.Auto()
+			}
+			res, err := p.Solve(context.Background(), d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := opts.Stats.Get(obs.CtrExtensionUnits); got != wantUnits {
+				t.Errorf("P=%d %s: core.extension_units_tested = %d, want %d", par, engine, got, wantUnits)
+			}
+			if got := encodeDigest(t, core.ModeEnumerate, "pin", res.Answers); got != wantBody {
+				t.Errorf("P=%d %s: body digest %s (%d answers), want %s", par, engine, got, len(res.Answers), wantBody)
+			}
+		}
+	}
+}
