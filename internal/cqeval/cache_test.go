@@ -182,7 +182,7 @@ func TestShapeKeyInjectiveProperty(t *testing.T) {
 			vars = append(vars, fmt.Sprintf("%q", atoms[j].Vars()))
 		}
 		want := strings.Join(vars, ";")
-		key := shapeKey("jt", atoms)
+		key := shapeKey("jt", atoms, nil)
 		if prev, ok := seen[key]; ok && prev != want {
 			t.Fatalf("key %q shared by shapes %s and %s", key, prev, want)
 		}
