@@ -120,7 +120,11 @@ func subtreeMask(s Subtree) uint64 {
 // subtreeInfoOf returns the memoized derived structure of s, computing and
 // (size permitting) caching it.
 func (p *PatternTree) subtreeInfoOf(s Subtree) *subtreeInfo {
-	key := p.subtreeKey(s)
+	return p.subtreeInfoAt(p.subtreeKey(s), s)
+}
+
+// subtreeInfoAt is subtreeInfoOf for a caller holding s's subtreeKey.
+func (p *PatternTree) subtreeInfoAt(key any, s Subtree) *subtreeInfo {
 	if v, ok := p.subtrees.Load(key); ok {
 		return v.(*subtreeInfo)
 	}
