@@ -21,9 +21,12 @@ import (
 // Answer pins: SHA-256 digests of the report.Encode body of the path and
 // union requests the benchmark's enum_deep and cluster_union workloads
 // send, computed with the evaluator as it was before Solve applied
-// Lemma 1's pruning and before SortSolutions keyed each answer once. Any
-// change to how trees are evaluated or answers are ordered must leave
-// every body byte-identical.
+// Lemma 1's pruning and before SortSolutions keyed each answer once. The
+// maximal bodies carry the engine label auto; they were re-pinned with it
+// while maximal requests still ran the engine-less backtracking arm, and
+// that arm and the Auto engine served the same answers. Any change to how
+// trees are evaluated or answers are ordered must leave every body
+// byte-identical.
 
 // pathFreeSets are the free-variable sets of the pinned path requests:
 // the four the enum_deep workload draws from, then every variable of the
@@ -38,25 +41,25 @@ var pathFreeSets = [][]int{{0}, {1}, {0, 1}, {0, 2}, nil}
 // on a 2-vCPU box).
 var pathPins = map[string]string{
 	"d4/enumerate/y0":                "ee9c059f4ef7b2ddc5ef5e9480d4e754c87d755d25347e4d1477865a8238512f",
-	"d4/maximal/y0":                  "bb9c2158b06290b364aab92bdcef5041a0c7d6313c127950a56f1a3a9f6920a0",
+	"d4/maximal/y0":                  "350cbfd6063766461de4c89213a48f4678492746a56d021a1775f35c22d41d73",
 	"d4/enumerate/y1":                "9c9447446629b2aa497297a077620f4df04ed353a1aaa2b5f579b70312a6dfae",
-	"d4/maximal/y1":                  "d72f659cba8a14606ff3d41673a9fb0adb87892d00ca3dd8af47b1e21ab835b4",
+	"d4/maximal/y1":                  "fce52cd657ababe9b25caee97958b4c86a07e7f0712ecbd162c4759a1be71977",
 	"d4/enumerate/y0,y1":             "7aa92b83feb920ad9f72170810af02ca336275b00b7292a23077df7166572988",
-	"d4/maximal/y0,y1":               "bffdd46c5d2ab6d3fd5f4aa945430a400f395e184f1e5c8faff46c95259bcc1e",
+	"d4/maximal/y0,y1":               "bb922438711dad9a9100b0d41e3fcddeb9cbd1c32b51fdf848345a7548d444c1",
 	"d4/enumerate/y0,y2":             "8c3549bbe51bafc89514c3de753ddf7b44d7b9ee9db87c24947feab8f4bdd93f",
-	"d4/maximal/y0,y2":               "24e1aece37b2f63917983d7f467e69e716551886c1fd210ea329ddb082e28be4",
+	"d4/maximal/y0,y2":               "0856452214d605c6c35bafd91466300115e286d545a4f82a045c77aaca0d2580",
 	"d4/enumerate/y0,y1,y2,y3,y4":    "8e0e54ef6de2db4f02c438a7ec6eb51bf67471bbeb36b4e037f455b70b4380c0",
-	"d4/maximal/y0,y1,y2,y3,y4":      "9e15debad313274c7b1d9f73ca893bed947eab380b444b871aa19977e43c1134",
+	"d4/maximal/y0,y1,y2,y3,y4":      "e84c9a8c4340204894a632c82f1029c87e68a7b4f63d98c3e8afbcb072fcb188",
 	"d5/enumerate/y0":                "ee9c059f4ef7b2ddc5ef5e9480d4e754c87d755d25347e4d1477865a8238512f",
-	"d5/maximal/y0":                  "bb9c2158b06290b364aab92bdcef5041a0c7d6313c127950a56f1a3a9f6920a0",
+	"d5/maximal/y0":                  "350cbfd6063766461de4c89213a48f4678492746a56d021a1775f35c22d41d73",
 	"d5/enumerate/y1":                "9c9447446629b2aa497297a077620f4df04ed353a1aaa2b5f579b70312a6dfae",
-	"d5/maximal/y1":                  "d72f659cba8a14606ff3d41673a9fb0adb87892d00ca3dd8af47b1e21ab835b4",
+	"d5/maximal/y1":                  "fce52cd657ababe9b25caee97958b4c86a07e7f0712ecbd162c4759a1be71977",
 	"d5/enumerate/y0,y1":             "7aa92b83feb920ad9f72170810af02ca336275b00b7292a23077df7166572988",
-	"d5/maximal/y0,y1":               "bffdd46c5d2ab6d3fd5f4aa945430a400f395e184f1e5c8faff46c95259bcc1e",
+	"d5/maximal/y0,y1":               "bb922438711dad9a9100b0d41e3fcddeb9cbd1c32b51fdf848345a7548d444c1",
 	"d5/enumerate/y0,y2":             "8c3549bbe51bafc89514c3de753ddf7b44d7b9ee9db87c24947feab8f4bdd93f",
-	"d5/maximal/y0,y2":               "24e1aece37b2f63917983d7f467e69e716551886c1fd210ea329ddb082e28be4",
+	"d5/maximal/y0,y2":               "0856452214d605c6c35bafd91466300115e286d545a4f82a045c77aaca0d2580",
 	"d5/enumerate/y0,y1,y2,y3,y4,y5": "6fc664668dd12ba0a0f87c8f2be2535af22c6176991c3854db286be418bd1066",
-	"d5/maximal/y0,y1,y2,y3,y4,y5":   "9ac7907658b95da5e467f7f478a9dd265fa61b34f106fc1426d88eb046c6ce2e",
+	"d5/maximal/y0,y1,y2,y3,y4,y5":   "010a797473ebc73a2c43673e0237286a63160c82e433a067423b6829ab39d578",
 }
 
 // encodeDigest encodes answers the way the server and wdpteval -json do and
@@ -100,23 +103,30 @@ func TestPathAnswerPins(t *testing.T) {
 					continue
 				}
 				t.Run(name, func(t *testing.T) {
-					// The server's engines: auto for enumerate, the
-					// backtracking solver for maximal. At P=8 each root
-					// candidate expands on its own worker and the
-					// per-candidate sets merge.
-					for _, par := range []int{1, 8} {
-						opts := core.SolveOptions{Mode: mode, Parallelism: par}
-						engine := "naive"
-						if mode == core.ModeEnumerate {
-							opts.Engine, engine = cqeval.Auto(), "auto"
-						}
-						res, err := p.Solve(context.Background(), d, opts)
-						if err != nil {
-							t.Fatalf("%s P=%d: %v", name, par, err)
-						}
-						got := encodeDigest(t, mode, engine, res.Answers)
-						if got != want {
-							t.Errorf("%s P=%d: body digest %s (%d answers), want %s", name, par, got, len(res.Answers), want)
+					// The server's engine, auto, for both modes; maximal
+					// also runs the engine-less backtracking arm, which
+					// must serve the same body. At P=8 each root candidate
+					// expands on its own worker and the per-candidate sets
+					// merge.
+					engines := []func() cqeval.Engine{cqeval.Auto}
+					if mode == core.ModeMaximal {
+						engines = append(engines, nil)
+					}
+					for _, newEngine := range engines {
+						for _, par := range []int{1, 8} {
+							opts := core.SolveOptions{Mode: mode, Parallelism: par}
+							arm := "engine-less"
+							if newEngine != nil {
+								opts.Engine, arm = newEngine(), "auto"
+							}
+							res, err := p.Solve(context.Background(), d, opts)
+							if err != nil {
+								t.Fatalf("%s %s P=%d: %v", name, arm, par, err)
+							}
+							got := encodeDigest(t, mode, "auto", res.Answers)
+							if got != want {
+								t.Errorf("%s %s P=%d: body digest %s (%d answers), want %s", name, arm, par, got, len(res.Answers), want)
+							}
 						}
 					}
 				})
