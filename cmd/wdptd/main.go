@@ -80,6 +80,7 @@ import (
 
 	"wdpt/internal/cluster"
 	"wdpt/internal/core"
+	"wdpt/internal/cqeval"
 	"wdpt/internal/db"
 	"wdpt/internal/db/snapshot"
 	"wdpt/internal/obs"
@@ -469,6 +470,7 @@ func snapshotRoundTrip(reg *server.Registry, stdout io.Writer) error {
 		for i, d := range [2]*db.Database{ds.DB, loaded} {
 			res, err := u.Solve(ctx, d, core.SolveOptions{
 				Mode:        core.ModeEnumerate,
+				Engine:      cqeval.Auto(),
 				Parallelism: 1,
 			})
 			if err != nil {

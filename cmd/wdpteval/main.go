@@ -223,9 +223,13 @@ func evalMain(out io.Writer, o options) error {
 	var evalErr error
 	solveSpan := root.Child("solve")
 	switch o.mode {
-	case "enumerate":
+	case "enumerate", "maximal":
+		mode, label := wdpt.ModeEnumerate, "p(D)"
+		if o.mode == "maximal" {
+			mode, label = wdpt.ModeMaximal, "p_m(D)"
+		}
 		res, err := p.Solve(ctx, d, wdpt.SolveOptions{
-			Mode: wdpt.ModeEnumerate, Engine: eng, Parallelism: par,
+			Mode: mode, Engine: eng, Parallelism: par,
 			Budget: budget, Fallback: o.fallback,
 		})
 		if err != nil && !errors.Is(err, wdpt.ErrAnswerLimit) {
@@ -235,26 +239,7 @@ func evalMain(out io.Writer, o options) error {
 		noteDegraded(&rep, out, o.jsonOut, res)
 		rep.SetAnswers(res.Answers)
 		if !o.jsonOut {
-			fmt.Fprintf(out, "p(D): %d answer(s)\n", *rep.AnswerCount)
-			for _, h := range rep.Answers {
-				fmt.Fprintln(out, "  "+h.String())
-			}
-		}
-	case "maximal":
-		// The historical maximal path drives the backtracking solver, not
-		// the engine, so Engine stays nil and the counters land on Stats.
-		res, err := p.Solve(ctx, d, wdpt.SolveOptions{
-			Mode: wdpt.ModeMaximal, Stats: st, Parallelism: par,
-			Budget: budget, Fallback: o.fallback,
-		})
-		if err != nil && !errors.Is(err, wdpt.ErrAnswerLimit) {
-			return err
-		}
-		evalErr = err
-		noteDegraded(&rep, out, o.jsonOut, res)
-		rep.SetAnswers(res.Answers)
-		if !o.jsonOut {
-			fmt.Fprintf(out, "p_m(D): %d answer(s)\n", *rep.AnswerCount)
+			fmt.Fprintf(out, "%s: %d answer(s)\n", label, *rep.AnswerCount)
 			for _, h := range rep.Answers {
 				fmt.Fprintln(out, "  "+h.String())
 			}

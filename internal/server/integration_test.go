@@ -107,15 +107,9 @@ func directBody(t *testing.T, q qsolver, d *db.Database, req server.Request, par
 	for k, v := range req.Mapping {
 		h[strings.TrimPrefix(k, "?")] = v
 	}
-	opts := core.SolveOptions{Mode: mode, Parallelism: par, Budget: budget, Fallback: req.Fallback}
-	switch mode {
-	case core.ModeEnumerate:
-		opts.Engine = engines[engName]()
-	case core.ModeMaximal:
-		// Engine stays nil: the maximal path drives the backtracking solver.
-	default:
-		opts.Engine = engines[engName]()
-		opts.Mapping = h
+	opts := core.SolveOptions{
+		Mode: mode, Mapping: h, Engine: engines[engName](),
+		Parallelism: par, Budget: budget, Fallback: req.Fallback,
 	}
 	rep := report.Report{Mode: modeName, Engine: engName, Parallelism: par}
 	res, err := q.Solve(context.Background(), d, opts)
@@ -242,6 +236,33 @@ func orDefault(s, def string) string {
 		return def
 	}
 	return s
+}
+
+// TestServerMaximalRunsRequestEngine pins that a maximal request runs on
+// the engine it names: on yannakakis its counters show the join trees the
+// engine built, and its answers are those of the same request on naive.
+func TestServerMaximalRunsRequestEngine(t *testing.T) {
+	_, d, queryText, _ := musicFixture(t)
+	_, cl, _ := startServer(t, server.Config{MaxInFlight: 4}, map[string]string{"music": writeDataset(t, d)})
+	maximal := func(engine string) *report.Report {
+		res, err := cl.Query(context.Background(), server.Request{
+			Dataset: "music", Query: queryText, Mode: "maximal", Engine: engine, Stats: true, Parallelism: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != http.StatusOK {
+			t.Fatalf("%s: status %d (body %s)", engine, res.Status, res.Body)
+		}
+		return res.Report
+	}
+	yannakakis, naive := maximal("yannakakis"), maximal("naive")
+	if got := yannakakis.Counters["cqeval.join_trees_built"]; got == 0 {
+		t.Errorf("maximal on yannakakis built no join tree; counters %v", yannakakis.Counters)
+	}
+	if len(naive.Answers) == 0 || fmt.Sprint(yannakakis.Answers) != fmt.Sprint(naive.Answers) {
+		t.Errorf("maximal answers differ by engine:\nyannakakis %v\nnaive      %v", yannakakis.Answers, naive.Answers)
+	}
 }
 
 // TestServerUnionParity pins that top-level UNION queries route through

@@ -611,22 +611,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if st != nil {
 		solveEng = cqeval.WithStats(eng, st)
 	}
+	// The enumeration modes ignore Mapping.
 	opts := core.SolveOptions{
 		Mode:        mode,
+		Mapping:     h,
+		Engine:      solveEng,
 		Parallelism: par,
 		Budget:      req.Budget.budget(),
 		Fallback:    req.Fallback,
-	}
-	switch mode {
-	case core.ModeEnumerate:
-		opts.Engine = solveEng
-	case core.ModeMaximal:
-		// The maximal path drives the backtracking solver, not the engine
-		// (mirroring wdpteval): Engine stays nil and counters land on Stats.
-		opts.Stats = st
-	default:
-		opts.Engine = solveEng
-		opts.Mapping = h
 	}
 
 	rep := report.Report{Mode: req.Mode, Engine: req.Engine, Parallelism: par}
