@@ -49,12 +49,7 @@ type extUnit struct {
 // same subtree under every candidate homomorphism, and the units depend
 // only on the (immutable) tree structure and the subtree's node set.
 func (p *PatternTree) extensionUnits(s Subtree) []extUnit {
-	return p.extensionUnitsAt(p.subtreeKey(s), s)
-}
-
-// extensionUnitsAt is extensionUnits for a caller holding s's subtreeKey.
-func (p *PatternTree) extensionUnitsAt(key any, s Subtree) []extUnit {
-	info := p.subtreeInfoAt(key, s)
+	info := p.subtreeInfoOf(s)
 	if cached := info.units.Load(); cached != nil {
 		return *cached
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"wdpt/internal/cq"
 	"wdpt/internal/cqeval"
 	"wdpt/internal/db"
 	"wdpt/internal/guard"
@@ -21,3 +22,23 @@ func (p *PatternTree) SolveUnpruned(ctx context.Context, d *db.Database, opts So
 
 // Lemma1 returns the pruned form Solve evaluates for p.
 func (p *PatternTree) Lemma1() *PatternTree { return p.lemma1() }
+
+// UnitShape is one extension unit as Solve's prepared-unit table sees it:
+// the key it is filed under and what cqeval.Prepare reads of it.
+type UnitShape struct {
+	First, Last int
+	Atoms       []cq.Atom
+	Bound, Proj []string
+}
+
+// ExtensionUnitShapes returns the shape of each extension unit of s.
+func (p *PatternTree) ExtensionUnitShapes(s Subtree) []UnitShape {
+	units := p.extensionUnits(s)
+	out := make([]UnitShape, len(units))
+	for i := range units {
+		u := &units[i]
+		k := u.key()
+		out[i] = UnitShape{First: k.first, Last: k.last, Atoms: u.atoms, Bound: u.bound, Proj: u.proj}
+	}
+	return out
+}

@@ -123,7 +123,6 @@ func TestSolveSequentialMatchesLegacyCounters(t *testing.T) {
 		"cqeval.bags_built":           7,
 		"cqeval.join_trees_built":     3,
 		"cqeval.joins":                1,
-		"cqeval.plan_cache_hits":      1,
 		"cqeval.plan_cache_misses":    3,
 		"cqeval.project_calls":        6,
 		"cqeval.semijoin_passes":      2,
