@@ -87,19 +87,30 @@ func TestFromCQ(t *testing.T) {
 	}
 }
 
+// countSubtrees returns the number of subtrees of p rooted in its root,
+// capped at limit (0 means no cap).
+func countSubtrees(p *core.PatternTree, limit int) int {
+	count := 0
+	p.EnumerateSubtrees(func(core.Subtree) bool {
+		count++
+		return limit == 0 || count < limit
+	})
+	return count
+}
+
 func TestSubtreeEnumeration(t *testing.T) {
 	p := musicTree(t, "x", "y", "z", "zp")
 	// Root alone, root+c1, root+c2, root+both: 4 subtrees.
-	if got := p.CountSubtrees(0); got != 4 {
+	if got := countSubtrees(p, 0); got != 4 {
 		t.Fatalf("subtrees = %d, want 4", got)
 	}
 	// A chain of 3 nodes has 3 subtrees.
 	chain := gen.PathWDPT(3)
-	if got := chain.CountSubtrees(0); got != 3 {
+	if got := countSubtrees(chain, 0); got != 3 {
 		t.Fatalf("chain subtrees = %d, want 3", got)
 	}
 	// Early stop honors the cap.
-	if got := p.CountSubtrees(2); got != 2 {
+	if got := countSubtrees(p, 2); got != 2 {
 		t.Fatalf("capped count = %d, want 2", got)
 	}
 }
@@ -109,10 +120,6 @@ func TestSubtreeCQs(t *testing.T) {
 	full := p.FullSubtree()
 	if got := len(p.SubtreeAtoms(full)); got != 4 {
 		t.Fatalf("full atoms = %d, want 4", got)
-	}
-	q := p.SubtreeCQ(full)
-	if got := len(q.Free()); got != 4 { // all variables
-		t.Fatalf("q_T free vars = %d, want 4", got)
 	}
 	r := p.SubtreeProjectedCQ(full)
 	if got := len(r.Free()); got != 2 { // only the projected free vars

@@ -36,12 +36,6 @@ func TestAtomVarsAndKey(t *testing.T) {
 	if got := a.Vars(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
 		t.Fatalf("Vars = %v", got)
 	}
-	if a.IsGround() {
-		t.Fatal("atom with vars reported ground")
-	}
-	if !NewAtom("R", C("a")).IsGround() {
-		t.Fatal("ground atom not reported ground")
-	}
 	b := NewAtom("R", V("x"), C("c"), V("x"), V("y"))
 	if !a.Equal(b) || a.Key() != b.Key() {
 		t.Fatal("equal atoms should match")
@@ -195,7 +189,9 @@ func TestProjections(t *testing.T) {
 	atoms := []Atom{NewAtom("E", V("x"), V("y")), NewAtom("E", V("y"), V("z"))}
 	d := pathDB(3)
 	d.Seal()
-	got := ProjectionIDs(atoms, d, nil, nil, nil, []string{"x", "w"})
+	c := CompileAtoms(atoms, nil)
+	var k Searcher
+	got := k.ProjectIDs(c, d, nil, c.Slots([]string{"x", "w"}), nil, nil, nil)
 	var rows []string
 	for i := 0; i < len(got); i += 2 {
 		if got[i+1] != db.NoID {

@@ -61,34 +61,6 @@ func HomomorphismsIDsObs(atoms []Atom, d *db.Database, fixed Mapping, st *obs.St
 	ctx.run(func() bool { return visit(view) })
 }
 
-// ProjectionIDs enumerates the homomorphisms from atoms to D consistent
-// with fixed and returns the distinct restrictions to proj as
-// dictionary-encoded rows: a flat row-major []uint32 of width len(proj),
-// aligned with proj, deduplicated and sorted in row-lexicographic ID
-// order. Projection variables not bound by any homomorphism position are
-// db.NoID. On a sealed database ID order coincides with string order, so
-// the row order equals the canonical sorted order of the legacy
-// string-mapping API. Work counts are recorded on st and scan work is
-// charged to gm exactly as in HomomorphismsObs: it is CompileAtoms plus
-// one compiled Searcher.ProjectIDs run, after one dictionary lookup per
-// fixed variable the atoms mention.
-func ProjectionIDs(atoms []Atom, d *db.Database, fixed Mapping, st *obs.Stats, gm *guard.Meter, proj []string) []uint32 {
-	c := CompileAtoms(atoms, fixed.Domain())
-	ids := make([]uint32, len(c.fixedSl))
-	var misses int64
-	for i, sl := range c.fixedSl {
-		id, known := d.Dict().ID(fixed[c.vars[sl]])
-		if !known {
-			misses++
-		}
-		ids[i] = id
-	}
-	st.Add(obs.CtrDictLookups, int64(len(ids)))
-	st.Add(obs.CtrDictMisses, misses)
-	var k Searcher
-	return k.ProjectIDs(c, d, ids, c.Slots(proj), st, gm, nil)
-}
-
 // sortIDRows sorts a flat row-major ID relation of the given width in
 // row-lexicographic order, in place. Width 0 (or an empty relation) is
 // left unchanged, and so, without allocating, is a sorted one.

@@ -64,16 +64,6 @@ func (a Atom) Vars() []string {
 	return out
 }
 
-// IsGround reports whether the atom contains no variables.
-func (a Atom) IsGround() bool {
-	for _, t := range a.Args {
-		if t.isVar {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports syntactic equality of two atoms.
 func (a Atom) Equal(b Atom) bool {
 	if a.Rel != b.Rel || len(a.Args) != len(b.Args) {

@@ -55,14 +55,8 @@ type Relation struct {
 	store *colStore
 }
 
-// NewRelation creates an empty standalone relation with the given name and
-// arity, backed by a private dictionary. Relations inside a Database share
-// the database dictionary instead; use Database.Insert to create those.
-// Arity must be positive.
-func NewRelation(name string, arity int) *Relation {
-	return newRelation(name, arity, NewDict())
-}
-
+// newRelation creates an empty relation with the given name and arity over
+// dict. Arity must be positive.
 func newRelation(name string, arity int, dict *Dict) *Relation {
 	if arity <= 0 {
 		// documented contract: arity misuse is a programming error, like a bad make() cap
@@ -297,9 +291,6 @@ type TripleStore struct {
 func NewTripleStore(rel string) *TripleStore {
 	return &TripleStore{Database: New(), rel: rel}
 }
-
-// RelName returns the name of the ternary relation holding the triples.
-func (ts *TripleStore) RelName() string { return ts.rel }
 
 // Add inserts the triple (s, p, o).
 func (ts *TripleStore) Add(s, p, o string) bool {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRelationInsertDedup(t *testing.T) {
-	r := NewRelation("R", 2)
+	r := newRelation("R", 2, NewDict())
 	if !r.Insert(Tuple{"a", "b"}) {
 		t.Fatal("first insert should report new")
 	}
@@ -30,7 +30,7 @@ func TestRelationArityPanics(t *testing.T) {
 			t.Fatal("inserting wrong arity should panic")
 		}
 	}()
-	r := NewRelation("R", 2)
+	r := newRelation("R", 2, NewDict())
 	r.Insert(Tuple{"a"})
 }
 
@@ -40,7 +40,7 @@ func TestZeroArityRelationPanics(t *testing.T) {
 			t.Fatal("zero arity should panic")
 		}
 	}()
-	NewRelation("R", 0)
+	newRelation("R", 0, NewDict())
 }
 
 // matching probes r by the string constant c, resolved through the
@@ -51,7 +51,7 @@ func matching(r *Relation, pos int, c string) []int {
 }
 
 func TestMatchingIndex(t *testing.T) {
-	r := NewRelation("E", 2)
+	r := newRelation("E", 2, NewDict())
 	r.Insert(Tuple{"a", "b"})
 	r.Insert(Tuple{"a", "c"})
 	r.Insert(Tuple{"b", "c"})
@@ -136,9 +136,6 @@ func TestTripleStore(t *testing.T) {
 	if !ts.Has("s", "p", "o") || ts.Has("o", "p", "s") {
 		t.Fatal("triple membership wrong")
 	}
-	if ts.RelName() != "triple" {
-		t.Fatal("wrong relation name")
-	}
 	if r := ts.Relation("triple"); r == nil || r.Arity() != 3 {
 		t.Fatal("underlying relation wrong")
 	}
@@ -158,7 +155,7 @@ func TestTupleEqualAndString(t *testing.T) {
 func TestIndexMatchesScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewRelation("R", 3)
+		r := newRelation("R", 3, NewDict())
 		consts := []string{"a", "b", "c", "d"}
 		for i := 0; i < 40; i++ {
 			r.Insert(Tuple{

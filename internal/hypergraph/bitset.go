@@ -57,8 +57,8 @@ func (s Set) UnionWith(t Set) {
 	}
 }
 
-// IntersectWith removes from s all elements not in t, in place.
-func (s Set) IntersectWith(t Set) {
+// intersectWith removes from s all elements not in t, in place.
+func (s Set) intersectWith(t Set) {
 	for i := range s {
 		s[i] &= t[i]
 	}
@@ -81,7 +81,7 @@ func (s Set) Union(t Set) Set {
 // Intersect returns s ∩ t as a new set.
 func (s Set) Intersect(t Set) Set {
 	out := s.Clone()
-	out.IntersectWith(t)
+	out.intersectWith(t)
 	return out
 }
 
@@ -100,16 +100,6 @@ func (s Set) SubsetOf(t Set) bool {
 		}
 	}
 	return true
-}
-
-// Intersects reports whether s ∩ t is nonempty.
-func (s Set) Intersects(t Set) bool {
-	for i := range s {
-		if s[i]&t[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Equal reports whether s and t contain the same elements.

@@ -38,19 +38,6 @@ func (h *Hypergraph) GeneralizedHypertreewidthAtMost(k int) bool {
 	return fWidthSearch(adj, eliminated, covered.Len(), allow, memo)
 }
 
-// GeneralizedHypertreewidth returns the exact generalized hypertreewidth
-// (0 for an edgeless hypergraph).
-func (h *Hypergraph) GeneralizedHypertreewidth() int {
-	if len(h.edges) == 0 {
-		return 0
-	}
-	for k := 1; ; k++ {
-		if h.GeneralizedHypertreewidthAtMost(k) {
-			return k
-		}
-	}
-}
-
 // BetaHypertreewidthAtMost decides whether every subhypergraph of h (every
 // subset of its edges) has ghw ≤ k — the class HW'(k) of Section 5 (called
 // β-hypertreewidth in [Gottlob & Pichler 2004]). For k = 1 this is

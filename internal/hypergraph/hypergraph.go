@@ -54,14 +54,11 @@ func (h *Hypergraph) AddEdge(vertices []string) {
 // NumVertices returns |V|.
 func (h *Hypergraph) NumVertices() int { return len(h.names) }
 
-// NumEdges returns |E|.
-func (h *Hypergraph) NumEdges() int { return len(h.edges) }
-
 // Edges returns the hyperedges as bitsets. The result must not be modified.
 func (h *Hypergraph) Edges() []Set { return h.edges }
 
-// EdgeVertices returns the vertex names of edge i, sorted.
-func (h *Hypergraph) EdgeVertices(i int) []string {
+// edgeVertices returns the vertex names of edge i, sorted.
+func (h *Hypergraph) edgeVertices(i int) []string {
 	elems := h.edges[i].Elements()
 	out := make([]string, len(elems))
 	for j, e := range elems {
@@ -136,7 +133,7 @@ func (h *Hypergraph) Components(within Set) []Set {
 func (h *Hypergraph) String() string {
 	parts := make([]string, len(h.edges))
 	for i := range h.edges {
-		parts[i] = "{" + strings.Join(h.EdgeVertices(i), ",") + "}"
+		parts[i] = "{" + strings.Join(h.edgeVertices(i), ",") + "}"
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, " ")
@@ -184,7 +181,7 @@ func (d *Decomposition) Validate(h *Hypergraph) error {
 			}
 		}
 		if !covered {
-			return fmt.Errorf("hypergraph: edge %d (%v) not covered by any bag", ei, h.EdgeVertices(ei))
+			return fmt.Errorf("hypergraph: edge %d (%v) not covered by any bag", ei, h.edgeVertices(ei))
 		}
 	}
 	// Connectedness: for each vertex, the nodes containing it must form a
