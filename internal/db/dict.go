@@ -22,13 +22,14 @@ const NoID = ^uint32(0)
 // with each other. Intern and canonicalize are not safe concurrently with
 // anything — like Relation.Insert, mutation belongs to the loading phase.
 type Dict struct {
-	terms []string
-	ids   map[string]uint32
+	terms  []string
+	ids    map[string]uint32
+	sorted bool // terms is in sorted order; kept by every mutation
 }
 
 // NewDict creates an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{ids: make(map[string]uint32)}
+	return &Dict{ids: make(map[string]uint32), sorted: true}
 }
 
 // Intern returns the ID for s, assigning the next dense ID on first sight.
@@ -37,6 +38,7 @@ func (d *Dict) Intern(s string) uint32 {
 		return id
 	}
 	id := uint32(len(d.terms))
+	d.sorted = d.sorted && (id == 0 || d.terms[id-1] < s)
 	d.terms = append(d.terms, s)
 	d.ids[s] = id
 	return id
@@ -66,7 +68,7 @@ func (d *Dict) Terms() []string { return d.terms }
 
 // Sorted reports whether IDs are currently assigned in sorted-term order,
 // i.e. whether comparing IDs is equivalent to comparing terms.
-func (d *Dict) Sorted() bool { return sort.StringsAreSorted(d.terms) }
+func (d *Dict) Sorted() bool { return d.sorted }
 
 // dictFromSorted builds a dictionary whose IDs are already canonical: the
 // terms must be strictly sorted (the caller validates), and term i is
@@ -74,8 +76,9 @@ func (d *Dict) Sorted() bool { return sort.StringsAreSorted(d.terms) }
 // terms in any order and sealing. The slice is copied.
 func dictFromSorted(terms []string) *Dict {
 	d := &Dict{
-		terms: append([]string(nil), terms...),
-		ids:   make(map[string]uint32, len(terms)),
+		terms:  append([]string(nil), terms...),
+		ids:    make(map[string]uint32, len(terms)),
+		sorted: true,
 	}
 	for i, s := range d.terms {
 		d.ids[s] = uint32(i)
@@ -88,7 +91,7 @@ func dictFromSorted(terms []string) *Dict {
 // the operation idempotent). Callers owning stores must renumber them with
 // the same table.
 func (d *Dict) canonicalize() []uint32 {
-	if sort.StringsAreSorted(d.terms) {
+	if d.sorted {
 		return nil
 	}
 	sorted := make([]string, len(d.terms))
@@ -102,7 +105,6 @@ func (d *Dict) canonicalize() []uint32 {
 	for old, s := range d.terms {
 		remap[old] = ids[s]
 	}
-	d.terms = sorted
-	d.ids = ids
+	d.terms, d.ids, d.sorted = sorted, ids, true
 	return remap
 }

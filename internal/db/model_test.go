@@ -196,6 +196,9 @@ func runStoreModel(prog []byte) error {
 		case 7:
 			d = d.Clone()
 		}
+		if got, want := d.Dict().Sorted(), sort.StringsAreSorted(d.Dict().Terms()); got != want {
+			return fmt.Errorf("step %d (op %d): Dict.Sorted() = %v, terms sorted %v", step, op, got, want)
+		}
 		if err := compareStore(m, d); err != nil {
 			return fmt.Errorf("step %d (op %d): %v", step, op, err)
 		}
