@@ -37,7 +37,10 @@ func startSnapshotServer(t *testing.T, specs map[string]string) (string, *obs.St
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.NewServer(server.Config{Registry: reg, Stats: st})
+	// Admission room for the four racing clients of the reload test: at
+	// the defaults (MaxInFlight = NumCPU, no queue) a client could be
+	// refused with queue_full, which the test would count as a parity break.
+	srv, err := server.NewServer(server.Config{Registry: reg, Stats: st, MaxInFlight: 4, MaxQueue: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
