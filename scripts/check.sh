@@ -104,8 +104,8 @@ bench_artifact=$(ls -t BENCH_*.json | head -1)
 # to a binary snapshot with wdpteval -snapshot-save, then run the same
 # query -json against the text source and against the snapshot — the two
 # documents must be byte-identical (the report carries no wall-clock
-# fields, so cmp is exact); and maximal mode on the snapshot must serve the
-# same body on the naive and the auto engine.
+# fields, so cmp is exact); and enumerate and maximal mode on the snapshot
+# must each serve the same body on the naive and the auto engine.
 # Speed: wdptbench -snapshot generates a large synthetic database and
 # fails unless reloading the snapshot beats reparsing the text by
 # WDPT_SNAP_MIN_SPEEDUP (default 1.5x — deliberately far under the ~10x
@@ -122,17 +122,20 @@ cmp "$snap_dir/text.json" "$snap_dir/snap.json" || {
   echo "snapshot answers diverge from text answers (wdpteval -json not byte-identical)" >&2
   exit 1
 }
-# Maximal runs on the engine it is given: on the snapshot, -engine naive
-# and -engine auto must give the same body once the "engine" field that
-# names them is stripped.
-for eng in naive auto; do
-  go run ./cmd/wdpteval -snapshot "$snap_dir/music.snap" -query "$snap_query" -mode maximal -engine "$eng" -json |
-    grep -v '^  "engine": ' >"$snap_dir/maximal-$eng.json"
+# Both enumeration modes run on the engine they are given, and naive is
+# an engine outside cqeval's plan engine, so its rows take the foreign
+# path: on the snapshot, -engine naive and -engine auto must give the same
+# body once the "engine" field that names them is stripped.
+for mode in enumerate maximal; do
+  for eng in naive auto; do
+    go run ./cmd/wdpteval -snapshot "$snap_dir/music.snap" -query "$snap_query" -mode "$mode" -engine "$eng" -json |
+      grep -v '^  "engine": ' >"$snap_dir/$mode-$eng.json"
+  done
+  cmp "$snap_dir/$mode-naive.json" "$snap_dir/$mode-auto.json" || {
+    echo "$mode answers differ between -engine naive and -engine auto" >&2
+    exit 1
+  }
 done
-cmp "$snap_dir/maximal-naive.json" "$snap_dir/maximal-auto.json" || {
-  echo "maximal answers differ between -engine naive and -engine auto" >&2
-  exit 1
-}
 go run ./cmd/wdptbench -snapshot "$snap_dir/bench" -quick
 
 echo "== cluster smoke (3 members + coordinator, parity + wdptstress)"
