@@ -161,58 +161,6 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sum.Load())
 }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket counts:
-// nearest-rank bucket selection with linear interpolation inside the
-// bucket. The estimate always lies within the bounds of the bucket holding
-// the true rank-q observation, so the error is bounded by that bucket's
-// width. Observations in the overflow bucket report the last finite bound.
-// Returns 0 on nil or when nothing was observed.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	if q <= 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(total))
-	if float64(rank) < q*float64(total) {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		if i >= len(h.bounds) {
-			// Overflow bucket: unbounded above, report the last finite bound.
-			return h.bounds[len(h.bounds)-1]
-		}
-		lower := time.Duration(0)
-		if i > 0 {
-			lower = h.bounds[i-1]
-		}
-		upper := h.bounds[i]
-		frac := float64(rank-cum) / float64(c)
-		return lower + time.Duration(float64(upper-lower)*frac)
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
 type HistogramSnapshot struct {
 	// Bounds are the finite upper bounds, ascending.

@@ -85,21 +85,21 @@ func (e *Exposition) sample(name string, labels []Label, value string) {
 	e.b.WriteByte('\n')
 }
 
-// CounterInt emits one unlabeled counter family with an integer value.
-func (e *Exposition) CounterInt(name, help string, value int64) {
+// counterInt emits one unlabeled counter family with an integer value.
+func (e *Exposition) counterInt(name, help string, value int64) {
 	e.header(name, help, "counter")
 	e.sample(name, nil, strconv.FormatInt(value, 10))
 }
 
-// GaugeInt emits one unlabeled gauge family with an integer value.
-func (e *Exposition) GaugeInt(name, help string, value int64) {
+// gaugeInt emits one unlabeled gauge family with an integer value.
+func (e *Exposition) gaugeInt(name, help string, value int64) {
 	e.header(name, help, "gauge")
 	e.sample(name, nil, strconv.FormatInt(value, 10))
 }
 
 // Gauge emits one registered gauge with an integer value.
 func (e *Exposition) Gauge(g Gauge, help string, value int64) {
-	e.GaugeInt(g.String(), help, value)
+	e.gaugeInt(g.String(), help, value)
 }
 
 // Histogram emits one registered histogram family: for every labeled
@@ -168,7 +168,7 @@ func (e *Exposition) CounterVec(v *CounterVec, help string) {
 func (e *Exposition) WriteCounters(st *Stats) {
 	for _, c := range Counters() {
 		name := "wdpt_" + strings.ReplaceAll(c.String(), ".", "_") + "_total"
-		e.CounterInt(name, "Engine work counter "+c.String()+" (see docs/OBSERVABILITY.md).", st.Get(c))
+		e.counterInt(name, "Engine work counter "+c.String()+" (see docs/OBSERVABILITY.md).", st.Get(c))
 	}
 }
 
@@ -177,9 +177,9 @@ func (e *Exposition) WriteCounters(st *Stats) {
 func (e *Exposition) WriteRuntimeMetrics() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	e.GaugeInt(runtimeMetricNames[0], "Number of live goroutines.", int64(runtime.NumGoroutine()))
-	e.GaugeInt(runtimeMetricNames[1], "Bytes of allocated heap objects.", int64(ms.HeapAlloc))
-	e.GaugeInt(runtimeMetricNames[2], "Number of allocated heap objects.", int64(ms.HeapObjects))
+	e.gaugeInt(runtimeMetricNames[0], "Number of live goroutines.", int64(runtime.NumGoroutine()))
+	e.gaugeInt(runtimeMetricNames[1], "Bytes of allocated heap objects.", int64(ms.HeapAlloc))
+	e.gaugeInt(runtimeMetricNames[2], "Number of allocated heap objects.", int64(ms.HeapObjects))
 	e.header(runtimeMetricNames[3], "Completed GC cycles.", "counter")
 	e.sample(runtimeMetricNames[3], nil, strconv.FormatUint(uint64(ms.NumGC), 10))
 	e.header(runtimeMetricNames[4], "Cumulative GC stop-the-world pause time in seconds.", "counter")

@@ -55,10 +55,10 @@ func EncodeDatabase(d *db.Database) *db.Database {
 	return out
 }
 
-// EncodeAtoms converts relational atoms to triple patterns. Tuple variables
+// encodeAtoms converts relational atoms to triple patterns. Tuple variables
 // are generated with the given prefix so that distinct nodes of a pattern
 // tree get disjoint tuple variables.
-func EncodeAtoms(atoms []cq.Atom, prefix string) []cq.Atom {
+func encodeAtoms(atoms []cq.Atom, prefix string) []cq.Atom {
 	var out []cq.Atom
 	for i, a := range atoms {
 		id := cq.V(fmt.Sprintf("%s_tv%d", prefix, i))
@@ -70,12 +70,6 @@ func EncodeAtoms(atoms []cq.Atom, prefix string) []cq.Atom {
 	return out
 }
 
-// EncodeCQ converts a conjunctive query to the RDF vocabulary. The free
-// variables are unchanged; tuple variables are existential.
-func EncodeCQ(q *cq.CQ) *cq.CQ {
-	return cq.MustNew(q.Free(), EncodeAtoms(q.Atoms(), "q"))
-}
-
 // Encode converts a relational pattern tree to an RDF pattern tree over the
 // single ternary relation. Node structure and free variables are preserved;
 // for every database D, p(D) equals Encode(p)(EncodeDatabase(D)) — the
@@ -84,7 +78,7 @@ func EncodeCQ(q *cq.CQ) *cq.CQ {
 func Encode(p *core.PatternTree) *core.PatternTree {
 	var spec func(n *core.Node) core.NodeSpec
 	spec = func(n *core.Node) core.NodeSpec {
-		s := core.NodeSpec{Atoms: EncodeAtoms(n.Atoms(), fmt.Sprintf("n%d", n.ID()))}
+		s := core.NodeSpec{Atoms: encodeAtoms(n.Atoms(), fmt.Sprintf("n%d", n.ID()))}
 		for _, c := range n.Children() {
 			s.Children = append(s.Children, spec(c))
 		}
@@ -102,23 +96,4 @@ func IsRDF(p *core.PatternTree) bool {
 		}
 	}
 	return true
-}
-
-// DropTupleVariables restricts mappings to the variables of the original
-// tree, removing the encoding's tuple variables; answer mappings produced
-// by evaluating an encoded tree against an encoded database never bind
-// tuple variables on the free side, so this is only needed when inspecting
-// full homomorphisms.
-func DropTupleVariables(h cq.Mapping, original *core.PatternTree) cq.Mapping {
-	keep := make(map[string]bool)
-	for _, v := range original.Vars() {
-		keep[v] = true
-	}
-	out := cq.Mapping{}
-	for k, v := range h {
-		if keep[k] {
-			out[k] = v
-		}
-	}
-	return out
 }

@@ -33,7 +33,7 @@ func TestEncodeCQAnswersPreserved(t *testing.T) {
 		cq.NewAtom("E", cq.V("y"), cq.V("z")),
 	})
 	d := gen.ChainDatabase(4)
-	enc := EncodeCQ(q)
+	enc := encodeCQ(q)
 	want := q.Evaluate(d)
 	got := enc.Evaluate(EncodeDatabase(d))
 	if len(want) != len(got) {
@@ -148,22 +148,13 @@ func TestEncodingIsWellDesignedAndClassifiable(t *testing.T) {
 	}
 }
 
-func TestDropTupleVariables(t *testing.T) {
-	p := gen.MusicWDPT("x", "y")
-	h := cq.Mapping{"x": "Swim", "n0_tv0": "t3"}
-	out := DropTupleVariables(h, p)
-	if len(out) != 1 || out["x"] != "Swim" {
-		t.Fatalf("out = %v", out)
-	}
-}
-
 func TestRelationSymbolNamespacing(t *testing.T) {
 	// A data constant equal to a relation name must not join with the rel
 	// marker triples.
 	d := db.New()
 	d.Insert("R", "R") // constant "R" equals the relation symbol
 	enc := EncodeDatabase(d)
-	q := EncodeCQ(cq.MustNew([]string{"x"}, []cq.Atom{cq.NewAtom("R", cq.V("x"))}))
+	q := encodeCQ(cq.MustNew([]string{"x"}, []cq.Atom{cq.NewAtom("R", cq.V("x"))}))
 	got := q.Evaluate(enc)
 	if len(got) != 1 || got[0]["x"] != "R" {
 		t.Fatalf("answers = %v", got)
@@ -179,4 +170,10 @@ func solve(t testing.TB, p *core.PatternTree, d *db.Database, opts core.SolveOpt
 		t.Fatal(err)
 	}
 	return res
+}
+
+// encodeCQ converts a conjunctive query to the RDF vocabulary: the free
+// variables are unchanged and the tuple variables are existential.
+func encodeCQ(q *cq.CQ) *cq.CQ {
+	return cq.MustNew(q.Free(), encodeAtoms(q.Atoms(), "q"))
 }

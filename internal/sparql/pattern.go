@@ -169,33 +169,6 @@ func buildSpec(e Expr) core.NodeSpec {
 	panic(fmt.Sprintf("sparql: unknown expression %T", e))
 }
 
-// FromWDPT renders a pattern tree back as an algebraic expression: node
-// atoms joined by AND, children attached by OPT (children after their
-// parent's conjunction, depth-first).
-func FromWDPT(p *core.PatternTree) Expr {
-	var build func(n *core.Node) Expr
-	build = func(n *core.Node) Expr {
-		var e Expr
-		for _, a := range n.Atoms() {
-			if e == nil {
-				e = &AtomExpr{Atom: a}
-			} else {
-				e = &AndExpr{L: e, R: &AtomExpr{Atom: a}}
-			}
-		}
-		if e == nil {
-			// An empty label is not expressible as a pattern; use a
-			// vacuous marker that parses back.
-			e = &AtomExpr{Atom: cq.NewAtom("true")}
-		}
-		for _, c := range n.Children() {
-			e = &OptExpr{L: e, R: build(c)}
-		}
-		return e
-	}
-	return build(p.Root())
-}
-
 // Format renders a pattern tree in the ANS(...) { ... } text format
 // accepted by ParseWDPT.
 func Format(p *core.PatternTree) string {

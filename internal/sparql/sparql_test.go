@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wdpt/internal/core"
+	"wdpt/internal/cq"
 	"wdpt/internal/db"
 	"wdpt/internal/gen"
 	"wdpt/internal/subsume"
@@ -205,7 +206,7 @@ func TestWDPTFormatRoundTrip(t *testing.T) {
 
 func TestFromWDPTRoundTrip(t *testing.T) {
 	p := gen.MusicWDPT("x", "y", "z", "zp")
-	e := FromWDPT(p)
+	e := fromWDPT(p)
 	back, err := ToWDPT(e, p.Free())
 	if err != nil {
 		t.Fatal(err)
@@ -469,4 +470,31 @@ func solve(t testing.TB, p *core.PatternTree, d *db.Database, opts core.SolveOpt
 		t.Fatal(err)
 	}
 	return res
+}
+
+// fromWDPT renders a pattern tree back as an algebraic expression: node
+// atoms joined by AND, children attached by OPT (children after their
+// parent's conjunction, depth-first).
+func fromWDPT(p *core.PatternTree) Expr {
+	var build func(n *core.Node) Expr
+	build = func(n *core.Node) Expr {
+		var e Expr
+		for _, a := range n.Atoms() {
+			if e == nil {
+				e = &AtomExpr{Atom: a}
+			} else {
+				e = &AndExpr{L: e, R: &AtomExpr{Atom: a}}
+			}
+		}
+		if e == nil {
+			// An empty label is not expressible as a pattern; use a
+			// vacuous marker that parses back.
+			e = &AtomExpr{Atom: cq.NewAtom("true")}
+		}
+		for _, c := range n.Children() {
+			e = &OptExpr{L: e, R: build(c)}
+		}
+		return e
+	}
+	return build(p.Root())
 }
