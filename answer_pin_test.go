@@ -36,7 +36,7 @@ var pathFreeSets = [][]int{{0}, {1}, {0, 1}, {0, 2}, nil}
 // pathPins maps "d<depth>/<mode>/<free>" to the body digest. In the
 // all-free sets nothing prunes and no answer is subsumed by another, so
 // the maximal body differs from the enumerate one in its mode field alone;
-// it is pinned anyway, because it is the case where MappingSet.Maximal
+// it is pinned anyway, because it is the case where cq.MaximalSolutions
 // compares the most answers (about 0.3 s at depth 4 and 0.8 s at depth 5
 // on a 2-vCPU box).
 var pathPins = map[string]string{

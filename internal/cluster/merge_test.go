@@ -95,7 +95,7 @@ func referenceMerge(hdr report.Report, bodies [][]byte) ([]byte, bool) {
 	}
 	answers := set.All()
 	if hdr.Mode == "maximal" {
-		answers = set.Maximal()
+		answers = cq.MaximalSolutions(set.All())
 	}
 	hdr.SetAnswers(answers)
 	var buf bytes.Buffer

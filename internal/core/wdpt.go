@@ -11,6 +11,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,6 +55,9 @@ type PatternTree struct {
 	root  *Node
 	nodes []*Node // preorder; nodes[i].id == i
 	free  []string
+	// vars is Vars(), computed on first use: the slots of a tree row.
+	varsOnce sync.Once
+	vars     []string
 	// subtrees memoizes per-subtree derived structure (atoms, vars,
 	// extension units): subtree-local evaluation recomputes these for the
 	// same subtree at every band/extension step, and the tree is immutable,
@@ -266,6 +270,21 @@ func (p *PatternTree) IsProjectionFree() bool {
 // Vars returns all distinct variables mentioned in the tree.
 func (p *PatternTree) Vars() []string {
 	return cq.AtomsVars(p.AllAtoms())
+}
+
+// slots returns the tree slot of each of vars, and treeVars the variable
+// of each slot.
+func (p *PatternTree) slots(vars []string) []int {
+	out := make([]int, len(vars))
+	for i, v := range vars {
+		out[i] = slices.Index(p.treeVars(), v)
+	}
+	return out
+}
+
+func (p *PatternTree) treeVars() []string {
+	p.varsOnce.Do(func() { p.vars = p.Vars() })
+	return p.vars
 }
 
 // AllAtoms returns the atoms of all nodes (deduplicated), i.e. the body of

@@ -238,7 +238,9 @@ func (k *Searcher) ProjectIDs(c *CompiledAtoms, d *db.Database, fixedIDs []uint3
 		}
 		return true
 	})
-	sortIDRows(dst[start:], w)
+	if w > 0 {
+		SortRows(dst[start:], (len(dst)-start)/w, nil)
+	}
 	return dst
 }
 

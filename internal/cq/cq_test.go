@@ -94,7 +94,7 @@ func TestMappingSetMaximal(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}
-	max := s.Maximal()
+	max := MaximalSolutions(s.All())
 	if len(max) != 2 {
 		t.Fatalf("Maximal = %v, want 2 mappings", max)
 	}

@@ -1,8 +1,6 @@
 package cq
 
 import (
-	"slices"
-
 	"wdpt/internal/db"
 	"wdpt/internal/guard"
 	"wdpt/internal/obs"
@@ -59,45 +57,6 @@ func HomomorphismsIDsObs(atoms []Atom, d *db.Database, fixed Mapping, st *obs.St
 	ctx := newIDContext(atoms, d, fixed, st, gm)
 	view := IDAssignment{Vars: ctx.vars, IDs: ctx.assign, Bound: ctx.bound}
 	ctx.run(func() bool { return visit(view) })
-}
-
-// sortIDRows sorts a flat row-major ID relation of the given width in
-// row-lexicographic order, in place. Width 0 (or an empty relation) is
-// left unchanged, and so, without allocating, is a sorted one.
-func sortIDRows(data []uint32, w int) {
-	n := 0
-	if w > 0 {
-		n = len(data) / w
-	}
-	cmp := func(a, b int) int {
-		ra, rb := data[a*w:a*w+w], data[b*w:b*w+w]
-		for k, id := range ra {
-			if id != rb[k] {
-				if id < rb[k] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
-	}
-	i := 1
-	for i < n && cmp(i-1, i) <= 0 {
-		i++
-	}
-	if i >= n {
-		return
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	slices.SortFunc(perm, cmp)
-	sorted := make([]uint32, 0, len(data))
-	for _, i := range perm {
-		sorted = append(sorted, data[i*w:i*w+w]...)
-	}
-	copy(data, sorted)
 }
 
 // atomComponents groups atoms connected through variables not bound by

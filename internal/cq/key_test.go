@@ -116,28 +116,3 @@ func TestMappingKeyFormat(t *testing.T) {
 		t.Fatalf("AppendKey = %q, want the prefix then the key", got)
 	}
 }
-
-// TestMappingSetAddIfAndMerge: AddIf asks admit only about new mappings
-// and inserts only what it admits, and Merge adds exactly the other set's
-// mappings the set lacks.
-func TestMappingSetAddIfAndMerge(t *testing.T) {
-	s := NewMappingSet()
-	asked := 0
-	admit := func(ok bool) func() bool { return func() bool { asked++; return ok } }
-	if !s.AddIf(Mapping{"x": "a"}, admit(true)) || asked != 1 {
-		t.Fatalf("AddIf of a new admitted mapping: asked %d times, want 1 and an insert", asked)
-	}
-	if s.AddIf(Mapping{"x": "a"}, admit(true)) || asked != 1 {
-		t.Fatalf("AddIf of a held mapping asked admit (%d) or inserted", asked)
-	}
-	if s.AddIf(Mapping{"x": "b"}, admit(false)) || s.Len() != 1 {
-		t.Fatalf("AddIf inserted a refused mapping: %d held", s.Len())
-	}
-	o := NewMappingSet()
-	o.Add(Mapping{"x": "a"})
-	o.Add(Mapping{"x": "c", "y": "d"})
-	s.Merge(o)
-	if got := fmt.Sprint(s.All()); got != "[{x -> a} {x -> c, y -> d}]" {
-		t.Fatalf("after Merge the set holds %s", got)
-	}
-}

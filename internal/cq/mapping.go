@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"wdpt/internal/db"
 )
 
 // Mapping is a partial mapping h : X -> U from variable names to constants.
@@ -202,6 +204,62 @@ func SortSolutions(sols []Mapping) []Mapping {
 	return sols
 }
 
+// SortRows sorts n distinct flat ID rows in place into the canonical order
+// of CompareMappings on their decodings. The columns stand for variables
+// sorted by name, db.NoID leaves a column's variable unbound, and IDs
+// compare as dict's terms, or as IDs when dict is nil or sorted. A sorted
+// input allocates nothing.
+func SortRows(rows []uint32, n int, dict *db.Dict) {
+	if n < 2 {
+		return
+	}
+	w := len(rows) / n
+	row := func(i int) []uint32 { return rows[i*w : i*w+w] }
+	cmpRows := func(i, j int) int { return compareRows(row(i), row(j), dict) }
+	i := 1
+	for i < n && cmpRows(i-1, i) < 0 {
+		i++
+	}
+	if i == n {
+		return
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortFunc(perm, cmpRows)
+	sorted := make([]uint32, 0, len(rows))
+	for _, i := range perm {
+		sorted = append(sorted, row(i)...)
+	}
+	copy(rows, sorted)
+}
+
+// compareRows is CompareMappings on the decodings of two rows of SortRows.
+func compareRows(a, b []uint32, dict *db.Dict) int {
+	i, j := 0, 0
+	for {
+		for i < len(a) && a[i] == db.NoID {
+			i++
+		}
+		for j < len(b) && b[j] == db.NoID {
+			j++
+		}
+		switch {
+		case i == len(a) || j == len(b):
+			return cmp.Compare(len(a)-i, len(b)-j) // a shorter domain first
+		case i != j: // the lower column names the smaller variable
+			return cmp.Compare(i, j)
+		case a[i] != b[j]:
+			if dict == nil || dict.Sorted() {
+				return cmp.Compare(a[i], b[j])
+			}
+			return strings.Compare(dict.Term(a[i]), dict.Term(b[j]))
+		}
+		i, j = i+1, j+1
+	}
+}
+
 // inCanonicalOrder reports whether sols are in CompareMappings order,
 // building each answer's key once into one of two alternating stack
 // buffers (answers of up to 16 variables allocate nothing).
@@ -365,8 +423,8 @@ func keyProperlySubsumed(a, b []string) bool {
 }
 
 // MappingSet is a set of partial mappings with canonical-key deduplication.
-// It owns the mappings it holds: Add and AddIf keep their argument rather
-// than a copy, so a caller must not modify a mapping after adding it.
+// It owns the mappings it holds: Add keeps its argument rather than a
+// copy, so a caller must not modify a mapping after adding it.
 type MappingSet struct {
 	byKey map[string]Mapping
 }
@@ -377,35 +435,16 @@ func NewMappingSet() *MappingSet {
 }
 
 // Add inserts h, reporting whether it was new. The set takes ownership of
-// h: the caller passes a mapping it will not modify again.
+// h: the caller passes a mapping it will not modify again. h's key is
+// built once.
 func (s *MappingSet) Add(h Mapping) bool {
-	return s.AddIf(h, nil)
-}
-
-// AddIf inserts h, taking ownership of it as Add does, if h is new and admit
-// (when non-nil) allows it; admit is called only for a new h. It reports
-// whether h was inserted. h's key is built once.
-func (s *MappingSet) AddIf(h Mapping, admit func() bool) bool {
 	var buf [128]byte
 	k := h.AppendKey(buf[:0])
 	if _, ok := s.byKey[string(k)]; ok {
 		return false
 	}
-	if admit != nil && !admit() {
-		return false
-	}
 	s.byKey[string(k)] = h
 	return true
-}
-
-// Merge moves every mapping of o that s lacks into s, reusing o's keys; o
-// must not be used afterwards.
-func (s *MappingSet) Merge(o *MappingSet) {
-	for k, h := range o.byKey {
-		if _, ok := s.byKey[k]; !ok {
-			s.byKey[k] = h
-		}
-	}
 }
 
 // Contains reports whether the set holds exactly h.
@@ -428,14 +467,13 @@ func (s *MappingSet) All() []Mapping {
 	return SortSolutions(out)
 }
 
-// Maximal returns, in canonical order, the mappings of the set that are
-// not properly subsumed by another member: the restriction used by the
-// maximal-mappings semantics p_m(D) of Section 3.4.
-func (s *MappingSet) Maximal() []Mapping {
-	all := s.All()
+// MaximalSolutions returns, in order, the solutions of a list in canonical
+// order that no other solution of it properly subsumes: p_m(D) of
+// Section 3.4 from p(D).
+func MaximalSolutions(sorted []Mapping) []Mapping {
 	var out []Mapping
-	for _, i := range maximalKeys(Keys(all)) {
-		out = append(out, all[i])
+	for _, i := range maximalKeys(Keys(sorted)) {
+		out = append(out, sorted[i])
 	}
 	return out
 }

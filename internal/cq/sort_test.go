@@ -131,7 +131,7 @@ func distinctSorted(sols []Mapping) []Mapping {
 
 // TestMergeKeysMatchesMappingSet: merging the keys of several sorted
 // answer lists gives exactly the canonical order of their union, and with
-// maximal set exactly MappingSet.Maximal of the union — over lists that
+// maximal set exactly MaximalSolutions of the union — over lists that
 // share answers, have equal, nested and disjoint domains, and hold "\x00",
 // "=" and "?" in names and values.
 func TestMergeKeysMatchesMappingSet(t *testing.T) {
@@ -156,7 +156,7 @@ func TestMergeKeysMatchesMappingSet(t *testing.T) {
 			}
 			want := union.All()
 			if maximal {
-				want = union.Maximal()
+				want = MaximalSolutions(union.All())
 			}
 			if len(got) != len(want) {
 				t.Fatalf("trial %d maximal=%v: merged %d answers, want %d\n%q\nwant\n%q", trial, maximal, len(got), len(want), got, want)

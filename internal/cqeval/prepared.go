@@ -16,16 +16,18 @@ import (
 // first Run that reaches the bags the plan shape is fetched through the
 // plan cache and each bag's atoms are compiled. Run evaluates one binding
 // on dictionary IDs with the rows, counters, guard charges and fault sites
-// of a one-shot Project under the equivalent string mapping. The database
-// must not change while the query is in use. Safe for concurrent use.
+// of a one-shot Project under the equivalent string mapping, and returns
+// the answers as ID rows. The database must not change while the query is
+// in use. Safe for concurrent use.
 type Prepared struct {
 	e       planEngine
 	d       *db.Database
-	foreign func(fixed []uint32) []cq.Mapping // engines outside this package
-	atoms   []cq.Atom                         // the distinct atoms with a variable outside bound
-	ground  []cq.Atom                         // the distinct others
+	foreign func(fixed []uint32) ([]uint32, int) // engines outside this package
+	atoms   []cq.Atom                            // the distinct atoms with a variable outside bound
+	ground  []cq.Atom                            // the distinct others
 	bound   []string
 	proj    []string
+	vars    []string // Run's columns
 	out     []string // the unbound projection variables
 	emit    []int    // indexes into bound of the bound projection variables
 
@@ -75,12 +77,19 @@ type preparer interface {
 // variables bound, each of which must occur in atoms, projecting the
 // answers to proj. Engines of this package plan once; Run on any other
 // engine calls its Project, with db.NoID bound to a string the dictionary
-// lacks.
+// lacks, and encodes the answers.
 func Prepare(eng Engine, atoms []cq.Atom, d *db.Database, bound, proj []string) *Prepared {
+	occurs := cq.AtomsVars(atoms)
+	vars := slices.DeleteFunc(slices.Clone(proj), func(v string) bool {
+		return slices.Contains(bound, v) || !slices.Contains(occurs, v)
+	})
+	slices.Sort(vars)
 	if p, ok := eng.(preparer); ok {
-		return p.prepare(atoms, d, bound, proj)
+		q := p.prepare(atoms, d, bound, proj)
+		q.vars = vars
+		return q
 	}
-	return &Prepared{foreign: func(fixed []uint32) []cq.Mapping {
+	return &Prepared{bound: bound, proj: proj, vars: vars, foreign: func(fixed []uint32) ([]uint32, int) {
 		m := make(cq.Mapping, len(bound))
 		for i, v := range bound {
 			if fixed[i] != db.NoID {
@@ -93,23 +102,45 @@ func Prepare(eng Engine, atoms []cq.Atom, d *db.Database, bound, proj []string) 
 				}
 			}
 		}
-		return eng.Project(atoms, d, m, proj)
+		answers := eng.Project(atoms, d, m, proj)
+		rows := make([]uint32, 0, len(answers)*len(vars))
+		for _, h := range answers {
+			for _, v := range vars {
+				id := db.NoID
+				if c, ok := h[v]; ok {
+					id, _ = d.Dict().ID(c)
+				}
+				rows = append(rows, id)
+			}
+		}
+		return rows, len(answers)
 	}}
 }
 
-// Run returns the distinct restrictions to proj of the homomorphisms from
-// the atoms to the database that map bound[i] to the term with ID fixed[i]
-// (db.NoID stands for one value outside the dictionary), in the canonical
-// order of cq.CompareMappings. fixed is read during the call only.
-func (q *Prepared) Run(fixed []uint32) []cq.Mapping {
+// Vars returns the columns of Run's rows: the variables of proj outside
+// bound that the atoms mention, sorted. It must not be modified.
+func (q *Prepared) Vars() []string { return q.vars }
+
+// Run returns the distinct restrictions to Vars() of the homomorphisms
+// from the atoms to the database that map bound[i] to the term with ID
+// fixed[i] (db.NoID stands for one value outside the dictionary): n rows
+// of len(Vars()) IDs each, in the canonical order of cq.CompareMappings on
+// their decodings. fixed is read during the call only.
+func (q *Prepared) Run(fixed []uint32) (rows []uint32, n int) {
 	if q.foreign != nil {
 		return q.foreign(fixed)
 	}
 	q.e.st.Inc(obs.CtrProjectCalls)
-	if r := q.bind(fixed, nil); r != nil {
-		return r.project(fixed, nil)
+	b := q.bind(fixed, nil)
+	if b == nil {
+		return nil, 0
 	}
-	return nil
+	r, ok := b.answerRel(fixed) // its columns are Vars(): answerRel keeps the sorted out
+	if !ok {
+		return nil, 0
+	}
+	cq.SortRows(r.data, r.n, q.d.Dict())
+	return r.data, r.n
 }
 
 func (e planEngine) prepare(atoms []cq.Atom, d *db.Database, bound, proj []string) *Prepared {
@@ -357,22 +388,33 @@ func (q *Prepared) release(p *plan) {
 	q.mu.Unlock()
 }
 
-// project runs the full Yannakakis pipeline under fixed — bottom-up and
-// top-down reduction, then the projecting join — and decodes the answer
-// rows with the bound projection variables and extra added to each.
-func (q *Prepared) project(fixed []uint32, extra cq.Mapping) []cq.Mapping {
-	result := &varRel{n: 1} // all atoms were ground and held: one empty row
-	if len(q.atoms) > 0 {
-		p := q.build(fixed)
-		if !p.satisfiable() {
-			q.release(p)
-			return nil
-		}
-		p.topDownReduce()
-		result = p.answers(q.sh.root)
-		q.release(p) // the answer relation shares no storage with the bags
+// answerRel runs the full Yannakakis pipeline under fixed — bottom-up and
+// top-down reduction, then the projecting join — and returns the distinct
+// answer rows over the unbound projection variables; ok is false when
+// there is none.
+func (q *Prepared) answerRel(fixed []uint32) (result varRel, ok bool) {
+	if len(q.atoms) == 0 {
+		return varRel{n: 1}, true // all atoms were ground and held: one empty row
 	}
-	// project left the rows distinct, so they decode to distinct answers
+	p := q.build(fixed)
+	if !p.satisfiable() {
+		q.release(p)
+		return varRel{}, false
+	}
+	p.topDownReduce()
+	result = *p.answers(q.sh.root)
+	q.release(p) // the answer relation shares no storage with the bags
+	return result, true
+}
+
+// project decodes answerRel's rows with the bound projection variables and
+// extra added to each.
+func (q *Prepared) project(fixed []uint32, extra cq.Mapping) []cq.Mapping {
+	result, ok := q.answerRel(fixed)
+	if !ok {
+		return nil
+	}
+	// answerRel left the rows distinct, so they decode to distinct answers
 	// that need only the sort.
 	out := make([]cq.Mapping, result.n)
 	for i := range out {

@@ -62,6 +62,7 @@ func preparedBindings(fixed cq.Mapping, bound []string) []cq.Mapping {
 func TestPreparedMatchesOneShot(t *testing.T) {
 	type job struct {
 		q     *Prepared
+		d     *db.Database
 		fixed [][]uint32
 		want  [][]cq.Mapping
 	}
@@ -83,14 +84,14 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 			st := obs.NewStats()
 			gm := guard.NewMeter(context.Background(), guard.Budget{MaxTuples: 1 << 40}, nil)
 			q := Prepare(WithMeter(WithStats(base, st), gm), atoms, d, bound, proj)
-			j := job{q: q}
+			j := job{q: q, d: d}
 			for _, h := range preparedBindings(fixed, bound) {
 				ids := make([]uint32, len(bound))
 				for k, v := range bound {
 					ids[k], _ = d.Dict().ID(h[v])
 				}
 				before, charged := st.Snapshot(), gm.Tuples()
-				got := q.Run(ids)
+				got := runDecoded(q, d, ids)
 				gotCounters, gotCharge := runCounters(before, st.Snapshot()), gm.Tuples()-charged
 
 				fresh, _ := ByName(name)
@@ -126,7 +127,7 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 			for k := range jobs {
 				j := jobs[(k+w*len(jobs)/8)%len(jobs)]
 				for b, ids := range j.fixed {
-					if got := j.q.Run(ids); fmt.Sprint(got) != fmt.Sprint(j.want[b]) {
+					if got := runDecoded(j.q, j.d, ids); fmt.Sprint(got) != fmt.Sprint(j.want[b]) {
 						errs <- fmt.Sprintf("goroutine %d: rows %v, want %v", w, got, j.want[b])
 						return
 					}
@@ -149,13 +150,33 @@ func TestPreparedForeignEngine(t *testing.T) {
 	atoms := []cq.Atom{cq.NewAtom("E", cq.V("x"), cq.V("y"))}
 	q := Prepare(foreignEngine{Naive()}, atoms, d, []string{"x"}, []string{"x", "y"})
 	id, _ := d.Dict().ID("1")
-	if got := fmt.Sprint(q.Run([]uint32{id})); got != "[{x -> 1, y -> 2}]" {
+	if got := fmt.Sprint(runDecoded(q, d, []uint32{id})); got != "[{x -> 1, y -> 2}]" {
 		t.Fatalf("Run(1) = %s", got)
 	}
-	if got := q.Run([]uint32{db.NoID}); len(got) != 0 {
+	if got := runDecoded(q, d, []uint32{db.NoID}); len(got) != 0 {
 		t.Fatalf("Run(NoID) = %v, want no rows", got)
 	}
 }
 
 // foreignEngine hides an engine's package-private interfaces.
 type foreignEngine struct{ Engine }
+
+// runDecoded runs q under fixed and decodes its rows over q.Vars(), with
+// the bound projection variables fixed gives a dictionary term added.
+func runDecoded(q *Prepared, d *db.Database, fixed []uint32) []cq.Mapping {
+	rows, n := q.Run(fixed)
+	w := len(q.Vars())
+	out := make([]cq.Mapping, n)
+	for i := range out {
+		out[i] = cq.Mapping{}
+		for k, v := range q.Vars() {
+			out[i][v] = d.Dict().Term(rows[i*w+k])
+		}
+		for k, v := range q.bound {
+			if slices.Contains(q.proj, v) && fixed[k] != db.NoID {
+				out[i][v] = d.Dict().Term(fixed[k])
+			}
+		}
+	}
+	return out
+}
