@@ -239,3 +239,54 @@ func TestBandExtensionUnits(t *testing.T) {
 		}
 	}
 }
+
+// TestLongPathAnswerPin pins a tree of more than 64 nodes: a path of 70
+// OPT nodes over a chain of 90 edges, free on every seventh variable so
+// that Lemma 1 prunes nothing. Its rooted subtrees are its 70 prefixes.
+// Each of the 90 root edges expands as far down the chain as it reaches,
+// so enumerate and maximal give 90 answers on both evaluation arms, at
+// P ∈ {1, 8}. None subsumes another, so the two bodies are one.
+func TestLongPathAnswerPin(t *testing.T) {
+	const (
+		wantSubtrees = 70
+		wantAnswers  = 90
+		wantBody     = "fd3b15cb90996b0d975b7c5106d5f65b1b28143a214f74162ec6830e2a723de6"
+	)
+	var free []string
+	for i := 0; i <= 70; i += 7 {
+		free = append(free, fmt.Sprintf("y%d", i))
+	}
+	p := gen.PathWDPT(70, free...)
+	if got := p.NumNodes(); got != 70 {
+		t.Fatalf("%d nodes, want 70", got)
+	}
+	subtrees := 0
+	p.EnumerateSubtrees(func(core.Subtree) bool {
+		subtrees++
+		return true
+	})
+	if subtrees != wantSubtrees {
+		t.Errorf("EnumerateSubtrees visited %d subtrees, want %d", subtrees, wantSubtrees)
+	}
+	d := gen.ChainDatabase(90)
+	for _, mode := range []core.Mode{core.ModeEnumerate, core.ModeMaximal} {
+		for _, engine := range []string{"naive", "auto"} {
+			for _, par := range []int{1, 8} {
+				opts := core.SolveOptions{Mode: mode, Parallelism: par}
+				if engine == "auto" {
+					opts.Engine = cqeval.Auto()
+				}
+				res, err := p.Solve(context.Background(), d, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Answers) != wantAnswers {
+					t.Errorf("%s %s P=%d: %d answers, want %d", mode, engine, par, len(res.Answers), wantAnswers)
+				}
+				if got := encodeDigest(t, core.ModeEnumerate, "pin", res.Answers); got != wantBody {
+					t.Errorf("%s %s P=%d: body digest %s, want %s", mode, engine, par, got, wantBody)
+				}
+			}
+		}
+	}
+}
