@@ -185,7 +185,7 @@ func buildQuotientTree(p *core.PatternTree, s core.Subtree, theta cq.Mapping) (*
 			out.Atoms = append(out.Atoms, cq.NewAtom(a.Rel, args...))
 		}
 		for _, c := range n.Children() {
-			if s[c.ID()] {
+			if s.Has(c.ID()) {
 				out.Children = append(out.Children, spec(c))
 			}
 		}

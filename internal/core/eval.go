@@ -114,7 +114,7 @@ func (p *PatternTree) computeExtensionUnits(s Subtree, svars []string) []extUnit
 		}
 	}
 	for _, n := range p.nodes {
-		if !s[n.id] && n.parent != nil && s[n.parent.id] {
+		if !s.Has(n.id) && n.parent != nil && s.Has(n.parent.id) {
 			dfs(n, nil, nil)
 		}
 	}
@@ -175,15 +175,12 @@ func (p *PatternTree) evalBand(h cq.Mapping) (tmin, tmax Subtree, ok bool) {
 	free := p.FreeSet()
 	for v := range h {
 		if !free[v] {
-			return nil, nil, false
+			return Subtree{}, Subtree{}, false
 		}
 	}
 	tmin, ok = p.MinimalSubtreeContaining(h.Domain())
-	if !ok {
-		return nil, nil, false
-	}
-	if len(p.SubtreeFreeVars(tmin)) != len(h) {
-		return nil, nil, false
+	if !ok || len(p.SubtreeFreeVars(tmin)) != len(h) {
+		return Subtree{}, Subtree{}, false
 	}
 	allowed := make(map[string]bool, len(h))
 	for v := range h {
@@ -225,45 +222,6 @@ func (p *PatternTree) evalNaive(d *db.Database, h cq.Mapping, st *obs.Stats, m *
 	return found
 }
 
-// enumerateBand visits every rooted subtree s with base ⊆ s ⊆ within.
-func (p *PatternTree) enumerateBand(base, within Subtree, visit func(Subtree) bool) {
-	var frontier []*Node
-	for _, n := range p.nodes {
-		if !base[n.id] && within[n.id] && n.parent != nil && base[n.parent.id] {
-			frontier = append(frontier, n)
-		}
-	}
-	cur := base.Clone()
-	stopped := false
-	var rec func(i int, frontier []*Node)
-	rec = func(i int, frontier []*Node) {
-		if stopped {
-			return
-		}
-		if i == len(frontier) {
-			if !visit(cur.Clone()) {
-				stopped = true
-			}
-			return
-		}
-		n := frontier[i]
-		rec(i+1, frontier)
-		if stopped {
-			return
-		}
-		cur[n.id] = true
-		next := append([]*Node(nil), frontier[i+1:]...)
-		for _, c := range n.children {
-			if within[c.id] {
-				next = append(next, c)
-			}
-		}
-		rec(0, next)
-		delete(cur, n.id)
-	}
-	rec(0, frontier)
-}
-
 // partialEval decides PARTIAL-EVAL (Section 3.3) behind ModePartial: is
 // there h' ∈ p(D) with h ⊑ h'?
 // Following the proof of Theorem 8, it suffices to find any homomorphism on
@@ -299,7 +257,7 @@ func (p *PatternTree) PartialEvalEnumerate(d *db.Database, h cq.Mapping) bool {
 		return false
 	}
 	found := false
-	p.enumerateExtensions(tmin, func(s Subtree) bool {
+	p.enumerateBand(tmin, p.FullSubtree(), func(s Subtree) bool {
 		if cq.Satisfiable(p.SubtreeAtoms(s), d, h) {
 			found = true
 			return false
@@ -505,11 +463,11 @@ func (e *biEvaluator) childrenOK(n *Node, full cq.Mapping) bool {
 	for _, c := range n.children {
 		iface := e.childInterface(n, c, full)
 		switch {
-		case e.tmin[c.id]:
+		case e.tmin.Has(c.id):
 			if !e.required(c, iface) {
 				return false
 			}
-		case e.tmax[c.id]:
+		case e.tmax.Has(c.id):
 			if !e.safe(c, iface) {
 				return false
 			}

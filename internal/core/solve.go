@@ -485,7 +485,8 @@ func extend(g, h, rows []uint32, at []int, r int) []uint32 {
 // it), and where they part they either take different units, which needs a
 // state with at least two, or the same unit with different extensions,
 // which bind some variable of the unit differently in every later mapping
-// and so never meet again.
+// and so never meet again. A visited key is s's bits, which have one
+// length per tree, then h's row key.
 func (x *expansion) expand(visited map[string]bool, answers *answerSet, s Subtree, h []uint32, forked bool) {
 	x.m.Checkpoint()
 	if x.m.Truncated() {
@@ -493,7 +494,7 @@ func (x *expansion) expand(visited map[string]bool, answers *answerSet, s Subtre
 	}
 	if forked {
 		var buf [128]byte
-		key := db.AppendRowKey(x.p.appendSubtreeKey(buf[:0], s), h)
+		key := db.AppendRowKey(append(buf[:0], s.bits...), h)
 		if visited[string(key)] {
 			return
 		}
@@ -510,10 +511,7 @@ func (x *expansion) expand(visited map[string]bool, answers *answerSet, s Subtre
 			continue
 		}
 		extendable = true
-		next := s.Clone()
-		for _, n := range u.nodes {
-			next[n.id] = true
-		}
+		next := s.with(u.nodes...)
 		g := make([]uint32, len(h))
 		for r := 0; r < n; r++ {
 			x.expand(visited, answers, next, extend(g, h, rows, at, r), forked)

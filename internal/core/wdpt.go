@@ -9,8 +9,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -52,9 +52,10 @@ type NodeSpec struct {
 // atom-labeled nodes with a tuple of free variables. Instances are immutable
 // after construction and always well-designed (New validates Definition 1).
 type PatternTree struct {
-	root  *Node
-	nodes []*Node // preorder; nodes[i].id == i
-	free  []string
+	root     *Node
+	nodes    []*Node // preorder; nodes[i].id == i
+	free     []string
+	rootOnly Subtree
 	// vars is Vars(), computed on first use: the slots of a tree row.
 	varsOnce sync.Once
 	vars     []string
@@ -62,12 +63,11 @@ type PatternTree struct {
 	// extension units): subtree-local evaluation recomputes these for the
 	// same subtree at every band/extension step, and the tree is immutable,
 	// so the computation is a pure function of the node-id set. Entries are
-	// keyed by subtreeKey and shared by concurrent Solve goroutines; the
-	// entry count is bounded by maxSubtreeCache to keep the exponential
-	// subtree space from exhausting memory (past the bound, callers compute
-	// without caching).
-	subtrees     sync.Map // subtreeKey → *subtreeInfo
-	subtreeCount atomic.Int64
+	// shared by concurrent Solve goroutines; the entry count is bounded by
+	// maxSubtreeCache to keep the exponential subtree space from exhausting
+	// memory (past the bound, callers compute without caching).
+	subtreesMu sync.RWMutex
+	subtrees   map[Subtree]*subtreeInfo
 	// pruned is the Lemma 1 form Solve evaluates (PruneNonProjecting),
 	// computed once on first use; a tree with nothing to prune is its own
 	// pruned form.
@@ -89,58 +89,33 @@ type subtreeInfo struct {
 	units atomic.Pointer[[]extUnit]
 }
 
-// subtreeKey returns a canonical comparable key for the node-id set: a
-// uint64 bitmask for trees of at most 64 nodes (the common case), else the
-// sorted-id string rendering.
-func (p *PatternTree) subtreeKey(s Subtree) any {
-	if len(p.nodes) <= 64 {
-		return subtreeMask(s)
-	}
-	return s.Key()
-}
-
-// appendSubtreeKey appends subtreeKey(s) to dst as bytes: the mask's eight
-// bytes, or the id rendering and a '|'. Within one tree every key has the
-// same form, so the bytes that follow stay unambiguous.
-func (p *PatternTree) appendSubtreeKey(dst []byte, s Subtree) []byte {
-	if len(p.nodes) <= 64 {
-		return binary.LittleEndian.AppendUint64(dst, subtreeMask(s))
-	}
-	return append(append(dst, s.Key()...), '|')
-}
-
-// subtreeMask returns the node-id set of a subtree of at most 64 nodes as
-// a bitmask.
-func subtreeMask(s Subtree) uint64 {
-	var m uint64
-	for id, in := range s {
-		if in {
-			m |= 1 << uint(id)
-		}
-	}
-	return m
-}
-
 // subtreeInfoOf returns the memoized derived structure of s, computing and
 // (size permitting) caching it.
 func (p *PatternTree) subtreeInfoOf(s Subtree) *subtreeInfo {
-	key := p.subtreeKey(s)
-	if v, ok := p.subtrees.Load(key); ok {
-		return v.(*subtreeInfo)
+	p.subtreesMu.RLock()
+	info := p.subtrees[s]
+	p.subtreesMu.RUnlock()
+	if info != nil {
+		return info
 	}
 	var atoms []cq.Atom
 	for _, n := range p.nodes {
-		if s[n.id] {
+		if s.Has(n.id) {
 			atoms = append(atoms, n.atoms...)
 		}
 	}
 	atoms = cq.DedupAtoms(atoms)
-	info := &subtreeInfo{atoms: atoms, vars: cq.AtomsVars(atoms)}
-	if p.subtreeCount.Load() < maxSubtreeCache {
-		if v, loaded := p.subtrees.LoadOrStore(key, info); loaded {
-			return v.(*subtreeInfo)
+	info = &subtreeInfo{atoms: atoms, vars: cq.AtomsVars(atoms)}
+	p.subtreesMu.Lock()
+	defer p.subtreesMu.Unlock()
+	if cached := p.subtrees[s]; cached != nil {
+		return cached
+	}
+	if len(p.subtrees) < maxSubtreeCache {
+		if p.subtrees == nil {
+			p.subtrees = make(map[Subtree]*subtreeInfo)
 		}
-		p.subtreeCount.Add(1)
+		p.subtrees[s] = info
 	}
 	return info
 }
@@ -166,6 +141,7 @@ func New(root NodeSpec, free []string) (*PatternTree, error) {
 		return n
 	}
 	p.root = build(root, nil)
+	p.rootOnly = p.subtreeOf(p.root)
 	p.free = append([]string(nil), free...)
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -356,43 +332,45 @@ func (p *PatternTree) String() string {
 }
 
 // Subtree is a rooted subtree T' of T: a set of node ids containing the root
-// and closed under taking parents.
-type Subtree map[int]bool
+// and closed under taking parents. It is an immutable bitset over the
+// preorder ids, one bit per node of T, so the subtrees of one tree compare
+// with == and serve as map keys as they are.
+type Subtree struct{ bits string }
 
-// Clone returns a copy of the subtree set.
-func (s Subtree) Clone() Subtree {
-	out := make(Subtree, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
+// Has reports whether node id is in s.
+func (s Subtree) Has(id int) bool {
+	return id>>3 < len(s.bits) && s.bits[id>>3]&(1<<(id&7)) != 0
 }
 
-// Key renders the subtree as a canonical string usable as a map key.
-func (s Subtree) Key() string {
-	ids := make([]int, 0, len(s))
-	for id := range s {
-		ids = append(ids, id)
+// Len returns the number of nodes in s.
+func (s Subtree) Len() int {
+	n := 0
+	for i := 0; i < len(s.bits); i++ {
+		n += bits.OnesCount8(s.bits[i])
 	}
-	sort.Ints(ids)
-	var b strings.Builder
-	for _, id := range ids {
-		fmt.Fprintf(&b, "%d,", id)
+	return n
+}
+
+// with returns s with nodes added.
+func (s Subtree) with(nodes ...*Node) Subtree {
+	b := []byte(s.bits)
+	for _, n := range nodes {
+		b[n.id>>3] |= 1 << (n.id & 7)
 	}
-	return b.String()
+	return Subtree{string(b)}
+}
+
+// subtreeOf returns the node set of nodes, which must be closed under
+// taking parents.
+func (p *PatternTree) subtreeOf(nodes ...*Node) Subtree {
+	return Subtree{strings.Repeat("\x00", (len(p.nodes)+7)/8)}.with(nodes...)
 }
 
 // RootSubtree returns the subtree consisting of the root only.
-func (p *PatternTree) RootSubtree() Subtree { return Subtree{0: true} }
+func (p *PatternTree) RootSubtree() Subtree { return p.rootOnly }
 
 // FullSubtree returns the subtree consisting of all nodes.
-func (p *PatternTree) FullSubtree() Subtree {
-	s := make(Subtree, len(p.nodes))
-	for _, n := range p.nodes {
-		s[n.id] = true
-	}
-	return s
-}
+func (p *PatternTree) FullSubtree() Subtree { return p.subtreeOf(p.nodes...) }
 
 // SubtreeAtoms returns the atoms of the nodes in s, i.e. the body of q_T'.
 // The result is memoized per subtree and must not be modified.
@@ -432,46 +410,44 @@ func (p *PatternTree) SubtreeProjectedCQ(s Subtree) *cq.CQ {
 // root-only subtree. visit returning false stops the enumeration. The number
 // of subtrees can be exponential in the size of T.
 func (p *PatternTree) EnumerateSubtrees(visit func(Subtree) bool) {
-	p.enumerateExtensions(p.RootSubtree(), visit)
+	p.enumerateBand(p.rootOnly, p.FullSubtree(), visit)
 }
 
-// enumerateExtensions visits base and every rooted subtree extending base.
-func (p *PatternTree) enumerateExtensions(base Subtree, visit func(Subtree) bool) {
-	// Frontier-based enumeration: at each step, either close the frontier
-	// node (never include it or its descendants) or include it and push its
-	// children. We process frontier nodes in a fixed order to enumerate
-	// every downward-closed superset exactly once.
+// enumerateBand visits every rooted subtree s with base ⊆ s ⊆ within,
+// base first. Each frontier node is either closed (it and its descendants
+// stay out) or included, its children within joining the frontier; taking
+// the frontier in a fixed order visits every such s exactly once.
+func (p *PatternTree) enumerateBand(base, within Subtree, visit func(Subtree) bool) {
 	var frontier []*Node
 	for _, n := range p.nodes {
-		if !base[n.id] && n.parent != nil && base[n.parent.id] {
+		if !base.Has(n.id) && within.Has(n.id) && n.parent != nil && base.Has(n.parent.id) {
 			frontier = append(frontier, n)
 		}
 	}
-	cur := base.Clone()
 	stopped := false
-	var rec func(i int, frontier []*Node)
-	rec = func(i int, frontier []*Node) {
+	var rec func(cur Subtree, i int, frontier []*Node)
+	rec = func(cur Subtree, i int, frontier []*Node) {
 		if stopped {
 			return
 		}
 		if i == len(frontier) {
-			if !visit(cur.Clone()) {
-				stopped = true
-			}
+			stopped = !visit(cur)
 			return
 		}
 		n := frontier[i]
-		// Exclude n (and thus its whole subtree).
-		rec(i+1, frontier)
+		rec(cur, i+1, frontier)
 		if stopped {
 			return
 		}
-		// Include n; its children join the remaining frontier.
-		cur[n.id] = true
-		rec(0, append(append([]*Node(nil), frontier[i+1:]...), n.children...))
-		delete(cur, n.id)
+		next := append([]*Node(nil), frontier[i+1:]...)
+		for _, c := range n.children {
+			if within.Has(c.id) {
+				next = append(next, c)
+			}
+		}
+		rec(cur.with(n), 0, next)
 	}
-	rec(0, frontier)
+	rec(base, 0, frontier)
 }
 
 // MinimalSubtreeContaining returns the unique minimal rooted subtree whose
@@ -480,17 +456,18 @@ func (p *PatternTree) enumerateExtensions(base Subtree, visit func(Subtree) bool
 // variable is an ancestor of every node mentioning it, so the minimal
 // subtree is the union of the root-paths to those topmost nodes.
 func (p *PatternTree) MinimalSubtreeContaining(vars []string) (Subtree, bool) {
-	s := p.RootSubtree()
+	var buf [16]*Node
+	path := buf[:0]
 	for _, v := range vars {
 		top := p.topmostMentioning(v)
 		if top == nil {
-			return nil, false
+			return Subtree{}, false
 		}
 		for n := top; n != nil; n = n.parent {
-			s[n.id] = true
+			path = append(path, n)
 		}
 	}
-	return s, true
+	return p.rootOnly.with(path...), true
 }
 
 func (p *PatternTree) topmostMentioning(v string) *Node {
@@ -512,7 +489,7 @@ func (p *PatternTree) topmostMentioning(v string) *Node {
 // allowed. base must itself satisfy the condition.
 func (p *PatternTree) MaximalSubtreeWithoutNewFree(base Subtree, allowed map[string]bool) Subtree {
 	free := p.FreeSet()
-	s := base.Clone()
+	s := base
 	ok := func(n *Node) bool {
 		for _, v := range n.Vars() {
 			if free[v] && !allowed[v] {
@@ -525,11 +502,11 @@ func (p *PatternTree) MaximalSubtreeWithoutNewFree(base Subtree, allowed map[str
 	for changed {
 		changed = false
 		for _, n := range p.nodes {
-			if s[n.id] || n.parent == nil || !s[n.parent.id] {
+			if s.Has(n.id) || n.parent == nil || !s.Has(n.parent.id) {
 				continue
 			}
 			if ok(n) {
-				s[n.id] = true
+				s = s.with(n)
 				changed = true
 			}
 		}
