@@ -63,14 +63,13 @@ type Report struct {
 	Trace []obs.SpanNode `json:"trace,omitempty"`
 }
 
-// SetAnswers canonicalizes an enumeration answer set into the report: the
-// answers are sorted in place into the canonical solution order and the
-// count recorded, so every front end emits the same byte sequence for the
-// same answer set.
+// SetAnswers records an enumeration answer set and its count as given.
+// The answers must already be in the canonical order of
+// cq.CompareMappings, as Solve and Union.Solve return them, so every front
+// end emits the same byte sequence for the same answer set.
 func (r *Report) SetAnswers(answers []cq.Mapping) {
-	sorted := cq.SortSolutions(answers)
-	n := len(sorted)
-	r.AnswerCount, r.Answers = &n, sorted
+	n := len(answers)
+	r.AnswerCount, r.Answers = &n, answers
 }
 
 // SetResult records a decision-mode verdict.
