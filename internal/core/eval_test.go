@@ -25,11 +25,11 @@ func TestExample2(t *testing.T) {
 	if len(answers) != 2 {
 		t.Fatalf("answers = %v, want {μ1, μ2}", answers)
 	}
-	set := cq.NewMappingSet()
+	set := make(map[string]bool, len(answers))
 	for _, h := range answers {
-		set.Add(h)
+		set[h.Key()] = true
 	}
-	if !set.Contains(mu1) || !set.Contains(mu2) {
+	if !set[mu1.Key()] || !set[mu2.Key()] {
 		t.Fatalf("answers = %v, want μ1=%v and μ2=%v", answers, mu1, mu2)
 	}
 }
@@ -46,11 +46,11 @@ func TestExample3(t *testing.T) {
 	if len(answers) != 2 {
 		t.Fatalf("answers = %v, want {μ1', μ2'}", answers)
 	}
-	set := cq.NewMappingSet()
+	set := make(map[string]bool, len(answers))
 	for _, h := range answers {
-		set.Add(h)
+		set[h.Key()] = true
 	}
-	if !set.Contains(mu1p) || !set.Contains(mu2p) {
+	if !set[mu1p.Key()] || !set[mu2p.Key()] {
 		t.Fatalf("answers = %v, want μ1'=%v, μ2'=%v", answers, mu1p, mu2p)
 	}
 }
@@ -294,12 +294,12 @@ func TestMaxEvalAgainstEnumeration(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		p := gen.RandomWDPT(gen.TreeParams{MaxDepth: 2}, seed)
 		d := gen.RandomDatabase(gen.DBParams{DomainSize: 3, TuplesPerRel: 6}, seed*7+1)
-		maximal := cq.NewMappingSet()
+		maximal := make(map[string]bool)
 		for _, h := range solve(t, p, d, core.SolveOptions{Mode: core.ModeMaximal}).Answers {
-			maximal.Add(h)
+			maximal[h.Key()] = true
 		}
 		for _, h := range solve(t, p, d, core.SolveOptions{Mode: core.ModeEnumerate}).Answers {
-			want := maximal.Contains(h)
+			want := maximal[h.Key()]
 			if got := solve(t, p, d, core.SolveOptions{Mode: core.ModeMax, Mapping: h, Engine: eng}).Holds; got != want {
 				t.Fatalf("seed %d: MaxEval(%v) = %v, want %v\ntree:\n%s", seed, h, got, want, p)
 			}

@@ -298,12 +298,12 @@ func sameAnswerSets(a, b []cq.Mapping) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	set := cq.NewMappingSet()
+	set := make(map[string]bool, len(a))
 	for _, h := range a {
-		set.Add(h)
+		set[h.Key()] = true
 	}
 	for _, h := range b {
-		if !set.Contains(h) {
+		if !set[h.Key()] {
 			return false
 		}
 	}

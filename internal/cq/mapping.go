@@ -447,16 +447,6 @@ func (s *MappingSet) Add(h Mapping) bool {
 	return true
 }
 
-// Contains reports whether the set holds exactly h.
-func (s *MappingSet) Contains(h Mapping) bool {
-	var buf [128]byte
-	_, ok := s.byKey[string(h.AppendKey(buf[:0]))]
-	return ok
-}
-
-// Len returns the number of mappings in the set.
-func (s *MappingSet) Len() int { return len(s.byKey) }
-
 // All returns the mappings in the canonical solution order of
 // CompareMappings, for deterministic output.
 func (s *MappingSet) All() []Mapping {

@@ -39,12 +39,12 @@ func TestEncodeCQAnswersPreserved(t *testing.T) {
 	if len(want) != len(got) {
 		t.Fatalf("answers %d vs %d", len(want), len(got))
 	}
-	set := cq.NewMappingSet()
+	set := make(map[string]bool, len(want))
 	for _, h := range want {
-		set.Add(h)
+		set[h.Key()] = true
 	}
 	for _, h := range got {
-		if !set.Contains(h) {
+		if !set[h.Key()] {
 			t.Fatalf("extra answer %v", h)
 		}
 	}
@@ -68,12 +68,12 @@ func TestEncodeMusicTree(t *testing.T) {
 	if len(want) != len(got) {
 		t.Fatalf("music answers %d vs %d:\n%v\n%v", len(want), len(got), want, got)
 	}
-	set := cq.NewMappingSet()
+	set := make(map[string]bool, len(want))
 	for _, h := range want {
-		set.Add(h)
+		set[h.Key()] = true
 	}
 	for _, h := range got {
-		if !set.Contains(h) {
+		if !set[h.Key()] {
 			t.Fatalf("answer %v not in the relational evaluation", h)
 		}
 	}
@@ -93,12 +93,12 @@ func TestEncodePreservesAnswersProperty(t *testing.T) {
 			t.Logf("seed %d: %d vs %d answers", seed, len(want), len(got))
 			return false
 		}
-		set := cq.NewMappingSet()
+		set := make(map[string]bool, len(want))
 		for _, h := range want {
-			set.Add(h)
+			set[h.Key()] = true
 		}
 		for _, h := range got {
-			if !set.Contains(h) {
+			if !set[h.Key()] {
 				return false
 			}
 		}
