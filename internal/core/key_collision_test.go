@@ -15,8 +15,7 @@ import (
 // and instantiated atoms share a key, which surfaced here as a dropped
 // answer (Definition 2 asks for a set of mappings, not a set of keys), a
 // memo verdict served for another interface, and an atom lost to
-// DedupAtoms. Subtree.Key joins integer node ids and cqeval's shapeKey has
-// been length-prefixed since PR 21; neither needs a case.
+// DedupAtoms. cqeval's shapeKey is length-prefixed, so it needs no case.
 
 var engineNames = []string{"auto", "naive", "yannakakis", "decomposition", "hypertree"}
 
