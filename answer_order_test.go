@@ -16,7 +16,7 @@ import (
 // every engine, in both enumeration modes, at P ∈ {1, 8}. report.SetAnswers
 // records the answers as given, so the served bodies rely on this order.
 func TestSolveAnswersCanonicalOrder(t *testing.T) {
-	engines := map[string]func() cqeval.Engine{"engine-less": nil}
+	engines := map[string]func() cqeval.Engine{"nil engine": nil}
 	for _, name := range []string{"auto", "naive", "yannakakis", "decomposition", "hypertree"} {
 		engines[name] = func() cqeval.Engine {
 			eng, err := cqeval.ByName(name)

@@ -104,7 +104,7 @@ func TestPathAnswerPins(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					// The server's engine, auto, for both modes; maximal
-					// also runs the engine-less backtracking arm, which
+					// also runs with no engine, on cqeval.Naive(), which
 					// must serve the same body. At P=8 each root candidate
 					// expands on its own worker and the per-candidate sets
 					// merge.
@@ -115,7 +115,7 @@ func TestPathAnswerPins(t *testing.T) {
 					for _, newEngine := range engines {
 						for _, par := range []int{1, 8} {
 							opts := core.SolveOptions{Mode: mode, Parallelism: par}
-							arm := "engine-less"
+							arm := "nil engine"
 							if newEngine != nil {
 								opts.Engine, arm = newEngine(), "auto"
 							}

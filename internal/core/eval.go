@@ -35,7 +35,7 @@ import (
 // atoms compiled against bound, and xfer maps each entry of bound to its
 // slot in the subtree's variable layout (cq.AtomsVars order over the
 // subtree atoms), so a candidate's relevant bindings transfer as raw IDs.
-// boundAt and varsAt are the tree slots of bound and cq.AtomsVars(atoms).
+// boundAt is the tree slots of bound.
 type extUnit struct {
 	nodes    []*Node
 	atoms    []cq.Atom
@@ -44,7 +44,6 @@ type extUnit struct {
 	compiled *cq.CompiledAtoms
 	xfer     []int
 	boundAt  []int
-	varsAt   []int
 }
 
 // extensionUnits computes the extension units of the subtree s. The result
@@ -101,7 +100,6 @@ func (p *PatternTree) computeExtensionUnits(s Subtree, svars []string) []extUnit
 				compiled: cq.CompileAtoms(chainAtoms, fdom),
 				xfer:     make([]int, len(fdom)),
 				boundAt:  p.slots(fdom),
-				varsAt:   p.slots(cq.AtomsVars(chainAtoms)),
 			}
 			for i, v := range fdom {
 				u.xfer[i] = slotInS[v]

@@ -99,8 +99,8 @@ func FallbackLadder(m Mode) []Mode {
 }
 
 // SolveOptions configures one Solve call. The zero value enumerates p(D)
-// sequentially with the naive homomorphism solver, no observability, and no
-// resource limits.
+// sequentially on cqeval.Naive(), with no observability and no resource
+// limits.
 type SolveOptions struct {
 	// Mode selects the problem; see the Mode constants.
 	Mode Mode
@@ -109,20 +109,12 @@ type SolveOptions struct {
 	// modes.
 	Mapping cq.Mapping
 	// Engine evaluates the node-level conjunctive queries. nil selects the
-	// library default for the mode: the backtracking solver for the
-	// enumeration modes and ModeExactNaive, cqeval.Auto() for the other
-	// decision modes. The server and wdpteval always name an engine.
-	//
-	// The enumeration modes keep the engine-less arm on purpose: subsume's
-	// canonical-database extension checks and the E10 and E12 experiments
-	// run on it, and it is much faster there. Mapping nil to cqeval.Auto()
-	// instead made E10's t(direct) at |D| = 67 860 go from 17 ms to about
-	// 960 ms and E12's t(rdf) at 1 313 facts from 5.3 ms to about 210 ms
-	// (wdptbench, 2 vCPUs); mapping it to cqeval.Naive(), which runs as a
-	// foreign engine, raised the allocations of the pinned maximal Solves
-	// by 14–20 %. Expanding on ID rows made the engine-less arm cheaper
-	// still: E12's t(rdf) at 1 313 facts read 3.7–5.4 ms before and
-	// 2.6–4.1 ms after, over two runs each.
+	// library default for the mode: cqeval.Naive() for the enumeration
+	// modes, cqeval.Auto() for the decision modes. ModeExactNaive ignores
+	// the engine and runs the backtracking solver directly. The server and
+	// wdpteval always name an engine; subsume, approx and the E5–E12
+	// experiments enumerate on the default, where Auto is still much
+	// slower than the search (ROADMAP item 20).
 	Engine cqeval.Engine
 	// Stats receives work counters. nil falls back to the sink carried by
 	// Engine (cqeval.WithStats); if both are set and differ, Stats wins and
@@ -228,12 +220,17 @@ func (p *PatternTree) solveAttempt(ctx context.Context, d *db.Database, mode Mod
 	}()
 	pool := par.New(opts.Parallelism, st)
 	eng := opts.Engine
-	if eng != nil {
-		if opts.Stats != nil && cqeval.StatsOf(eng) != opts.Stats {
-			eng = cqeval.WithStats(eng, opts.Stats)
-		}
-		eng = cqeval.WithMeter(cqeval.WithPool(eng, pool), m)
+	switch {
+	case eng != nil:
+	case mode == ModeEnumerate || mode == ModeMaximal:
+		eng = cqeval.Naive()
+	default:
+		eng = cqeval.Auto()
 	}
+	if opts.Stats != nil && cqeval.StatsOf(eng) != opts.Stats {
+		eng = cqeval.WithStats(eng, opts.Stats)
+	}
+	eng = cqeval.WithMeter(cqeval.WithPool(eng, pool), m)
 	switch mode {
 	case ModeEnumerate, ModeMaximal:
 		answers, err := p.enumerateSolve(ctx, d, eng, st, pool, m)
@@ -264,9 +261,6 @@ func (p *PatternTree) solveAttempt(ctx context.Context, d *db.Database, mode Mod
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		if eng == nil {
-			eng = cqeval.WithMeter(cqeval.WithPool(cqeval.WithStats(cqeval.Auto(), st), pool), m)
-		}
 		switch mode {
 		case ModeExact:
 			return Result{Holds: p.evalInterface(d, opts.Mapping, eng)}, nil
@@ -286,15 +280,15 @@ func (p *PatternTree) solveAttempt(ctx context.Context, d *db.Database, mode Mod
 // merge in candidate order. Visited keys of distinct root candidates never
 // collide (every key embeds the root bindings), so the per-candidate dedup
 // maps partition the shared sequential map exactly: the expansion work —
-// and its counters — are identical at every parallelism level. With an
-// engine, the root and each extension unit reached are prepared once per
-// Solve (cqeval.Prepare) and every worker runs the shared prepared units.
+// and its counters — are identical at every parallelism level. The root
+// and each extension unit reached are prepared once per Solve
+// (cqeval.Prepare) and every worker runs the shared prepared units.
 // The guard meter charges enumerated homomorphisms and caps the answer
 // set; when the cap fires the remaining candidates are skipped and the
 // partial set is returned truncated.
 func (p *PatternTree) enumerateSolve(ctx context.Context, d *db.Database, eng cqeval.Engine, st *obs.Stats, pool *par.Pool, m *guard.Meter) (*answerSet, error) {
 	x := &expansion{p: p, d: d, st: st, m: m, eng: eng, units: make(map[unitKey]*preparedUnit)}
-	root := extUnit{nodes: []*Node{p.root}, atoms: p.root.atoms, proj: p.keptVars([]*Node{p.root}, p.root.vars), varsAt: p.slots(p.root.vars)}
+	root := extUnit{nodes: []*Node{p.root}, atoms: p.root.atoms, proj: p.keptVars([]*Node{p.root}, p.root.vars)}
 	empty := make([]uint32, len(p.treeVars()))
 	for i := range empty {
 		empty[i] = db.NoID
@@ -387,7 +381,7 @@ type expansion struct {
 	d     *db.Database
 	st    *obs.Stats
 	m     *guard.Meter
-	eng   cqeval.Engine // nil: the engine-less arm
+	eng   cqeval.Engine
 	mu    sync.Mutex
 	units map[unitKey]*preparedUnit
 }
@@ -422,12 +416,9 @@ type preparedUnit struct {
 }
 
 // run returns the extensions of the tree row h along u: n rows, column c
-// for tree slot at[c]. With an engine they are the rows of u's prepared
-// query, prepared on first use and shared by every worker.
+// for tree slot at[c]. They are the rows of u's prepared query, prepared
+// on first use and shared by every worker.
 func (x *expansion) run(u *extUnit, h []uint32) ([]uint32, int, []int) {
-	if x.eng == nil {
-		return x.search(u, h)
-	}
 	key := u.key()
 	x.mu.Lock()
 	e := x.units[key]
@@ -446,22 +437,6 @@ func (x *expansion) run(u *extUnit, h []uint32) ([]uint32, int, []int) {
 	}
 	rows, n := e.q.Run(fixed)
 	return rows, n, e.at
-}
-
-// search is run's engine-less arm: u's homomorphisms over all their
-// variables, each charged to the meter.
-func (x *expansion) search(u *extUnit, h []uint32) (rows []uint32, n int, at []int) {
-	fixed := make(cq.Mapping, len(u.bound))
-	for i, v := range u.bound {
-		fixed[v] = x.d.Dict().Term(h[u.boundAt[i]])
-	}
-	cq.HomomorphismsIDsObs(u.atoms, x.d, fixed, x.st, x.m, func(g cq.IDAssignment) bool {
-		x.m.ChargeTuples(1)
-		rows = append(rows, g.IDs...)
-		n++
-		return true
-	})
-	return rows, n, u.varsAt
 }
 
 // extend writes h extended by row r of rows (columns at) into g.
