@@ -57,7 +57,7 @@ func runE10(cfg Config) *Table {
 	}
 	for _, per := range sizes {
 		d := gen.LayeredDatabase(4, per, outDeg, int64(per))
-		enumerate := core.SolveOptions{Mode: core.ModeEnumerate}
+		enumerate := core.SolveOptions{Mode: core.ModeEnumerate, Stats: cfg.Stats}
 		tDirect := Measure(1, func() { cfg.solve(p, d, enumerate) })
 		tApprox := Measure(1, func() { cfg.solve(ap, d, enumerate) })
 		winner := "direct"

@@ -40,7 +40,7 @@ func runE12(cfg Config) *Table {
 		d := gen.MusicDatabaseLarge(sz[0], sz[1], int64(sz[0]))
 		encD := rdf.EncodeDatabase(d)
 		var relAnswers, rdfAnswers int
-		enumerate := core.SolveOptions{Mode: core.ModeEnumerate}
+		enumerate := core.SolveOptions{Mode: core.ModeEnumerate, Stats: cfg.Stats}
 		tRel := cfg.Measure(func() { relAnswers = len(cfg.solve(p, d, enumerate).Answers) })
 		tRDF := cfg.Measure(func() { rdfAnswers = len(cfg.solve(enc, encD, enumerate).Answers) })
 		if relAnswers != rdfAnswers {
