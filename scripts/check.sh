@@ -122,9 +122,9 @@ cmp "$snap_dir/text.json" "$snap_dir/snap.json" || {
   echo "snapshot answers diverge from text answers (wdpteval -json not byte-identical)" >&2
   exit 1
 }
-# Both enumeration modes run on the engine they are given, and naive is
-# an engine outside cqeval's plan engine, so its rows take the foreign
-# path: on the snapshot, -engine naive and -engine auto must give the same
+# Both enumeration modes run on the engine they are given, and naive
+# searches one bag by backtracking where auto runs Yannakakis over a join
+# tree: on the snapshot, -engine naive and -engine auto must give the same
 # body once the "engine" field that names them is stripped.
 for mode in enumerate maximal; do
   for eng in naive auto; do
