@@ -160,16 +160,19 @@ func BenchmarkFigure2Blowup(b *testing.B) {
 func BenchmarkCQEngines(b *testing.B) {
 	atoms := pathAtoms(6)
 	d := gen.LayeredDatabase(6, 40, 4, 1)
-	engines := map[string]wdpt.Engine{
-		"naive":         wdpt.NaiveEngine(),
-		"yannakakis":    wdpt.YannakakisEngine(),
-		"decomposition": wdpt.DecompositionEngine(),
-		"hypertree":     wdpt.HypertreeEngine(2),
+	engines := []struct {
+		name string
+		eng  wdpt.Engine
+	}{
+		{"naive", wdpt.NaiveEngine()},
+		{"yannakakis", wdpt.YannakakisEngine()},
+		{"decomposition", wdpt.DecompositionEngine()},
+		{"hypertree", wdpt.HypertreeEngine(2)},
 	}
-	for name, eng := range engines {
-		b.Run(name, func(b *testing.B) {
+	for _, e := range engines {
+		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng.Satisfiable(atoms, d, nil)
+				e.eng.Satisfiable(atoms, d, nil)
 			}
 		})
 	}
