@@ -1,19 +1,7 @@
 package hypergraph
 
-// ghw1ViaSearch decides ghw <= 1 using the generic elimination search,
+// ghw1ViaSearch decides ghw <= 1 with the elimination-order search,
 // bypassing the GYO shortcut. Used to cross-validate the two algorithms.
 func (h *Hypergraph) ghw1ViaSearch() bool {
-	if len(h.edges) <= 1 {
-		return true
-	}
-	adj := h.adjacency()
-	covered := NewSet(h.NumVertices())
-	for _, e := range h.edges {
-		covered.UnionWith(e)
-	}
-	eliminated := h.AllVertices()
-	eliminated.SubtractWith(covered)
-	memo := make(map[string]bool)
-	allow := func(bag Set) bool { return h.coverableBy(bag, 1) }
-	return fWidthSearch(adj, eliminated, covered.Len(), allow, memo)
+	return len(h.edges) <= 1 || h.hwSearch(1, nil)
 }

@@ -1,12 +1,11 @@
 package hypergraph
 
+import "math/bits"
+
 // Generalized hypertree width (called simply "hypertreewidth" in Section 3.1
-// of the paper, following its remark on terminology). We decide ghw(h) ≤ k
-// exactly via the chordalization characterization: a graph admits a tree
-// decomposition with all bags from a downward-closed family F iff it has an
-// elimination ordering in which, for every eliminated vertex, the vertex
-// together with its current fill-neighborhood lies in F. For ghw, F is
-// "coverable by at most k hyperedges".
+// of the paper, following its remark on terminology), decided by the
+// elimination-order search whose bags are the sets coverable by at most k
+// hyperedges.
 
 // GeneralizedHypertreewidthAtMost decides ghw(h) ≤ k exactly. k must be
 // positive. ghw ≤ 1 coincides with α-acyclicity and is answered by GYO in
@@ -20,22 +19,30 @@ func (h *Hypergraph) GeneralizedHypertreewidthAtMost(k int) bool {
 		ok, _ := h.IsAcyclic()
 		return ok
 	}
-	if len(h.edges) <= k {
-		return true
+	return len(h.edges) <= k || h.hwSearch(k, nil)
+}
+
+// hwSearch runs the elimination-order search whose bags are the sets
+// covered by at most k edges. Vertices in no edge never constrain a
+// decomposition, so they start out eliminated and the search orders the
+// covered vertices only; order, when non-nil, has one slot for each.
+func (h *Hypergraph) hwSearch(k int, order []int) bool {
+	eliminated := h.uncovered()
+	cover := make([]int, 0, k)
+	fits := func(bag Set) bool {
+		_, ok := h.coverOf(bag, k, cover)
+		return ok
 	}
-	// Vertices in no edge never constrain a decomposition; restrict to
-	// covered vertices.
-	n := h.NumVertices()
-	adj := h.adjacency()
-	covered := NewSet(n)
+	return orderSearch(h.adjacency(), eliminated, h.NumVertices()-eliminated.Len(), fits, make(map[string]bool), order)
+}
+
+// uncovered returns the vertices that lie in no edge.
+func (h *Hypergraph) uncovered() Set {
+	s := h.AllVertices()
 	for _, e := range h.edges {
-		covered.UnionWith(e)
+		s.SubtractWith(e)
 	}
-	eliminated := h.AllVertices()
-	eliminated.SubtractWith(covered)
-	memo := make(map[string]bool)
-	allow := func(bag Set) bool { return h.coverableBy(bag, k) }
-	return fWidthSearch(adj, eliminated, covered.Len(), allow, memo)
+	return s
 }
 
 // BetaHypertreewidthAtMost decides whether every subhypergraph of h (every
@@ -67,78 +74,38 @@ func (h *Hypergraph) BetaHypertreewidthAtMost(k int) bool {
 	return true
 }
 
-// fWidthSearch reports whether the live graph admits an elimination ordering
-// whose every bag (vertex + live fill-neighborhood) satisfies allow.
-func fWidthSearch(adj []Set, eliminated Set, remaining int, allow func(Set) bool, memo map[string]bool) bool {
-	if remaining == 0 {
-		return true
+// coverOf extends cover, a list of edge indices, to at most k edges whose
+// union contains vs, and returns it. It branches on the smallest vertex
+// the cover leaves out and tries the edges containing it in index order.
+// Given a cover with room for k indices, the search allocates nothing.
+func (h *Hypergraph) coverOf(vs Set, k int, cover []int) ([]int, bool) {
+	v := h.firstUncovered(vs, cover)
+	if v < 0 {
+		return cover, true
 	}
-	key := eliminated.Key()
-	if v, ok := memo[key]; ok {
-		return v
+	if len(cover) == k {
+		return nil, false
 	}
-	n := len(adj)
-	result := false
-	try := func(v int) bool {
-		nb := adj[v].Subtract(eliminated)
-		bag := nb.Clone()
-		bag.Add(v)
-		if !allow(bag) {
-			return false
-		}
-		added := eliminate(adj, eliminated, v, nb)
-		ok := fWidthSearch(adj, eliminated, remaining-1, allow, memo)
-		undo(adj, eliminated, v, added)
-		return ok
-	}
-	// Simplicial vertices with an allowed bag can be eliminated first.
-	forced := -1
-	for v := 0; v < n && forced < 0; v++ {
-		if eliminated.Has(v) {
-			continue
-		}
-		nb := adj[v].Subtract(eliminated)
-		bag := nb.Clone()
-		bag.Add(v)
-		if isClique(adj, eliminated, nb) && allow(bag) {
-			forced = v
-		}
-	}
-	if forced >= 0 {
-		result = try(forced)
-	} else {
-		for v := 0; v < n; v++ {
-			if eliminated.Has(v) {
-				continue
-			}
-			if try(v) {
-				result = true
-				break
+	for i, e := range h.edges {
+		if e.Has(v) {
+			if c, ok := h.coverOf(vs, k, append(cover, i)); ok {
+				return c, true
 			}
 		}
 	}
-	memo[key] = result
-	return result
+	return nil, false
 }
 
-// coverableBy reports whether the vertex set vs is contained in the union of
-// at most k hyperedges of h, by exact branch-on-uncovered-vertex search.
-func (h *Hypergraph) coverableBy(vs Set, k int) bool {
-	if vs.Empty() {
-		return true
-	}
-	if k == 0 {
-		return false
-	}
-	v := vs.First()
-	for _, e := range h.edges {
-		if !e.Has(v) {
-			continue
+// firstUncovered returns the smallest vertex of vs in none of the edges of
+// cover, or -1 when there is none.
+func (h *Hypergraph) firstUncovered(vs Set, cover []int) int {
+	for wi, w := range vs {
+		for _, i := range cover {
+			w &^= h.edges[i][wi]
 		}
-		rest := vs.Subtract(e)
-		if h.coverableBy(rest, k-1) {
-			return true
+		if w != 0 {
+			return wi*64 + bits.TrailingZeros64(w)
 		}
 	}
-	return false
+	return -1
 }
