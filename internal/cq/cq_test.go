@@ -341,6 +341,15 @@ func TestCoreEvenVsOddCycle(t *testing.T) {
 	}
 }
 
+// treewidth returns the treewidth of H_q: the least k with q in TW(k).
+func treewidth(q *CQ) int {
+	k := 0
+	for !TW(k).Contains(q) {
+		k++
+	}
+	return k
+}
+
 func TestTreewidthOfCQ(t *testing.T) {
 	// Example 4: path query has treewidth 1; closing the cycle gives 2;
 	// clique gives n-1.
@@ -350,7 +359,7 @@ func TestTreewidthOfCQ(t *testing.T) {
 		atoms = append(atoms, NewAtom("E", V(fmt.Sprintf("x%d", i)), V(fmt.Sprintf("x%d", i+1))))
 	}
 	q := Boolean(atoms)
-	if w, _ := q.Treewidth(); w != 1 {
+	if w := treewidth(q); w != 1 {
 		t.Fatalf("path query tw = %d, want 1", w)
 	}
 	if !TW(1).Contains(q) || TW(1).Name() != "TW(1)" {
@@ -358,7 +367,7 @@ func TestTreewidthOfCQ(t *testing.T) {
 	}
 	atoms = append(atoms, NewAtom("E", V("x1"), V(fmt.Sprintf("x%d", n))))
 	q = Boolean(atoms)
-	if w, _ := q.Treewidth(); w != 2 {
+	if w := treewidth(q); w != 2 {
 		t.Fatalf("cycle query tw = %d, want 2", w)
 	}
 	if TW(1).Contains(q) || !TW(2).Contains(q) {

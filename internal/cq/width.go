@@ -6,12 +6,6 @@ import (
 	"wdpt/internal/hypergraph"
 )
 
-// Hypergraph returns the hypergraph H_q of the query (Section 3.1): vertices
-// are the variables of q and hyperedges the variable sets of its atoms.
-func (q *CQ) Hypergraph() *hypergraph.Hypergraph {
-	return AtomsHypergraph(q.atoms)
-}
-
 // AtomsHypergraph builds the hypergraph of a set of atoms.
 func AtomsHypergraph(atoms []Atom) *hypergraph.Hypergraph {
 	h := hypergraph.New(AtomsVars(atoms))
@@ -19,12 +13,6 @@ func AtomsHypergraph(atoms []Atom) *hypergraph.Hypergraph {
 		h.AddEdge(a.Vars())
 	}
 	return h
-}
-
-// Treewidth returns the treewidth of H_q; exact reports whether the value is
-// exact rather than a min-fill upper bound (see hypergraph.Treewidth).
-func (q *CQ) Treewidth() (width int, exact bool) {
-	return q.Hypergraph().Treewidth()
 }
 
 // Class is a syntactically defined class of conjunctive queries, such as

@@ -14,16 +14,6 @@ type JoinTree struct {
 	Order []int
 }
 
-// Root returns the root edge index, or -1 for an edgeless tree.
-func (jt *JoinTree) Root() int {
-	for i, p := range jt.Parent {
-		if p == -1 {
-			return i
-		}
-	}
-	return -1
-}
-
 // IsAcyclic reports whether h is α-acyclic (equivalently, of generalized
 // hypertreewidth 1) using the GYO reduction, and returns a join tree when it
 // is. Duplicate and empty edges are handled.

@@ -57,32 +57,11 @@ func (s Set) UnionWith(t Set) {
 	}
 }
 
-// intersectWith removes from s all elements not in t, in place.
-func (s Set) intersectWith(t Set) {
-	for i := range s {
-		s[i] &= t[i]
-	}
-}
-
 // SubtractWith removes all elements of t from s in place.
 func (s Set) SubtractWith(t Set) {
 	for i := range s {
 		s[i] &^= t[i]
 	}
-}
-
-// Union returns s ∪ t as a new set.
-func (s Set) Union(t Set) Set {
-	out := s.Clone()
-	out.UnionWith(t)
-	return out
-}
-
-// Intersect returns s ∩ t as a new set.
-func (s Set) Intersect(t Set) Set {
-	out := s.Clone()
-	out.intersectWith(t)
-	return out
 }
 
 // Subtract returns s ∖ t as a new set.
@@ -102,16 +81,6 @@ func (s Set) SubsetOf(t Set) bool {
 	return true
 }
 
-// Equal reports whether s and t contain the same elements.
-func (s Set) Equal(t Set) bool {
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Elements returns the members of s in increasing order.
 func (s Set) Elements() []int {
 	var out []int
@@ -123,16 +92,6 @@ func (s Set) Elements() []int {
 		}
 	}
 	return out
-}
-
-// First returns the smallest element, or -1 if the set is empty.
-func (s Set) First() int {
-	for wi, w := range s {
-		if w != 0 {
-			return wi*64 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
 }
 
 // Key renders the set as a compact string usable as a map key.

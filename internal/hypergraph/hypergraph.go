@@ -54,9 +54,6 @@ func (h *Hypergraph) AddEdge(vertices []string) {
 // NumVertices returns |V|.
 func (h *Hypergraph) NumVertices() int { return len(h.names) }
 
-// Edges returns the hyperedges as bitsets. The result must not be modified.
-func (h *Hypergraph) Edges() []Set { return h.edges }
-
 // edgeVertices returns the vertex names of edge i, sorted.
 func (h *Hypergraph) edgeVertices(i int) []string {
 	elems := h.edges[i].Elements()
@@ -95,40 +92,6 @@ func (h *Hypergraph) adjacency() []Set {
 	return adj
 }
 
-// Components returns the connected components of the subhypergraph induced
-// by the vertex set within, considering only edges restricted to within.
-func (h *Hypergraph) Components(within Set) []Set {
-	visited := NewSet(len(h.names))
-	var comps []Set
-	for _, start := range within.Elements() {
-		if visited.Has(start) {
-			continue
-		}
-		comp := NewSet(len(h.names))
-		stack := []int{start}
-		comp.Add(start)
-		visited.Add(start)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range h.edges {
-				if !e.Has(v) {
-					continue
-				}
-				for _, u := range e.Intersect(within).Elements() {
-					if !visited.Has(u) {
-						visited.Add(u)
-						comp.Add(u)
-						stack = append(stack, u)
-					}
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // String renders the hypergraph as "{a,b,c} {c,d}" with sorted edges.
 func (h *Hypergraph) String() string {
 	parts := make([]string, len(h.edges))
@@ -140,7 +103,9 @@ func (h *Hypergraph) String() string {
 }
 
 // Decomposition is a tree decomposition (S, ν): a tree over bag nodes where
-// each bag is a set of vertex names. Node 0 is the root; Parent[0] = -1.
+// each bag is a set of vertex names. Parent[i] is the parent node of node
+// i; exactly one node, the root, has Parent -1, and it need not be node 0:
+// the min-fill TreeDecomposition of the path a–b–c has parents [1 2 -1].
 type Decomposition struct {
 	Bags   [][]string
 	Parent []int
