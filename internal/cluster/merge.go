@@ -14,10 +14,11 @@ import (
 // it, and the coordinator splices those bytes into the union's body. A leg
 // body is read strictly in the layout report.Encode gives a single-tree
 // enumeration; for each answer the reader keeps its encoded bytes and its
-// cq.Keys sort key. Any other body — another header, extra fields such as
-// degraded, a null answer, names or answers out of strictly increasing
-// order, a miscounted answer_count, a string not in the encoder's own
-// escaping, trailing bytes — makes the whole request replay locally. A
+// sort key, laid out as cq.RowKeys lays it. Any other body — another
+// header, extra fields such as degraded, a null answer, names or answers
+// out of strictly increasing order, a miscounted answer_count, a string
+// not in the encoder's own escaping, trailing bytes — makes the whole
+// request replay locally. A
 // member of another version therefore costs a replay, never a wrong body.
 // Values that are not valid UTF-8 replay too: the member writes each
 // invalid byte as \ufffd, which loses the bytes the single node orders

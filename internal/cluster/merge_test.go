@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wdpt/internal/core"
@@ -95,7 +96,14 @@ func referenceMerge(hdr report.Report, bodies [][]byte) ([]byte, bool) {
 	}
 	answers := set.All()
 	if hdr.Mode == "maximal" {
-		answers = cq.MaximalSolutions(set.All())
+		// Keep the answers no other answer properly subsumes.
+		var kept []cq.Mapping
+		for _, h := range answers {
+			if !slices.ContainsFunc(answers, func(hp cq.Mapping) bool { return h.SubsumedBy(hp) && !h.Equal(hp) }) {
+				kept = append(kept, h)
+			}
+		}
+		answers = kept
 	}
 	hdr.SetAnswers(answers)
 	var buf bytes.Buffer

@@ -94,7 +94,7 @@ func TestMappingSetMaximal(t *testing.T) {
 	if n := len(s.All()); n != 3 {
 		t.Fatalf("set holds %d mappings, want 3", n)
 	}
-	max := MaximalSolutions(s.All())
+	max := maximalOf(s.All())
 	if len(max) != 2 {
 		t.Fatalf("Maximal = %v, want 2 mappings", max)
 	}

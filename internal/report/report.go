@@ -23,6 +23,7 @@ import (
 
 	"wdpt/internal/core"
 	"wdpt/internal/cq"
+	"wdpt/internal/db"
 	"wdpt/internal/guard"
 	"wdpt/internal/obs"
 )
@@ -119,6 +120,39 @@ func Append(dst []byte, r Report) ([]byte, error) {
 func AppendSpliced(dst []byte, r Report, answers []string) ([]byte, error) {
 	return appendReport(dst, &r, len(answers), func(dst []byte, i int) []byte {
 		return append(dst, answers[i]...)
+	})
+}
+
+// AppendRows is Append with rows in place of r.Answers and r.AnswerCount:
+// each answer is written from its bound columns, in column order, with its
+// values looked up in rows.Dict, so no answer becomes a mapping on its way
+// out. The bytes are Append's for r with rows.Mappings() as its answers.
+func AppendRows(dst []byte, r Report, rows *core.Rows) ([]byte, error) {
+	n := rows.N
+	r.AnswerCount = &n
+	// Each column's name is encoded once, with the indentation before it
+	// and the separator after it.
+	heads := make([][]byte, len(rows.Vars))
+	for c, v := range rows.Vars {
+		heads[c] = append(AppendString([]byte("\n      "), v), ": "...)
+	}
+	return appendReport(dst, &r, n, func(dst []byte, i int) []byte {
+		dst = append(dst, '{')
+		bound := false
+		for c, id := range rows.Row(i) {
+			if id == db.NoID {
+				continue
+			}
+			if bound {
+				dst = append(dst, ',')
+			}
+			dst = AppendString(append(dst, heads[c]...), rows.Dict.Term(id))
+			bound = true
+		}
+		if !bound {
+			return append(dst, '}')
+		}
+		return append(dst, "\n    }"...)
 	})
 }
 
