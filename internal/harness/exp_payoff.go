@@ -58,8 +58,8 @@ func runE10(cfg Config) *Table {
 	for _, per := range sizes {
 		d := gen.LayeredDatabase(4, per, outDeg, int64(per))
 		enumerate := core.SolveOptions{Mode: core.ModeEnumerate, Stats: cfg.Stats}
-		tDirect := Measure(1, func() { cfg.solve(p, d, enumerate) })
-		tApprox := Measure(1, func() { cfg.solve(ap, d, enumerate) })
+		tDirect := cfg.Measure(func() { cfg.solve(p, d, enumerate) })
+		tApprox := cfg.Measure(func() { cfg.solve(ap, d, enumerate) })
 		winner := "direct"
 		if tApprox+computeTime < tDirect {
 			winner = "approximation"

@@ -34,11 +34,11 @@ func runE5(cfg Config) *Table {
 		p := gen.StarWDPT(w)
 		var holds bool
 		var err error
-		fast := Measure(1, func() {
+		fast := cfg.Measure(func() {
 			holds, err = subsume.Subsumes(ctx, p, p, subsume.Options{Stats: cfg.Stats})
 		})
 		t.noteError(err)
-		slow := Measure(1, func() {
+		slow := cfg.Measure(func() {
 			_, err = subsume.Subsumes(ctx, p, p, subsume.Options{InnerEnumerate: true, Stats: cfg.Stats})
 		})
 		t.noteError(err)
