@@ -26,7 +26,8 @@ import (
 // while maximal requests still ran the engine-less backtracking arm, and
 // that arm and the Auto engine served the same answers. Any change to how
 // trees are evaluated or answers are ordered must leave every body
-// byte-identical.
+// byte-identical. The server's bodies, written from answer rows by
+// report.AppendRows, must match the same digests.
 
 // pathFreeSets are the free-variable sets of the pinned path requests:
 // the four the enum_deep workload draws from, then every variable of the
@@ -36,7 +37,7 @@ var pathFreeSets = [][]int{{0}, {1}, {0, 1}, {0, 2}, nil}
 // pathPins maps "d<depth>/<mode>/<free>" to the body digest. In the
 // all-free sets nothing prunes and no answer is subsumed by another, so
 // the maximal body differs from the enumerate one in its mode field alone;
-// it is pinned anyway, because it is the case where cq.MaximalSolutions
+// it is pinned anyway, because it is the case where the maximal filter
 // compares the most answers (about 0.3 s at depth 4 and 0.8 s at depth 5
 // on a 2-vCPU box).
 var pathPins = map[string]string{
@@ -62,8 +63,8 @@ var pathPins = map[string]string{
 	"d5/maximal/y0,y1,y2,y3,y4,y5":   "010a797473ebc73a2c43673e0237286a63160c82e433a067423b6829ab39d578",
 }
 
-// encodeDigest encodes answers the way the server and wdpteval -json do and
-// returns the SHA-256 of the body.
+// encodeDigest encodes answers the way wdpteval -json does and returns
+// the SHA-256 of the body.
 func encodeDigest(t *testing.T, mode core.Mode, engine string, answers []cq.Mapping) string {
 	t.Helper()
 	rep := report.Report{Mode: mode.String(), Engine: engine, Parallelism: 1}
@@ -73,6 +74,18 @@ func encodeDigest(t *testing.T, mode core.Mode, engine string, answers []cq.Mapp
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// rowsDigest encodes answer rows the way the server does and returns the
+// SHA-256 of the body.
+func rowsDigest(t *testing.T, mode core.Mode, engine string, rows *core.Rows) string {
+	t.Helper()
+	body, err := report.AppendRows(nil, report.Report{Mode: mode.String(), Engine: engine, Parallelism: 1}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(body)
 	return hex.EncodeToString(sum[:])
 }
 
@@ -127,6 +140,18 @@ func TestPathAnswerPins(t *testing.T) {
 							if got != want {
 								t.Errorf("%s %s P=%d: body digest %s (%d answers), want %s", name, arm, par, got, len(res.Answers), want)
 							}
+							if newEngine == nil {
+								continue
+							}
+							// The server's arm: answer rows, encoded from IDs.
+							opts.Engine, opts.Rows = newEngine(), true
+							res, err = p.Solve(context.Background(), d, opts)
+							if err != nil {
+								t.Fatalf("%s rows P=%d: %v", name, par, err)
+							}
+							if got := rowsDigest(t, mode, "auto", res.Rows); got != want {
+								t.Errorf("%s rows P=%d: body digest %s (%d answers), want %s", name, par, got, res.Rows.N, want)
+							}
 						}
 					}
 				})
@@ -155,6 +180,13 @@ func TestUnionAnswerPin(t *testing.T) {
 		}
 		if got := encodeDigest(t, core.ModeEnumerate, "auto", res.Answers); got != unionPin {
 			t.Errorf("P=%d: body digest %s (%d answers), want %s", par, got, len(res.Answers), unionPin)
+		}
+		res, err = u.Solve(context.Background(), d, core.SolveOptions{Mode: core.ModeEnumerate, Engine: cqeval.Auto(), Parallelism: par, Rows: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowsDigest(t, core.ModeEnumerate, "auto", res.Rows); got != unionPin {
+			t.Errorf("rows P=%d: body digest %s (%d answers), want %s", par, got, res.Rows.N, unionPin)
 		}
 	}
 }
